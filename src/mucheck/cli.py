@@ -2,7 +2,8 @@
 
 Exit codes: 0 true / Eloise wins, 1 false / Abelard wins, 2 undetermined,
 3 interactive session aborted, 10 usage or input errors, 11 position cap
-exceeded, 12 compare stopped at a resource cap, 13 self-check failed.
+exceeded, 12 compare stopped at a resource cap, 13 self-check failed,
+70 internal error (an unexpected exception; never a verdict).
 """
 
 import argparse
@@ -30,6 +31,7 @@ EXIT_ERROR = 10
 EXIT_CAP = 11
 EXIT_PARTIAL = 12
 EXIT_CHECK = 13
+EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
 
 
 class CliError(Exception):
@@ -376,6 +378,13 @@ def main(argv=None):
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:
+        # Without this an uncaught exception exits with 1, which reads as
+        # the verdict "false".
+        detail = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {detail}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,14 +7,17 @@ standard semantics, the AR reductions, chi against the AR solver, the
 two-counter game against AR, greedy against exhaustive clock policies,
 canonical clock tuples against full clock maps, duality, and
 normalization soundness.  The main sweep builds one tagged position
-graph per (model, sentence) and replays it under each clock bound, so
-the per-bound work is a pair of linear passes.
+graph per (model, sentence) and replays it under every clock bound at
+once: each position carries a bitmask with one bit per bound, so one
+backward pass yields the winners and AR membership under all bounds and
+one forward pass replays every winning strategy.
 
 Models that agree on the propositions a sentence actually mentions are
 indistinguishable to every engine, so the sweep runs one representative
 per such class and scales the instance counts by the class size.
 """
 
+import functools
 import multiprocessing
 import os
 import time
@@ -24,8 +27,8 @@ from . import formula as F
 from . import reduction
 from . import semantics
 from . import variants
-from .game import (ABELARD, ELOISE, EvalGame, GameLimitError, _A, _E,
-                   _Graph, _TURN_A, _TURN_E, _WON_A, _WON_E)
+from .game import (ABELARD, ELOISE, EvalGame, GameLimitError, StrategyError,
+                   _E, _Graph, _TURN_A, _TURN_E, _WON_A, _WON_E)
 from .kripke import KripkeModel
 from .semantics import OMEGA
 
@@ -72,10 +75,14 @@ class _Tally:
         materialized only when a failure is actually recorded."""
         self.instances += count
         if not ok:
-            self.failures += count
-            if self.cex is None or (key is not None and key < self.cex_key):
-                self.cex = _materialize(cex)
-                self.cex_key = key
+            self.fail(count, key, cex)
+
+    def fail(self, count, key=None, cex=None):
+        """Record ``count`` failures of instances already counted."""
+        self.failures += count
+        if self.cex is None or (key is not None and key < self.cex_key):
+            self.cex = _materialize(cex)
+            self.cex_key = key
 
     def merge(self, other):
         self.instances += other.instances
@@ -128,83 +135,125 @@ def _cap_for(bound, model):
     return model.card + 1 if bound is OMEGA else bound
 
 
-def _winners_and_ar(graph, cap, p_flags, q_flags):
-    """One reverse-topological pass: game winners and AR membership under
-    the given clock-choice cap."""
-    order = graph.topo_order()
+@functools.lru_cache(maxsize=64)
+def _admit_masks(caps):
+    """Per edge tag, the mask of the cap bits whose graph has that edge.
+
+    An edge tagged t announces clock value t, so it exists under every cap
+    above t.  Tags run from 0 to max(caps) - 1; the trailing entry is the
+    all-bits mask, so indexing with an untagged edge's -1 admits every bit.
+    """
+    masks = [0] * (max(caps) + 1)
+    for t in range(max(caps)):
+        for b, cap in enumerate(caps):
+            if cap > t:
+                masks[t] |= 1 << b
+    masks[-1] = (1 << len(caps)) - 1
+    return tuple(masks)
+
+
+def _replay(graph, caps, p_flags, q_flags):
+    """Winners and AR membership under every cap in one backward pass.
+
+    Bit b of a position's mask stands for clock-choice cap ``caps[b]``.
+    Returns per-position masks of the caps under which Eloise wins and
+    under which the position is in the AR winning set of the position
+    model, plus the mask of caps under which the two differ anywhere.
+    """
+    full = (1 << len(caps)) - 1
+    admit = _admit_masks(tuple(caps))
+    block = [full ^ m for m in admit]
     status = graph.status
     succs = graph.succs
     tags = graph.tags
     n = len(status)
     win = [0] * n
-    ar = [False] * n
-    for i in reversed(order):
+    ar = [0] * n
+    diff = 0
+    for i in reversed(graph.topo_order()):
         st = status[i]
+        # A stuck mover loses: an empty OR is 0, an empty AND all ones.
         if st == _WON_E:
-            win[i] = _E
+            w = full
         elif st == _WON_A:
-            win[i] = _A
-        else:
-            mover = _E if st == _TURN_E else _A
-            res = 1 - mover
+            w = 0
+        elif st == _TURN_E:
+            w = 0
             for j, t in zip(succs[i], tags[i]):
-                if t < cap and win[j] == mover:
-                    res = mover
-                    break
-            win[i] = res
+                w |= admit[t] & win[j]
+        else:
+            w = full
+            for j, t in zip(succs[i], tags[i]):
+                w &= win[j] | block[t]
         if p_flags[i]:
-            ar[i] = True
+            a = full
         elif q_flags[i]:
-            hit = False
+            a = 0
             for j, t in zip(succs[i], tags[i]):
-                if t < cap and ar[j]:
-                    hit = True
-                    break
-            ar[i] = hit
+                a |= admit[t] & ar[j]
         else:
-            hit = True
+            a = full
             for j, t in zip(succs[i], tags[i]):
-                if t < cap and not ar[j]:
-                    hit = False
-                    break
-            ar[i] = hit
-    return win, ar
+                a &= ar[j] | block[t]
+        win[i] = w
+        ar[i] = a
+        diff |= w ^ a
+    return win, ar, diff
 
 
-def _playout_ok(graph, cap, win, init):
-    """Walk the winner's first-winning-move strategy against every opponent
-    move; True when all reached terminals are wins."""
-    target = win[init]
-    mover_code = _TURN_E if target == _E else _TURN_A
+def _playouts(graph, caps, win, inits):
+    """Replay every first-winning-move strategy against all opponent moves.
+
+    One forward pass over the topological order serves every start and
+    cap: bit ``s * len(caps) + b`` of a reach mask stands for the playout
+    from ``inits[s]`` under ``caps[b]`` by the player whom ``win`` (masks
+    over the same caps, as _replay returns them) names the winner there.
+    That player follows the first admitted edge into a position ``win``
+    says they win; the opponent follows every admitted edge.
+    Returns the mask of playout bits that reach a terminal lost for their
+    player or a turn of that player with no such edge.
+    """
+    nb = len(caps)
+    full = (1 << nb) - 1
+    rep = 0  # one copy of the cap bits per start
+    for s in range(len(inits)):
+        rep |= 1 << (s * nb)
+    admit = [m * rep for m in _admit_masks(tuple(caps))]
     status = graph.status
     succs = graph.succs
     tags = graph.tags
-    seen = {init}
-    stack = [init]
-    while stack:
-        i = stack.pop()
-        st = status[i]
-        if st == _WON_E or st == _WON_A:
-            if (st == _WON_E) != (target == _E):
-                return False
+    reach = [0] * len(status)
+    for_e = 0  # playouts Eloise is to win
+    for s, init in enumerate(inits):
+        for_e |= win[init] << (s * nb)
+        reach[init] |= full << (s * nb)
+    for_a = (full * rep) ^ for_e
+    bad = 0
+    for i in graph.topo_order():
+        r = reach[i]
+        if not r:
             continue
-        if st == mover_code:
-            nxt = None
-            for j, t in zip(succs[i], tags[i]):
-                if t < cap and win[j] == target:
-                    nxt = j
-                    break
-            if nxt is None:
-                return False
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+        st = status[i]
+        if st == _WON_E:
+            bad |= r & for_a
+            continue
+        if st == _WON_A:
+            bad |= r & for_e
+            continue
+        if st == _TURN_E:
+            mine = r & for_e
+            theirs = r & for_a
         else:
-            for j, t in zip(succs[i], tags[i]):
-                if t < cap and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-    return True
+            mine = r & for_a
+            theirs = r & for_e
+        for j, t in zip(succs[i], tags[i]):
+            a = admit[t]
+            wins_e = win[j] * rep
+            take = mine & a & (wins_e if st == _TURN_E else ~wins_e)
+            reach[j] |= take | (theirs & a)
+            mine ^= take
+        bad |= mine
+    return bad
 
 
 EXHAUSTIVE_STATES = 2  # sizes enumerated in full; larger sizes are sampled
@@ -244,32 +293,37 @@ def _check_sentence(sent, sent_idx, models_by_vocab, gammas, max_positions,
     """All main-sweep properties for one sentence across its model classes."""
     dual_sent = F.dual(sent)
     vocab = _sentence_vocab(sent)
+    nb = len(gammas)
+    gbits = (1 << nb) - 1
     pairs = models_by_vocab[vocab]
     for model_idx, (model, mult) in enumerate(pairs):
         card = model.card
         key0 = (sent_idx, model_idx)
+        cap0 = max(1, card)  # the collapse bound
         std = semantics.eval_standard(model, sent)
-        collapse = semantics.eval_bounded(model, sent, max(1, card))
+        bounded = {}
+        for g in (cap0, OMEGA) + gammas:
+            if g not in bounded:
+                bounded[g] = semantics.eval_bounded(model, sent, g)
         tallies["card-collapse"].add(
-            mult, collapse == std, key0,
-            (model, sent, max(1, card), None, "card-collapse"))
-        omega_set = semantics.eval_bounded(model, sent, OMEGA)
+            mult, bounded[cap0] == std, key0,
+            (model, sent, cap0, None, "card-collapse"))
         tallies["omega-standard"].add(
-            mult, omega_set == std, key0,
+            mult, bounded[OMEGA] == std, key0,
             (model, sent, OMEGA, None, "omega-standard"))
         dual_set = semantics.eval_standard(model, dual_sent)
         tallies["duality"].add(
             mult, dual_set == frozenset(model.states) - std, key0,
             (model, sent, None, None, "duality"))
 
-        caps = [_cap_for(g, model) for g in gammas]
-        universe = max(caps + [max(1, card)])
+        # Bit b < nb of the replay masks is gammas[b]; bit nb is cap0.
+        caps = tuple(_cap_for(g, model) for g in gammas) + (cap0,)
         game = EvalGame(model, model.states[0], sent, OMEGA,
                         max_positions=max_positions)
         try:
             graph = game._explore(model.states,
                                   binder_choices=tuple(
-                                      range(universe - 1, -1, -1)))
+                                      range(max(caps) - 1, -1, -1)))
             graph.topo_order()
             acyclic = True
         except (RuntimeError, GameLimitError):
@@ -280,31 +334,31 @@ def _check_sentence(sent, sent_idx, models_by_vocab, gammas, max_positions,
             continue
         p_flags, q_flags = reduction._position_valuation(game, graph)
         inits = [graph.pos_id[(si, 0, ())] for si in range(card)]
+        win, ar, diff = _replay(graph, caps, p_flags, q_flags)
+        bad = _playouts(graph, caps, win, inits)
 
-        for gi, (g, cap) in enumerate(zip(gammas, caps)):
-            bset = semantics.eval_bounded(model, sent, g)
-            win, ar = _winners_and_ar(graph, cap, p_flags, q_flags)
-            consistent = all((w == _E) == a for w, a in zip(win, ar))
-            for si, init in enumerate(inits):
-                state = model.states[si]
-                key = (sent_idx, model_idx, gi, si)
-                game_true = win[init] == _E
-                tallies["game-vs-bounded"].add(
-                    mult, game_true == (state in bset), key,
-                    (model, sent, g, state, "game-vs-bounded"))
-                tallies["reduction-J"].add(
-                    mult, consistent and ar[init] == game_true, key,
-                    (model, sent, g, state, "reduction-J"))
-                tallies["strategy-playouts"].add(
-                    mult, _playout_ok(graph, cap, win, init), key,
-                    (model, sent, g, state, "strategy-playouts"))
-
-        cap0 = max(1, card)
-        _, ar0 = _winners_and_ar(graph, cap0, p_flags, q_flags)
+        # Per start state, bit gi of each mask marks a failure at gammas[gi].
         for si, init in enumerate(inits):
             state = model.states[si]
+            truth = 0
+            for gi, g in enumerate(gammas):
+                if state in bounded[g]:
+                    truth |= 1 << gi
+            w = win[init]
+            for name, fail in (
+                    ("game-vs-bounded", w ^ truth),
+                    ("reduction-J", diff | (w ^ ar[init])),
+                    ("strategy-playouts", bad >> (si * len(caps)))):
+                tally = tallies[name]
+                tally.instances += mult * nb
+                if fail & gbits:
+                    for gi, g in enumerate(gammas):
+                        if fail >> gi & 1:
+                            tally.fail(mult, (sent_idx, model_idx, gi, si),
+                                       (model, sent, g, state, name))
             tallies["reduction-I"].add(
-                mult, ar0[init] == (state in std), (sent_idx, model_idx, si),
+                mult, bool(ar[init] >> nb & 1) == (state in std),
+                (sent_idx, model_idx, si),
                 (model, sent, None, state, "reduction-I"))
 
 
@@ -392,19 +446,24 @@ def _ar_worker(args):
         tallies["ar-chi"].add(
             model.card, ar_set == chi_set, key,
             (model, chi_sent, None, None, "ar-chi"))
-        for state in model.states:
-            fb = variants.FBoundedGame(model, state, chi_sent, 1)
-            fgraph = fb._explore(True, True)
-            verdict_e = fgraph.winners()[0] == _E
+        # Counters start at f for every state, so one graph per clock
+        # policy holds every start state's game.
+        fb = variants.FBoundedGame(model, model.states[0], chi_sent, 1)
+        unit = fb._explore(model.states, True, True)
+        unit_win = unit.winners()
+        if check_decrements:
+            full = fb._explore(model.states)
+            full_win = full.winners()
+        for si, state in enumerate(model.states):
+            start = (si, 0, fb.f, fb.f)
+            verdict_e = unit_win[unit.pos_id[start]] == _E
             tallies["fbounded-chi"].add(
                 1, verdict_e == (state in ar_set), key,
                 (model, chi_sent, None, state, "fbounded-chi"))
             if check_decrements:
-                full = fb._explore(False, False)
                 tallies["fbounded-decrements"].add(
-                    1, (full.winners()[0] == _E) == verdict_e, key,
-                    (model, chi_sent, None, state,
-                         "fbounded-decrements"))
+                    1, (full_win[full.pos_id[start]] == _E) == verdict_e, key,
+                    (model, chi_sent, None, state, "fbounded-decrements"))
     return {name: (t.instances, t.failures, t.cex, t.cex_key)
             for name, t in tallies.items()}
 
@@ -704,8 +763,22 @@ def _shadow_binders(sent):
 # ---------------------------------------------------------------------------
 # Counterexample minimization.
 
+def _policy_winners(game, w):
+    """Winner codes at ``w`` when both players make only the largest clock
+    or counter choice, and when they make every choice: the comparison the
+    sweeps run, without the solver's own consistency check."""
+    greedy = game._explore([w], True, True).winners()[0]
+    full = game._explore([w]).winners()[0]
+    return greedy, full
+
+
 def _recheck(cex):
-    """Re-run the failed property on a counterexample dict; True = holds."""
+    """Re-run the failed property on a counterexample dict; True = holds.
+
+    Only a property's own failure signal reads as False (a strategy that
+    loses a playout raises StrategyError); any other exception is a crash
+    and propagates.
+    """
     model = KripkeModel(cex["model"]["states"],
                         [tuple(e) for e in cex["model"]["edges"]],
                         cex["model"]["val"])
@@ -716,71 +789,77 @@ def _recheck(cex):
         gamma = semantics.parse_bound(gamma)
     state = cex["state"]
     states = [state] if state else list(model.states)
-    try:
-        if prop == "card-collapse":
-            return (semantics.eval_bounded(model, sent, max(1, model.card))
-                    == semantics.eval_standard(model, sent))
-        if prop == "omega-standard":
-            return (semantics.eval_bounded(model, sent, OMEGA)
-                    == semantics.eval_standard(model, sent))
-        if prop == "duality":
-            return (semantics.eval_standard(model, F.dual(sent))
-                    == frozenset(model.states)
-                    - semantics.eval_standard(model, sent))
-        if prop == "normalize-soundness":
-            norm = F.normalize(sent)
-            return (semantics.eval_standard(model, sent)
-                    == semantics.eval_standard(model, norm))
-        if prop == "ar-chi":
-            return (reduction.ar_winning_set(model)
-                    == semantics.eval_standard(model, reduction.chi()))
-        for w in states:
-            if prop == "game-vs-bounded":
-                game = EvalGame(model, w, sent, gamma)
-                winner, _ = game.solve("exhaustive")
-                bset = semantics.eval_bounded(model, sent, gamma)
-                if (winner == ELOISE) != (w in bset):
-                    return False
-            elif prop == "strategy-playouts":
-                game = EvalGame(model, w, sent, gamma)
-                winner, strat = game.solve("exhaustive")
+    if prop == "card-collapse":
+        return (semantics.eval_bounded(model, sent, max(1, model.card))
+                == semantics.eval_standard(model, sent))
+    if prop == "omega-standard":
+        return (semantics.eval_bounded(model, sent, OMEGA)
+                == semantics.eval_standard(model, sent))
+    if prop == "duality":
+        return (semantics.eval_standard(model, F.dual(sent))
+                == frozenset(model.states)
+                - semantics.eval_standard(model, sent))
+    if prop == "normalize-soundness":
+        norm = F.normalize(sent)
+        return (semantics.eval_standard(model, sent)
+                == semantics.eval_standard(model, norm))
+    if prop == "ar-chi":
+        return (reduction.ar_winning_set(model)
+                == semantics.eval_standard(model, reduction.chi()))
+    for w in states:
+        if prop == "game-vs-bounded":
+            game = EvalGame(model, w, sent, gamma)
+            winner, _ = game.solve("exhaustive")
+            bset = semantics.eval_bounded(model, sent, gamma)
+            if (winner == ELOISE) != (w in bset):
+                return False
+        elif prop == "strategy-playouts":
+            game = EvalGame(model, w, sent, gamma)
+            winner, strat = game.solve("exhaustive")
+            try:
                 game.validate_strategy(winner, strat)
-            elif prop == "reduction-J":
-                game = EvalGame(model, w, sent, gamma)
-                winner, _ = game.solve("exhaustive")
-                reduced = reduction.build_position_model(model, w, sent, gamma)
-                if reduction.solve_ar(reduced.model, reduced.root) \
-                        != (winner == ELOISE):
-                    return False
-            elif prop == "reduction-I":
-                reduced = reduction.reduce_mc(model, w, sent)
-                std = semantics.eval_standard(model, sent)
-                if reduction.solve_ar(reduced.model, reduced.root) \
-                        != (w in std):
-                    return False
-            elif prop == "greedy-exhaustive":
-                game = EvalGame(model, w, sent, gamma)
-                if game.solve("greedy")[0] != game.solve("exhaustive")[0]:
-                    return False
-            elif prop == "canonical-fullmap":
-                game = EvalGame(model, w, sent, gamma)
-                if game.solve("exhaustive")[0] != fullmap_winner(
-                        model, w, sent, gamma):
-                    return False
-            elif prop == "fbounded-chi":
-                verdict, _ = variants.solve_fbounded(model, w,
-                                                     reduction.chi(), 1)
-                if (verdict == ELOISE) != reduction.solve_ar(model, w):
-                    return False
-            elif prop == "fbounded-decrements":
-                chi_sent = reduction.chi()
-                a, _ = variants.solve_fbounded(model, w, chi_sent, 1,
-                                               mode="greedy")
-                b, _ = variants.solve_fbounded(model, w, chi_sent, 1,
-                                               mode="exhaustive")
-                if a != b:
-                    return False
-        return True
+            except StrategyError:
+                return False
+        elif prop == "reduction-J":
+            game = EvalGame(model, w, sent, gamma)
+            winner, _ = game.solve("exhaustive")
+            reduced = reduction.build_position_model(model, w, sent, gamma)
+            if reduction.solve_ar(reduced.model, reduced.root) \
+                    != (winner == ELOISE):
+                return False
+        elif prop == "reduction-I":
+            reduced = reduction.reduce_mc(model, w, sent)
+            std = semantics.eval_standard(model, sent)
+            if reduction.solve_ar(reduced.model, reduced.root) \
+                    != (w in std):
+                return False
+        elif prop == "greedy-exhaustive":
+            greedy, full = _policy_winners(EvalGame(model, w, sent, gamma), w)
+            if greedy != full:
+                return False
+        elif prop == "canonical-fullmap":
+            game = EvalGame(model, w, sent, gamma)
+            if game.solve("exhaustive")[0] != fullmap_winner(
+                    model, w, sent, gamma):
+                return False
+        elif prop == "fbounded-chi":
+            verdict, _ = variants.solve_fbounded(model, w,
+                                                 reduction.chi(), 1)
+            if (verdict == ELOISE) != reduction.solve_ar(model, w):
+                return False
+        elif prop == "fbounded-decrements":
+            unit, full = _policy_winners(
+                variants.FBoundedGame(model, w, reduction.chi(), 1), w)
+            if unit != full:
+                return False
+    return True
+
+
+def _fails(cex):
+    """True when the property fails on ``cex`` by its own verdict.  A crash
+    is a different fault, so it never counts as reproducing this one."""
+    try:
+        return not _recheck(cex)
     except Exception:
         return False
 
@@ -788,8 +867,8 @@ def _recheck(cex):
 def minimize_counterexample(cex, rounds=50):
     """Greedy shrink of a failing instance: drop edges, shrink valuations,
     move to closed subsentences, and lower finite bounds while the
-    property keeps failing."""
-    if _recheck(cex):
+    property keeps failing.  A trial that crashes is not accepted."""
+    if not _fails(cex):
         return cex  # not reproducible in isolation; report as-is
     current = dict(cex)
     for _ in range(rounds):
@@ -802,7 +881,7 @@ def minimize_counterexample(cex, rounds=50):
                   "edges": model["edges"][:i] + model["edges"][i + 1:],
                   "val": model["val"]}
             trial["model"] = m2
-            if not _recheck(trial):
+            if _fails(trial):
                 current = trial
                 improved = True
                 break
@@ -817,7 +896,7 @@ def minimize_counterexample(cex, rounds=50):
                 val2[p] = ws[:i] + ws[i + 1:]
                 trial["model"] = {"states": model["states"],
                                   "edges": model["edges"], "val": val2}
-                if not _recheck(trial):
+                if _fails(trial):
                     current = trial
                     done = improved = True
                     break
@@ -833,7 +912,7 @@ def minimize_counterexample(cex, rounds=50):
                 continue
             trial = dict(current)
             trial["formula"] = F.render(sub)
-            if not _recheck(trial):
+            if _fails(trial):
                 current = trial
                 improved = True
                 break
@@ -844,7 +923,7 @@ def minimize_counterexample(cex, rounds=50):
         if g is not None and g != "omega" and int(g) > 1:
             trial = dict(current)
             trial["gamma"] = str(int(g) - 1)
-            if not _recheck(trial):
+            if _fails(trial):
                 current = trial
                 improved = True
         if not improved:

@@ -83,10 +83,12 @@ class Sentence:
     """An occurrence-identified syntax tree with dense pre-order node ids.
 
     Node 0 is the root.  Per-node data lives in parallel tuples indexed by
-    node id.  Instances are immutable and hashable.
+    node id.  Instances are immutable and hashable; the hash and the
+    SyntaxIndex are computed on first use and kept.
     """
 
-    __slots__ = ("kind", "name", "children", "parent", "_tree", "_hash")
+    __slots__ = ("kind", "name", "children", "parent", "_tree", "_hash",
+                 "_index")
 
     def __init__(self, tree):
         kinds, names, childlists, parents = [], [], [], []
@@ -108,6 +110,7 @@ class Sentence:
         self.parent = tuple(parents)
         self._tree = tree
         self._hash = None
+        self._index = None
 
     @property
     def size(self):
@@ -519,5 +522,10 @@ class SyntaxIndex:
 
 
 def build_index(s):
-    """Index ``s`` (callers normalize first when binder names may repeat)."""
-    return SyntaxIndex(s)
+    """Index ``s`` (callers normalize first when binder names may repeat).
+
+    The index is built once per sentence and shared by every later call.
+    """
+    if s._index is None:
+        s._index = SyntaxIndex(s)
+    return s._index

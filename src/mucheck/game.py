@@ -571,16 +571,11 @@ class _Graph:
         self._topo = order
         return order
 
-    def winners(self, cap=None):
-        """Backward-induction winner (0 Eloise, 1 Abelard) per position.
-
-        With ``cap`` set, binder edges whose announced clock value is not
-        below the cap are ignored (edge tags of -1 always pass).
-        """
+    def winners(self):
+        """Backward-induction winner (0 Eloise, 1 Abelard) per position."""
         order = self.topo_order()
         status = self.status
         succs = self.succs
-        tags = self.tags
         winners = [0] * len(status)
         for i in reversed(order):
             st = status[i]
@@ -591,16 +586,10 @@ class _Graph:
             else:
                 mover = _E if st == _TURN_E else _A
                 result = 1 - mover
-                if cap is None:
-                    for j in succs[i]:
-                        if winners[j] == mover:
-                            result = mover
-                            break
-                else:
-                    for j, t in zip(succs[i], tags[i]):
-                        if t < cap and winners[j] == mover:
-                            result = mover
-                            break
+                for j in succs[i]:
+                    if winners[j] == mover:
+                        result = mover
+                        break
                 winners[i] = result
         return winners
 

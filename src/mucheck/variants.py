@@ -159,15 +159,21 @@ class FBoundedGame(GameCore):
         choices = (ga - 1,) if abelard_greedy else range(ga - 1, -1, -1)
         return [(("set-counter", g), (si, body, ge, g)) for g in choices]
 
-    def _explore(self, eloise_greedy, abelard_greedy):
+    def _explore(self, start_states, eloise_greedy=False,
+                 abelard_greedy=False):
+        """Breadth-first reachable position graph from the given states,
+        each starting at the root with both counters at f."""
         pos_id = {}
         pos_list = []
         status = []
         succs = []
-        init = (self.model.state_index(self.start), 0, self.f, self.f)
-        pos_id[init] = 0
-        pos_list.append(init)
-        queue = [init]
+        queue = []
+        for w in start_states:
+            ip = (self.model.state_index(w), 0, self.f, self.f)
+            if ip not in pos_id:
+                pos_id[ip] = len(pos_list)
+                pos_list.append(ip)
+                queue.append(ip)
         head = 0
         cap = self.max_positions
         while head < len(queue):
@@ -204,13 +210,14 @@ class FBoundedGame(GameCore):
         if mode not in ("greedy", "exhaustive"):
             raise ValueError(f"unknown solve mode {mode!r}")
         greedy = mode == "greedy"
-        graph = self._explore(greedy, greedy)
+        graph = self._explore([self.start], greedy, greedy)
         self._check_space(graph)
         winners = graph.winners()
         init = 0
         win_code = winners[init]
         if greedy:
-            graph = self._explore(win_code == _E, win_code == _A)
+            graph = self._explore([self.start], win_code == _E,
+                                  win_code == _A)
             self._check_space(graph)
             winners = graph.winners()
             if winners[init] != win_code:

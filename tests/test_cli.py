@@ -101,6 +101,21 @@ def test_eval_errors(m1_path, tmp_path, capsys):
     assert code == 10
 
 
+def test_eval_deep_formula_is_internal_error(m1_path, tmp_path, capsys):
+    """A crash (here the recursion limit on 500 nested diamonds) exits with
+    the internal-error code, never with a verdict code."""
+    from mucheck.cli import EXIT_INTERNAL
+    path = tmp_path / "deep.mu"
+    path.write_text("<>" * 500 + "p")
+    code, out, err = run(["eval", "--model", m1_path, "--formula-file",
+                          str(path), "--state", "a"], capsys)
+    assert code == EXIT_INTERNAL
+    assert code not in (0, 1, 2, 3, 10, 11, 12, 13)
+    assert out == ""
+    assert err.startswith("error: internal: RecursionError")
+    assert len(err.splitlines()) == 1
+
+
 def test_eval_position_cap(m1_path, capsys):
     code, _, err = run(["eval", "--model", m1_path, "--formula",
                         "nu X. [] mu Y. (<>Y | (p & X))", "--state", "a",
