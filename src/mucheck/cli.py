@@ -107,17 +107,10 @@ def cmd_eval(args):
         verdict = args.state in semantics.eval_standard(model, sent)
     elif kind == "free":
         verdict = variants.solve_free(model, args.state, sent)
-    elif kind == "bounded":
-        game = EvalGame(model, args.state, sent, param,
+    else:  # a game: bounded or fbounded
+        game_cls = EvalGame if kind == "bounded" else FBoundedGame
+        game = game_cls(model, args.state, sent, param,
                         max_positions=args.max_positions)
-        t1 = time.time()
-        winner, strategy = game.solve(args.mode)
-        solve_s = time.time() - t1
-        positions = game.last_explored
-        verdict = winner
-    else:  # fbounded
-        game = FBoundedGame(model, args.state, sent, param,
-                            max_positions=args.max_positions)
         t1 = time.time()
         winner, strategy = game.solve(args.mode)
         solve_s = time.time() - t1

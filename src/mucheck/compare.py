@@ -6,11 +6,13 @@ bounded compositional semantics, the card(M) collapse against the
 standard semantics, the AR reductions, chi against the AR solver, the
 two-counter game against AR, greedy against exhaustive clock policies,
 canonical clock tuples against full clock maps, duality, and
-normalization soundness.  The main sweep builds one tagged position
-graph per (model, sentence) and replays it under every clock bound at
-once: each position carries a bitmask with one bit per bound, so one
+normalization soundness.  The main sweep builds one position graph per
+(model, sentence) at the largest clock bound and replays it under every
+bound at once: each position carries a bitmask with one bit per bound, so one
 backward pass yields the winners and AR membership under all bounds and
-one forward pass replays every winning strategy.
+one forward pass replays every winning strategy.  The full-clock-map
+oracle is a position codec for the shared game explorer, and every sweep
+shares one worker pool runner.
 
 Models that agree on the propositions a sentence actually mentions are
 indistinguishable to every engine, so the sweep runs one representative
@@ -20,6 +22,7 @@ per such class and scales the instance counts by the class size.
 import functools
 import multiprocessing
 import os
+import random
 import time
 
 from . import corpus
@@ -28,7 +31,7 @@ from . import reduction
 from . import semantics
 from . import variants
 from .game import (ABELARD, ELOISE, EvalGame, GameLimitError, StrategyError,
-                   _E, _Graph, _TURN_A, _TURN_E, _WON_A, _WON_E)
+                   _E, _TURN_A, _TURN_E, _WON_A, _WON_E)
 from .kripke import KripkeModel
 from .semantics import OMEGA
 
@@ -152,10 +155,25 @@ def _admit_masks(caps):
     return tuple(masks)
 
 
-def _replay(graph, caps, p_flags, q_flags):
+def _edge_tags(game, graph):
+    """Per position, the clock value each out-edge announces: a binder
+    edge carries the value it writes, every other edge -1."""
+    kind = game._kind
+    pos_list = graph.pos_list
+    tags = []
+    for (_, node, _), row in zip(pos_list, graph.succs):
+        if kind[node] in F.BINDER_KINDS:
+            tags.append(tuple(pos_list[j][2][-1] for j in row))
+        else:
+            tags.append((-1,) * len(row))
+    return tags
+
+
+def _replay(graph, tags, caps, p_flags, q_flags):
     """Winners and AR membership under every cap in one backward pass.
 
-    Bit b of a position's mask stands for clock-choice cap ``caps[b]``.
+    Bit b of a position's mask stands for clock-choice cap ``caps[b]``;
+    ``tags`` are the graph's edge tags as _edge_tags gives them.
     Returns per-position masks of the caps under which Eloise wins and
     under which the position is in the AR winning set of the position
     model, plus the mask of caps under which the two differ anywhere.
@@ -165,7 +183,6 @@ def _replay(graph, caps, p_flags, q_flags):
     block = [full ^ m for m in admit]
     status = graph.status
     succs = graph.succs
-    tags = graph.tags
     n = len(status)
     win = [0] * n
     ar = [0] * n
@@ -201,7 +218,7 @@ def _replay(graph, caps, p_flags, q_flags):
     return win, ar, diff
 
 
-def _playouts(graph, caps, win, inits):
+def _playouts(graph, tags, caps, win, inits):
     """Replay every first-winning-move strategy against all opponent moves.
 
     One forward pass over the topological order serves every start and
@@ -221,7 +238,6 @@ def _playouts(graph, caps, win, inits):
     admit = [m * rep for m in _admit_masks(tuple(caps))]
     status = graph.status
     succs = graph.succs
-    tags = graph.tags
     reach = [0] * len(status)
     for_e = 0  # playouts Eloise is to win
     for s, init in enumerate(inits):
@@ -272,12 +288,17 @@ def _model_classes(max_states, vocab_key, seed=0, samples_per_size=60):
         mult = (1 << n) ** ignored
         for code in corpus.all_model_codes(n, props):
             out.append((corpus.model_from_code(*code, props), mult))
-    import random as _random
     for n in range(EXHAUSTIVE_STATES + 1, max_states + 1):
-        rng = _random.Random(f"models:{seed}:{n}")
+        rng = random.Random(f"models:{seed}:{n}")
         for _ in range(samples_per_size):
             out.append((corpus.random_model(rng, n, props or ("p", "q")), 1))
     return out
+
+
+# The proposition subsets a sentence can mention; models are enumerated
+# once per subset.
+_VOCABS = (frozenset(), frozenset({"p"}), frozenset({"q"}),
+           frozenset({"p", "q"}))
 
 
 def _sentence_vocab(sent):
@@ -316,14 +337,14 @@ def _check_sentence(sent, sent_idx, models_by_vocab, gammas, max_positions,
             mult, dual_set == frozenset(model.states) - std, key0,
             (model, sent, None, None, "duality"))
 
-        # Bit b < nb of the replay masks is gammas[b]; bit nb is cap0.
+        # Bit b < nb of the replay masks is gammas[b]; bit nb is cap0.  The
+        # game at the largest cap holds every smaller cap's game as the
+        # edges whose announced clock value lies below that cap.
         caps = tuple(_cap_for(g, model) for g in gammas) + (cap0,)
-        game = EvalGame(model, model.states[0], sent, OMEGA,
+        game = EvalGame(model, model.states[0], sent, max(caps),
                         max_positions=max_positions)
         try:
-            graph = game._explore(model.states,
-                                  binder_choices=tuple(
-                                      range(max(caps) - 1, -1, -1)))
+            graph = game._explore(model.states)
             graph.topo_order()
             acyclic = True
         except (RuntimeError, GameLimitError):
@@ -333,9 +354,10 @@ def _check_sentence(sent, sent_idx, models_by_vocab, gammas, max_positions,
         if not acyclic:
             continue
         p_flags, q_flags = reduction._position_valuation(game, graph)
+        tags = _edge_tags(game, graph)
         inits = [graph.pos_id[(si, 0, ())] for si in range(card)]
-        win, ar, diff = _replay(graph, caps, p_flags, q_flags)
-        bad = _playouts(graph, caps, win, inits)
+        win, ar, diff = _replay(graph, tags, caps, p_flags, q_flags)
+        bad = _playouts(graph, tags, caps, win, inits)
 
         # Per start state, bit gi of each mask marks a failure at gammas[gi].
         for si, init in enumerate(inits):
@@ -386,47 +408,52 @@ def _main_worker(args):
     (trees, start_idx, max_states, gammas_enc, max_positions, seed,
      samples_per_size) = args
     gammas = tuple(OMEGA if g == "omega" else g for g in gammas_enc)
-    vocabs = [frozenset(), frozenset({"p"}), frozenset({"q"}),
-              frozenset({"p", "q"})]
     models_by_vocab = {v: _model_classes(max_states, v, seed,
-                                         samples_per_size) for v in vocabs}
+                                         samples_per_size) for v in _VOCABS}
     tallies = _new_tallies(MAIN_PROPERTIES)
     for k, tree in enumerate(trees):
         sent = F.Sentence(tree)
         _check_sentence(sent, start_idx + k, models_by_vocab, gammas,
                         max_positions, tallies)
-    return {name: (t.instances, t.failures, t.cex, t.cex_key)
-            for name, t in tallies.items()}
+    return tallies
+
+
+def _pool_map(worker, jobs, workers):
+    """Run ``worker`` on every job and merge the _Tally dicts it returns.
+
+    Jobs run in a fork pool of ``workers`` processes when there are more
+    than one of each, and in this process otherwise.
+    """
+    if workers <= 1 or len(jobs) <= 1:
+        results = map(worker, jobs)
+    else:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers) as pool:
+            results = pool.map(worker, jobs)
+    tallies = {}
+    for res in results:
+        for name, tally in res.items():
+            tallies.setdefault(name, _Tally()).merge(tally)
+    return tallies
 
 
 def run_main_sweep(sentences, max_states=2, gammas=(1, 2, 3, 4, OMEGA),
                    workers=None, max_positions=1_000_000, seed=0,
                    samples_per_size=60):
     """Main-sweep tallies over the given sentence corpus."""
-    tallies = _new_tallies(MAIN_PROPERTIES)
     gammas_enc = tuple("omega" if g is OMEGA else g for g in gammas)
     trees = [s.tree() for s in sentences]
     if workers is None:
         workers = min(os.cpu_count() or 1, 8)
     if workers <= 1 or len(trees) < 64:
-        results = [_main_worker((trees, 0, max_states, gammas_enc,
-                                 max_positions, seed, samples_per_size))]
+        chunk = max(1, len(trees))
     else:
         chunk = (len(trees) + workers - 1) // workers
-        jobs = [(trees[i:i + chunk], i, max_states, gammas_enc,
-                 max_positions, seed, samples_per_size)
-                for i in range(0, len(trees), chunk)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_main_worker, jobs)
-    for res in results:
-        for name, (inst, fail, cex, key) in res.items():
-            other = _Tally()
-            other.instances = inst
-            other.failures = fail
-            other.cex = cex
-            other.cex_key = key
-            tallies[name].merge(other)
+    jobs = [(trees[i:i + chunk], i, max_states, gammas_enc, max_positions,
+             seed, samples_per_size)
+            for i in range(0, len(trees), chunk)]
+    tallies = _new_tallies(MAIN_PROPERTIES)
+    tallies.update(_pool_map(_main_worker, jobs, workers))
     return tallies
 
 
@@ -464,8 +491,7 @@ def _ar_worker(args):
                 tallies["fbounded-decrements"].add(
                     1, (full_win[full.pos_id[start]] == _E) == verdict_e, key,
                     (model, chi_sent, None, state, "fbounded-decrements"))
-    return {name: (t.instances, t.failures, t.cex, t.cex_key)
-            for name, t in tallies.items()}
+    return tallies
 
 
 def run_ar_sweep(max_states=3, workers=None, decrement_max_states=2,
@@ -474,17 +500,15 @@ def run_ar_sweep(max_states=3, workers=None, decrement_max_states=2,
 
     Exhaustive through three states; larger sizes are seeded samples.
     """
-    import random as _random
     codes = []
     for n in range(1, min(max_states, 3) + 1):
         codes.extend(corpus.all_model_codes(n, corpus.AR_PROPS))
     for n in range(4, max_states + 1):
-        rng = _random.Random(f"ar:{seed}:{n}")
+        rng = random.Random(f"ar:{seed}:{n}")
         codes.extend((n, rng.getrandbits(n * n), rng.getrandbits(n * 2))
                      for _ in range(samples_per_size))
     if workers is None:
         workers = min(os.cpu_count() or 1, 8)
-    tallies = _new_tallies(AR_PROPERTIES)
     # decrement agreement only runs on the small models; split accordingly
     chunk = max(1, (len(codes) + (workers * 4) - 1) // (workers * 4))
     jobs = []
@@ -493,153 +517,83 @@ def run_ar_sweep(max_states=3, workers=None, decrement_max_states=2,
     for src, flag in ((small, True), (large, False)):
         for i in range(0, len(src), chunk):
             jobs.append((src[i:i + chunk], flag))
-    if workers <= 1 or len(jobs) <= 1:
-        results = [_ar_worker(job) for job in jobs]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_ar_worker, jobs)
-    for res in results:
-        for name, (inst, fail, cex, key) in res.items():
-            other = _Tally()
-            other.instances = inst
-            other.failures = fail
-            other.cex = cex
-            other.cex_key = key
-            tallies[name].merge(other)
+    tallies = _new_tallies(AR_PROPERTIES)
+    tallies.update(_pool_map(_ar_worker, jobs, workers))
     return tallies
 
 
 # ---------------------------------------------------------------------------
 # Clock-policy sweep: greedy vs exhaustive, canonical vs full clock maps.
 
-_TOP = None
+FULLMAP_MAX_POSITIONS = 500_000
 
 
-def fullmap_winner(model, state, sentence, bound, max_positions=500_000):
-    """Winner computed with explicit clock maps over every binder.
+class _FullMapGame(EvalGame):
+    """The evaluation game over explicit clock maps of every binder.
 
-    Keeps one slot per Mu/Nu node, initially untouched; a label jump
-    writes the binder's slot and resets every slot inside the binder's
-    body.  This is the literal clock bookkeeping that the canonical
-    truncated tuples compress, kept as an oracle for them.
+    A position keeps one clock slot per Mu/Nu node, in pre-order, and an
+    untouched slot holds the clock cap.  A binder writes its own slot; a
+    label jump writes its binder's slot and resets the slots of every
+    binder inside the binder's body.  This is the literal clock
+    bookkeeping that the canonical truncated tuples compress, kept as an
+    oracle for them: it owns its label rules and shares only the
+    clock-free rules with EvalGame.  Only winners are read from it, so it
+    always offers every clock choice.
     """
-    semantics.check_bound(bound)
-    if not F.is_normal(sentence):
-        sentence = F.normalize(sentence)
-    index = F.build_index(sentence)
-    kind = sentence.kind
-    children = sentence.children
-    binders = index.mu_nu_nodes
-    slot = {b: i for i, b in enumerate(binders)}
-    cap = _cap_for(bound, model)
 
-    # subtree spans in pre-order: node x lies under y iff y <= x < end[y]
-    size = sentence.size
-    end = [0] * size
-    def span(nid):
-        stop = nid + 1
-        for c in children[nid]:
-            stop = span(c)
-        end[nid] = stop
-        return stop
-    span(0)
-    reset_slots = {b: tuple(slot[x] for x in binders
-                            if children[b][0] <= x < end[children[b][0]])
-                   for b in binders}
+    def __init__(self, model, state, sentence, bound, max_positions):
+        super().__init__(model, state, sentence, bound, max_positions)
+        binders = self.index.mu_nu_nodes
+        anc = self.index.active_ancestors
+        self._slot = {b: k for k, b in enumerate(binders)}
+        self._resets = {b: tuple(self._slot[x] for x in binders
+                                 if b in anc[x])
+                        for b in binders}
 
-    val = model._val_mask
-    succ = model._succ
-    name = sentence.name
-    rf = index.rf
+    def _root(self, si):
+        return (si, 0, (self.clock_cap,) * len(self._slot))
 
-    def status(ipos):
-        si, node, clocks = ipos
-        k = kind[node]
-        if k == F.PROP:
-            return _WON_E if val.get(name[node], 0) >> si & 1 else _WON_A
-        if k == F.NEGPROP:
-            return _WON_A if val.get(name[node], 0) >> si & 1 else _WON_E
-        if k == F.OR:
-            return _TURN_E
-        if k == F.AND:
-            return _TURN_A
-        if k == F.DIAMOND:
-            return _TURN_E if succ[si] else _WON_A
-        if k == F.BOX:
-            return _TURN_A if succ[si] else _WON_E
-        if k == F.MU:
-            return _TURN_E
-        if k == F.NU:
-            return _TURN_A
-        b = rf[node]
-        gamma = clocks[slot[b]]
-        gamma = cap if gamma is _TOP else gamma
-        if kind[b] == F.MU:
+    def _status(self, ipos):
+        node = ipos[1]
+        if self._kind[node] != F.LABEL:
+            return EvalGame._status(self, ipos)
+        gamma = ipos[2][self._slot[self._rf[node]]]
+        if self._rf_is_mu[node]:
             return _TURN_E if gamma else _WON_A
         return _TURN_A if gamma else _WON_E
 
-    def moves(ipos):
+    def _moves(self, ipos, eloise_greedy=False, abelard_greedy=False):
         si, node, clocks = ipos
-        k = kind[node]
-        if k == F.OR or k == F.AND:
-            left, right = children[node]
-            return ((si, left, clocks), (si, right, clocks))
-        if k == F.DIAMOND or k == F.BOX:
-            child = children[node][0]
-            return tuple((v, child, clocks) for v in succ[si])
-        if k == F.MU or k == F.NU:
-            body = children[node][0]
-            s = slot[node]
-            out = []
-            for g in range(cap - 1, -1, -1):
-                c2 = list(clocks)
-                c2[s] = g
-                out.append((si, body, tuple(c2)))
-            return tuple(out)
-        b = rf[node]
-        s = slot[b]
-        gamma = clocks[s]
-        gamma = cap if gamma is _TOP else gamma
-        body = children[b][0]
+        kind = self._kind[node]
+        cap = self.clock_cap
+        if kind == F.MU or kind == F.NU:
+            slot = self._slot[node]
+            body = self._children[node][0]
+            top = cap
+            resets = ()
+        elif kind == F.LABEL:
+            binder = self._rf[node]
+            slot = self._slot[binder]
+            body = self._rf_body[node]
+            top = clocks[slot]
+            resets = self._resets[binder]
+        else:
+            return EvalGame._moves(self, ipos, eloise_greedy, abelard_greedy)
         out = []
-        for g in range(gamma - 1, -1, -1):
+        for g in range(top - 1, -1, -1):
             c2 = list(clocks)
-            c2[s] = g
-            for r in reset_slots[b]:
-                c2[r] = _TOP
-            out.append((si, body, tuple(c2)))
-        return tuple(out)
+            c2[slot] = g
+            for r in resets:
+                c2[r] = cap
+            out.append((("set-clock", g), (si, body, tuple(c2))))
+        return out
 
-    init = (model.state_index(state), 0, (_TOP,) * len(binders))
-    pos_id = {init: 0}
-    pos_list = [init]
-    statuses = []
-    succs = []
-    queue = [init]
-    head = 0
-    while head < len(queue):
-        ipos = queue[head]
-        head += 1
-        st = status(ipos)
-        statuses.append(st)
-        if st == _WON_E or st == _WON_A:
-            succs.append(())
-            continue
-        row = []
-        for dst in moves(ipos):
-            di = pos_id.get(dst)
-            if di is None:
-                di = len(pos_list)
-                if di >= max_positions:
-                    raise GameLimitError("full-map position cap exceeded")
-                pos_id[dst] = di
-                pos_list.append(dst)
-                queue.append(dst)
-            row.append(di)
-        succs.append(tuple(row))
-    graph = _Graph(pos_list, pos_id, statuses, succs, [()] * len(pos_list))
-    return ELOISE if graph.winners()[0] == _E else ABELARD
+
+def fullmap_winner(model, state, sentence, bound,
+                   max_positions=FULLMAP_MAX_POSITIONS):
+    """Winner computed with explicit clock maps over every binder."""
+    game = _FullMapGame(model, state, sentence, bound, max_positions)
+    return ELOISE if game._explore([state]).winners()[0] == _E else ABELARD
 
 
 def _mode_worker(args):
@@ -656,8 +610,12 @@ def _mode_worker(args):
                 game = EvalGame(model, model.states[0], sent, g)
                 greedy_graph = game._explore(model.states, True, True)
                 full_graph = game._explore(model.states, False, False)
+                fm = _FullMapGame(model, model.states[0], sent, g,
+                                  FULLMAP_MAX_POSITIONS)
+                fm_graph = fm._explore(model.states)
                 win_g = greedy_graph.winners()
                 win_f = full_graph.winners()
+                win_m = fm_graph.winners()
                 for si in range(model.card):
                     state = model.states[si]
                     key = (start_idx + k, model_idx, gi, si)
@@ -666,12 +624,11 @@ def _mode_worker(args):
                     tallies["greedy-exhaustive"].add(
                         mult, a == b, key,
                         (model, sent, g, state, "greedy-exhaustive"))
-                    fm = fullmap_winner(model, state, sent, g)
+                    m = win_m[fm_graph.pos_id[fm._root(si)]]
                     tallies["canonical-fullmap"].add(
-                        mult, (fm == ELOISE) == (b == _E), key,
+                        mult, m == b, key,
                         (model, sent, g, state, "canonical-fullmap"))
-    return {name: (t.instances, t.failures, t.cex, t.cex_key)
-            for name, t in tallies.items()}
+    return tallies
 
 
 def run_mode_sweep(sentences, max_states=2, extra_models=(),
@@ -681,10 +638,8 @@ def run_mode_sweep(sentences, max_states=2, extra_models=(),
     ``extra_models`` supplies sampled larger models as (code, props)
     pairs; exhaustive enumeration covers sizes up to ``max_states``.
     """
-    vocabs = [frozenset(), frozenset({"p"}), frozenset({"q"}),
-              frozenset({"p", "q"})]
     codes_by_vocab = {}
-    for v in vocabs:
+    for v in _VOCABS:
         props = tuple(sorted(v))
         entries = []
         for n in range(1, max_states + 1):
@@ -697,24 +652,14 @@ def run_mode_sweep(sentences, max_states=2, extra_models=(),
     trees = [s.tree() for s in sentences]
     if workers is None:
         workers = min(os.cpu_count() or 1, 8)
-    tallies = _new_tallies(MODE_PROPERTIES)
     if workers <= 1 or len(trees) < 8:
-        results = [_mode_worker((trees, codes_by_vocab, gammas_enc, 0))]
+        chunk = max(1, len(trees))
     else:
         chunk = (len(trees) + workers - 1) // workers
-        jobs = [(trees[i:i + chunk], codes_by_vocab, gammas_enc, i)
-                for i in range(0, len(trees), chunk)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_mode_worker, jobs)
-    for res in results:
-        for name, (inst, fail, cex, key) in res.items():
-            other = _Tally()
-            other.instances = inst
-            other.failures = fail
-            other.cex = cex
-            other.cex_key = key
-            tallies[name].merge(other)
+    jobs = [(trees[i:i + chunk], codes_by_vocab, gammas_enc, i)
+            for i in range(0, len(trees), chunk)]
+    tallies = _new_tallies(MODE_PROPERTIES)
+    tallies.update(_pool_map(_mode_worker, jobs, workers))
     return tallies
 
 
@@ -736,9 +681,8 @@ def run_normalize_checks(sentences, models, gammas=(2,)):
                 game = EvalGame(model, model.states[0], shadowed, g)
                 bset = semantics.eval_bounded(model, norm, g)
                 for state in model.states:
-                    graph = game._explore([state])
-                    init = graph.pos_id[(model.state_index(state), 0, ())]
-                    ok = ok and ((graph.winners()[init] == _E)
+                    graph = game._explore([state])  # its root is position 0
+                    ok = ok and ((graph.winners()[0] == _E)
                                  == (state in bset))
             tallies["normalize-soundness"].add(
                 1, ok, (sent_idx, model_idx),
@@ -957,7 +901,6 @@ def run_compare(max_states=2, max_binders=1, gammas=(1, 2, 3, 4, OMEGA),
     def over_budget():
         return budget is not None and time.time() - t0 > budget
 
-    import random as _random
     try:
         sentences = corpus.all_sentences(max_nodes, 1)
         sentences += corpus.random_sentences(random_count, seed, 9,
@@ -969,7 +912,7 @@ def run_compare(max_states=2, max_binders=1, gammas=(1, 2, 3, 4, OMEGA),
         tallies.update(run_ar_sweep(ar_max_states, workers, seed=seed))
         if over_budget():
             raise _BudgetExceeded
-        rng = _random.Random(seed + 1)
+        rng = random.Random(seed + 1)
         extra = [((3, rng.getrandbits(9), rng.getrandbits(6)), ("p", "q"))
                  for _ in range(mode_extra_models)]
         mode_sents = corpus.all_sentences(mode_max_nodes, 1)
@@ -982,7 +925,7 @@ def run_compare(max_states=2, max_binders=1, gammas=(1, 2, 3, 4, OMEGA),
         if over_budget():
             raise _BudgetExceeded
         norm_sents = corpus.random_sentences(24, seed + 3, 9, 2)
-        norm_models = [corpus.random_model(_random.Random(seed + 4), n)
+        norm_models = [corpus.random_model(random.Random(seed + 4), n)
                        for n in (1, 2, 2, 3)]
         tallies.update(run_normalize_checks(norm_sents, norm_models))
     except (_BudgetExceeded, GameLimitError):

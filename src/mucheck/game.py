@@ -19,6 +19,10 @@ Rules in brief:
 * a label position with clock 0 loses for the player who owns it,
   otherwise that player must lower the clock and play returns to the
   binder's body, resetting every clock introduced below the binder.
+
+``GameCore`` is the one game kernel (explorer, solver, play); every game
+variant supplies only a position codec to it.  ``_attractor`` is the one
+attractor, for the free game and alternating reachability.
 """
 
 from typing import NamedTuple
@@ -123,8 +127,145 @@ def format_move(move):
     return f"{move[0]}({move[1]})"
 
 
+def _strategy_move_index(strategy, pos, moves):
+    """Index into the legal ``moves`` at ``pos`` of the strategy's move."""
+    move = strategy[pos]
+    for k, (m, _) in enumerate(moves):
+        if m == tuple(move):
+            return k
+    raise StrategyError(f"strategy move {move} is illegal at {pos}")
+
+
 class GameCore:
-    """Shared play and validation machinery over status/legal_moves."""
+    """Exploration, solving, play and validation shared by every game.
+
+    A game supplies only its position codec: ``_root(si)`` (the start
+    position at state index ``si``), ``_internal``/``_public`` between
+    public and internal positions, ``_status`` and ``_moves`` on internal
+    positions, ``_move_label`` naming a strategy edge, and
+    ``describe_position``/``position_json`` for output.  It also sets
+    ``model``, ``start`` and ``max_positions``.
+    """
+
+    last_explored = 0  # size of the last position graph explored
+
+    def status(self, pos):
+        code = self._status(self._internal(pos))
+        if code == _WON_E:
+            return GameStatus("won", ELOISE)
+        if code == _WON_A:
+            return GameStatus("won", ABELARD)
+        return GameStatus("turn", ELOISE if code == _TURN_E else ABELARD)
+
+    def legal_moves(self, pos, mode="exhaustive"):
+        """All (move, position) pairs available at ``pos``, in move order:
+        left before right, successor states in model order, larger clock
+        or counter values first.  In greedy mode clock and counter
+        decisions keep only the largest legal value."""
+        ipos = self._internal(pos)
+        if self._status(ipos) in (_WON_E, _WON_A):
+            return []
+        greedy = mode == "greedy"
+        return [(move, self._public(dst))
+                for move, dst in self._moves(ipos, greedy, greedy)]
+
+    def _explore(self, start_states, eloise_greedy=False, abelard_greedy=False):
+        """Breadth-first reachable position graph from the given states.
+
+        Returns a _Graph over internal positions, numbered in discovery
+        order, so the first start state's root is position 0.
+        """
+        pos_id = {}
+        pos_list = []  # doubles as the breadth-first queue
+        status = []
+        succs = []
+        cap = self.max_positions
+        for w in start_states:
+            ip = self._root(self.model.state_index(w))
+            if ip not in pos_id:
+                pos_id[ip] = len(pos_list)
+                pos_list.append(ip)
+        head = 0
+        while head < len(pos_list):
+            ipos = pos_list[head]
+            head += 1
+            st = self._status(ipos)
+            status.append(st)
+            if st == _WON_E or st == _WON_A:
+                succs.append(())
+                continue
+            row = []
+            for _, dst in self._moves(ipos, eloise_greedy, abelard_greedy):
+                di = pos_id.get(dst)
+                if di is None:
+                    di = len(pos_list)
+                    if di >= cap:
+                        raise GameLimitError(
+                            f"position cap {cap} exceeded while exploring")
+                    pos_id[dst] = di
+                    pos_list.append(dst)
+                row.append(di)
+            succs.append(tuple(row))
+        self.last_explored = len(pos_list)
+        return _Graph(pos_list, pos_id, status, succs)
+
+    def _solve(self, mode):
+        """Winner of the game from ``start`` plus a winning strategy.
+
+        Greedy mode determines the winner on the subgame where both
+        players only ever make the largest legal clock or counter choice,
+        then re-explores with every opponent choice so that the strategy
+        covers every opponent deviation; the winner's own decisions stay
+        greedy.  Exhaustive mode explores every choice once.  The greedy
+        graph is a subgraph of its one-sided refinement, so
+        ``last_explored`` ends as the larger of the two.
+        """
+        if mode not in ("greedy", "exhaustive"):
+            raise ValueError(f"unknown solve mode {mode!r}")
+        greedy = mode == "greedy"
+        graph = self._explore([self.start], greedy, greedy)
+        winners = graph.winners()
+        win_code = winners[0]
+        if greedy:
+            graph = self._explore([self.start], win_code == _E,
+                                  win_code == _A)
+            winners = graph.winners()
+            if winners[0] != win_code:
+                raise RuntimeError(
+                    "greedy policy disagreed with its one-sided "
+                    "refinement; rerun in exhaustive mode")
+        # First-winning-move strategy over the positions reachable under it.
+        moves = {}
+        mover_code = _TURN_E if win_code == _E else _TURN_A
+        seen = {0}
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            st = graph.status[i]
+            if st == _WON_E or st == _WON_A:
+                continue
+            row = graph.succs[i]
+            if st == mover_code:
+                pick = None
+                for k, j in enumerate(row):
+                    if winners[j] == win_code:
+                        pick = k
+                        break
+                if pick is None:
+                    raise RuntimeError("no winning move at a won position")
+                ipos = graph.pos_list[i]
+                j = row[pick]
+                moves[self._public(ipos)] = self._move_label(
+                    ipos, graph.pos_list[j], pick)
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+            else:
+                for j in row:
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+        return _PLAYER_NAME[win_code], Strategy(_PLAYER_NAME[win_code], moves)
 
     def apply_move(self, pos, move):
         """The position reached by playing ``move`` at ``pos``."""
@@ -149,15 +290,7 @@ class GameCore:
             moves = self.legal_moves(pos)
             player = eloise if status.player == ELOISE else abelard
             if isinstance(player, Strategy):
-                move = player[pos]
-                chosen = None
-                for k, (m, dst) in enumerate(moves):
-                    if m == tuple(move):
-                        chosen = k
-                        break
-                if chosen is None:
-                    raise StrategyError(
-                        f"strategy move {move} is illegal at {pos}")
+                chosen = _strategy_move_index(player, pos, moves)
             else:
                 chosen = player(self, pos, moves)
                 if not 0 <= chosen < len(moves):
@@ -186,16 +319,8 @@ class GameCore:
                 continue
             moves = self.legal_moves(pos)
             if status.player == winner:
-                move = strategy[pos]
-                nxt = None
-                for m, dst in moves:
-                    if m == tuple(move):
-                        nxt = dst
-                        break
-                if nxt is None:
-                    raise StrategyError(
-                        f"strategy move {move} is illegal at {pos}")
-                stack.append(nxt)
+                stack.append(
+                    moves[_strategy_move_index(strategy, pos, moves)][1])
             else:
                 for _, dst in moves:
                     stack.append(dst)
@@ -224,7 +349,7 @@ class EvalGame(GameCore):
         # Clock values a binder may announce, largest first.
         cap = model.card + 1 if bound is OMEGA else bound
         self.clock_cap = cap
-        self._binder_choices = tuple(range(cap - 1, -1, -1))
+        self._clock_choices = tuple(range(cap - 1, -1, -1))
         s = sentence
         self._kind = s.kind
         self._name = s.name
@@ -237,7 +362,6 @@ class EvalGame(GameCore):
                      for p in set(s.name[n] for n in range(s.size)
                                   if s.kind[n] in (F.PROP, F.NEGPROP))}
         self._succ = model._succ
-        self.last_explored = 0
 
     # -- public views -----------------------------------------------------
 
@@ -265,26 +389,6 @@ class EvalGame(GameCore):
         self._internal(pos)  # validate
         return pos
 
-    def status(self, pos):
-        code = self._status(self._internal(pos))
-        if code == _WON_E:
-            return GameStatus("won", ELOISE)
-        if code == _WON_A:
-            return GameStatus("won", ABELARD)
-        return GameStatus("turn", ELOISE if code == _TURN_E else ABELARD)
-
-    def legal_moves(self, pos, mode="exhaustive"):
-        """All (move, position) pairs available at ``pos``, in move order:
-        left before right, successor states in model order, larger clock
-        values first.  In greedy mode clock decisions keep only the
-        largest legal value."""
-        ipos = self._internal(pos)
-        if self._status(ipos) in (_WON_E, _WON_A):
-            return []
-        greedy = mode == "greedy"
-        return [(move, self._public(dst))
-                for move, dst in self._moves(ipos, greedy, greedy)]
-
     def describe_position(self, pos):
         return (f"({pos.state}, {self.index.node_path[pos.node]}, "
                 f"{self.format_clocks(pos)})")
@@ -309,6 +413,9 @@ class EvalGame(GameCore):
         return "{" + ", ".join(f"{k}={v}" for k, v in items.items()) + "}"
 
     # -- internal position mechanics --------------------------------------
+
+    def _root(self, si):
+        return (si, 0, ())
 
     def _internal(self, pos):
         si = self.model.state_index(pos.state)
@@ -373,7 +480,7 @@ class EvalGame(GameCore):
         if kind == F.MU or kind == F.NU:
             body = self._children[node][0]
             greedy = eloise_greedy if kind == F.MU else abelard_greedy
-            choices = self._binder_choices[:1] if greedy else self._binder_choices
+            choices = self._clock_choices[:1] if greedy else self._clock_choices
             return [(("set-clock", g), (si, body, clocks + (g,)))
                     for g in choices]
         # Label: lower the binder's clock and return to its body.
@@ -383,75 +490,12 @@ class EvalGame(GameCore):
         prefix = clocks[:slot]
         greedy = eloise_greedy if self._rf_is_mu[node] else abelard_greedy
         if gamma is None:
-            choices = self._binder_choices[:1] if greedy \
-                else self._binder_choices
+            choices = self._clock_choices[:1] if greedy \
+                else self._clock_choices
         else:
             choices = (gamma - 1,) if greedy else range(gamma - 1, -1, -1)
         return [(("set-clock", g), (si, body, prefix + (g,)))
                 for g in choices]
-
-    # -- graph construction and solving ------------------------------------
-
-    def _explore(self, start_states, eloise_greedy=False, abelard_greedy=False,
-                 binder_choices=None):
-        """Breadth-first reachable position graph from the given states.
-
-        Returns a _Graph over internal positions.  ``binder_choices``
-        overrides the clock choice set at binder positions (used by the
-        sweep harness to build one graph serving several bounds); its
-        edges are tagged with the chosen value so they can be filtered
-        per bound, all other edges are tagged -1.
-        """
-        saved = None
-        if binder_choices is not None:
-            saved = self._binder_choices
-            self._binder_choices = binder_choices
-        try:
-            pos_id = {}
-            pos_list = []
-            status = []
-            succs = []
-            tags = []
-            queue = []
-            cap = self.max_positions
-            for w in start_states:
-                ip = (self.model.state_index(w), 0, ())
-                if ip not in pos_id:
-                    pos_id[ip] = len(pos_list)
-                    pos_list.append(ip)
-                    queue.append(ip)
-            head = 0
-            while head < len(queue):
-                ipos = queue[head]
-                head += 1
-                st = self._status(ipos)
-                status.append(st)
-                if st == _WON_E or st == _WON_A:
-                    succs.append(())
-                    tags.append(())
-                    continue
-                row = []
-                row_tags = []
-                for move, dst in self._moves(ipos, eloise_greedy, abelard_greedy):
-                    di = pos_id.get(dst)
-                    if di is None:
-                        di = len(pos_list)
-                        if di >= cap:
-                            raise GameLimitError(
-                                f"position cap {cap} exceeded while exploring")
-                        pos_id[dst] = di
-                        pos_list.append(dst)
-                        queue.append(dst)
-                    row.append(di)
-                    row_tags.append(move[1] if move[0] == "set-clock"
-                                    and self._kind[ipos[1]] in F.BINDER_KINDS
-                                    else -1)
-                succs.append(tuple(row))
-                tags.append(tuple(row_tags))
-            return _Graph(pos_list, pos_id, status, succs, tags)
-        finally:
-            if saved is not None:
-                self._binder_choices = saved
 
     def solve(self, mode="greedy"):
         """Winner of the game plus a winning strategy for that player.
@@ -462,65 +506,7 @@ class EvalGame(GameCore):
         choice.  The returned strategy is total against arbitrary opponent
         play in both modes.
         """
-        if mode not in ("greedy", "exhaustive"):
-            raise ValueError(f"unknown solve mode {mode!r}")
-        greedy = mode == "greedy"
-        graph = self._explore([self.start], greedy, greedy)
-        self.last_explored = len(graph)
-        winners = graph.winners()
-        init = graph.pos_id[(self.model.state_index(self.start), 0, ())]
-        win_code = winners[init]
-        if greedy:
-            # Rebuild with full opponent choices so the strategy covers
-            # every opponent deviation; the winner's own clock decisions
-            # stay greedy.
-            if win_code == _E:
-                graph = self._explore([self.start], True, False)
-            else:
-                graph = self._explore([self.start], False, True)
-            self.last_explored = max(self.last_explored, len(graph))
-            winners = graph.winners()
-            init = graph.pos_id[(self.model.state_index(self.start), 0, ())]
-            if winners[init] != win_code:
-                raise RuntimeError(
-                    "greedy clock policy disagreed with its one-sided "
-                    "refinement; rerun in exhaustive mode")
-        strategy = self._extract_strategy(graph, winners, init, win_code)
-        return _PLAYER_NAME[win_code], strategy
-
-    def _extract_strategy(self, graph, winners, init, win_code):
-        """First-winning-move strategy over positions reachable under it."""
-        moves = {}
-        mover_code = _TURN_E if win_code == _E else _TURN_A
-        seen = {init}
-        stack = [init]
-        while stack:
-            i = stack.pop()
-            st = graph.status[i]
-            if st == _WON_E or st == _WON_A:
-                continue
-            row = graph.succs[i]
-            if st == mover_code:
-                pick = None
-                for k, j in enumerate(row):
-                    if winners[j] == win_code:
-                        pick = k
-                        break
-                if pick is None:
-                    raise RuntimeError("no winning move at a won position")
-                ipos = graph.pos_list[i]
-                j = row[pick]
-                move = self._move_label(ipos, graph.pos_list[j], pick)
-                moves[self._public(ipos)] = move
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-            else:
-                for j in row:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-        return Strategy(_PLAYER_NAME[win_code], moves)
+        return self._solve(mode)
 
     def _move_label(self, ipos, dst, edge_index):
         kind = self._kind[ipos[1]]
@@ -530,17 +516,17 @@ class EvalGame(GameCore):
             return ("go-to-state", self.model.states[dst[0]])
         return ("set-clock", dst[2][-1])
 
+
 class _Graph:
-    """Explored position graph with tagged edges and a topological order."""
+    """Explored position graph with status codes and a topological order."""
 
-    __slots__ = ("pos_list", "pos_id", "status", "succs", "tags", "_topo")
+    __slots__ = ("pos_list", "pos_id", "status", "succs", "_topo")
 
-    def __init__(self, pos_list, pos_id, status, succs, tags):
+    def __init__(self, pos_list, pos_id, status, succs):
         self.pos_list = pos_list
         self.pos_id = pos_id
         self.status = status
         self.succs = succs
-        self.tags = tags
         self._topo = None
 
     def __len__(self):
@@ -592,6 +578,46 @@ class _Graph:
                         break
                 winners[i] = result
         return winners
+
+
+def _attractor(status, succs, player_code):
+    """Positions from which ``player_code`` forces reaching a win.
+
+    Least fixed point over a possibly cyclic graph of status codes and
+    successor rows: a position joins when it is a terminal won by the
+    player, when its owner is the player and some successor is in, or
+    when its owner is the opponent and every successor is in.  Infinite
+    play therefore favors the opponent.
+    """
+    n = len(status)
+    won = _WON_E if player_code == _E else _WON_A
+    own_turn = _TURN_E if player_code == _E else _TURN_A
+    preds = [[] for _ in range(n)]
+    remaining = [0] * n
+    for i, row in enumerate(succs):
+        remaining[i] = len(row)
+        for j in row:
+            preds[j].append(i)
+    inside = [False] * n
+    queue = [i for i in range(n) if status[i] == won]
+    for i in queue:
+        inside[i] = True
+    head = 0
+    while head < len(queue):
+        j = queue[head]
+        head += 1
+        for i in preds[j]:
+            if inside[i]:
+                continue
+            if status[i] == own_turn:
+                inside[i] = True
+                queue.append(i)
+            else:
+                remaining[i] -= 1
+                if remaining[i] == 0:
+                    inside[i] = True
+                    queue.append(i)
+    return inside
 
 
 def interactive_player(in_stream, out_stream):

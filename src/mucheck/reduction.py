@@ -14,7 +14,8 @@ game.
 import json
 
 from . import formula as F
-from .game import DEFAULT_MAX_POSITIONS, EvalGame, GameLimitError
+from .game import (DEFAULT_MAX_POSITIONS, EvalGame, GameLimitError,
+                   _TURN_A, _TURN_E, _WON_A, _WON_E, _E, _attractor)
 from .kripke import KripkeModel
 from .semantics import check_bound
 
@@ -47,43 +48,25 @@ def check_ar_vocabulary(model):
 def ar_winning_set(model):
     """States from which B wins the alternating reachability game.
 
-    Least fixed point of one backward step: p_B states win outright, q_B
-    states win with some winning successor, other states win when they
-    have no successor (the stuck mover is A) or when every successor wins.
+    The attractor of B's wins, with B as the first player: p_B states are
+    won by B, a state without successors is lost by its mover, q_B states
+    are B's turns and every other state is A's.
     """
     check_ar_vocabulary(model)
-    n = model.card
     succ = model._succ
     p_mask = model._val_mask.get(P_B, 0)
     q_mask = model._val_mask.get(Q_B, 0)
-    preds = [[] for _ in range(n)]
-    remaining = [0] * n
-    for i in range(n):
-        remaining[i] = len(succ[i])
-        for j in succ[i]:
-            preds[j].append(i)
-    win = [False] * n
-    queue = []
-    for i in range(n):
-        if p_mask >> i & 1 or (not q_mask >> i & 1 and not succ[i]):
-            win[i] = True
-            queue.append(i)
-    head = 0
-    while head < len(queue):
-        j = queue[head]
-        head += 1
-        for i in preds[j]:
-            if win[i]:
-                continue
-            if q_mask >> i & 1:
-                win[i] = True
-                queue.append(i)
-            else:
-                remaining[i] -= 1
-                if remaining[i] == 0:
-                    win[i] = True
-                    queue.append(i)
-    return frozenset(model.states[i] for i in range(n) if win[i])
+    status = []
+    for i in range(model.card):
+        b_turn = q_mask >> i & 1
+        if p_mask >> i & 1:
+            status.append(_WON_E)
+        elif not succ[i]:
+            status.append(_WON_A if b_turn else _WON_E)
+        else:
+            status.append(_TURN_E if b_turn else _TURN_A)
+    win = _attractor(status, succ, _E)
+    return frozenset(w for w, inside in zip(model.states, win) if inside)
 
 
 def solve_ar(model, state):
@@ -167,46 +150,36 @@ def build_position_model(model, state, sentence, bound, tree=False,
                        zip(game.index.active_ancestors[node], clocks)},
         }
 
-    if not tree:
+    if tree:
+        # Unfold the DAG into the game tree; names follow the move path.
         names = []
-        for si, node, clocks in graph.pos_list:
-            names.append(f"{model.states[si]}|{paths[node]}|"
-                         + ",".join(map(str, clocks)))
+        tree_pos = []
         edges = []
-        for i, row in enumerate(graph.succs):
-            for j in row:
-                edges.append((names[i], names[j]))
-        val = {P_B: [names[i] for i in range(len(names)) if p_flags[i]],
-               Q_B: [names[i] for i in range(len(names)) if q_flags[i]]}
-        reduced = KripkeModel(names, edges, val)
-        backmap = {names[i]: describe(graph.pos_list[i])
-                   for i in range(len(names))}
-        root = names[graph.pos_id[(model.state_index(state), 0, ())]]
-        return ReducedModel(reduced, root, backmap)
-
-    # Unfold the DAG into the game tree; names follow the move path.
-    root_id = graph.pos_id[(model.state_index(state), 0, ())]
-    names = []
-    tree_pos = []
-    edges = []
-    stack = [(root_id, "t")]
-    while stack:
-        i, name = stack.pop()
-        if len(names) >= max_positions:
-            raise GameLimitError(
-                f"position cap {max_positions} exceeded while unfolding")
-        names.append(name)
-        tree_pos.append(i)
-        for k, j in enumerate(graph.succs[i]):
-            child = f"{name}.{k}"
-            edges.append((name, child))
-            stack.append((j, child))
+        stack = [(0, "t")]  # the root position is the first explored
+        while stack:
+            i, name = stack.pop()
+            if len(names) >= max_positions:
+                raise GameLimitError(
+                    f"position cap {max_positions} exceeded while unfolding")
+            names.append(name)
+            tree_pos.append(i)
+            for k, j in enumerate(graph.succs[i]):
+                child = f"{name}.{k}"
+                edges.append((name, child))
+                stack.append((j, child))
+    else:
+        names = [f"{model.states[si]}|{paths[node]}|"
+                 + ",".join(map(str, clocks))
+                 for si, node, clocks in graph.pos_list]
+        tree_pos = range(len(names))
+        edges = [(names[i], names[j])
+                 for i, row in enumerate(graph.succs) for j in row]
     val = {P_B: [nm for nm, i in zip(names, tree_pos) if p_flags[i]],
            Q_B: [nm for nm, i in zip(names, tree_pos) if q_flags[i]]}
     reduced = KripkeModel(names, edges, val)
     backmap = {nm: describe(graph.pos_list[i])
                for nm, i in zip(names, tree_pos)}
-    return ReducedModel(reduced, "t", backmap)
+    return ReducedModel(reduced, names[0], backmap)
 
 
 def reduce_mc(model, state, sentence, tree=False,

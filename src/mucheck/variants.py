@@ -5,19 +5,19 @@ player: Eloise's counter drops every time play returns from a label to a
 mu-binder, Abelard's on returns to a nu-binder, and a player forced to
 lower an exhausted counter loses.  Both counters start at
 ``card(M)^k * size(formula)``.  Binder positions make no announcement and
-step straight into the body.
+step straight into the body.  ``FBoundedGame`` is only a position codec
+for the shared ``GameCore`` explorer and solver.
 
 The free game drops counters entirely: only literal positions and stuck
 movers end play, so neither player may have a winning strategy and the
-verdict can be Undetermined.
+verdict can be Undetermined.  It is solved by the shared attractor.
 """
 
 from typing import NamedTuple
 
 from . import formula as F
 from .game import (ABELARD, DEFAULT_MAX_POSITIONS, ELOISE, GameCore,
-                   GameLimitError, GameStatus, Strategy, _Graph,
-                   _TURN_A, _TURN_E, _WON_A, _WON_E, _A, _E, _PLAYER_NAME)
+                   _TURN_A, _TURN_E, _WON_A, _WON_E, _A, _E, _attractor)
 
 UNDETERMINED = "Undetermined"
 
@@ -65,7 +65,6 @@ class FBoundedGame(GameCore):
                          for lab, rf in self.index.rf.items()}
         self._val = model._val_mask
         self._succ = model._succ
-        self.last_explored = 0
 
     def initial_position(self):
         return FPosition(self.start, 0, self.f, self.f)
@@ -83,21 +82,8 @@ class FBoundedGame(GameCore):
             "gamma_a": pos.gamma_a,
         }
 
-    def status(self, pos):
-        code = self._status(self._internal(pos))
-        if code == _WON_E:
-            return GameStatus("won", ELOISE)
-        if code == _WON_A:
-            return GameStatus("won", ABELARD)
-        return GameStatus("turn", ELOISE if code == _TURN_E else ABELARD)
-
-    def legal_moves(self, pos, mode="exhaustive"):
-        ipos = self._internal(pos)
-        if self._status(ipos) in (_WON_E, _WON_A):
-            return []
-        greedy = mode == "greedy"
-        return [(move, self._public(dst))
-                for move, dst in self._moves(ipos, greedy, greedy)]
+    def _root(self, si):
+        return (si, 0, self.f, self.f)
 
     def _internal(self, pos):
         si = self.model.state_index(pos.state)
@@ -159,110 +145,22 @@ class FBoundedGame(GameCore):
         choices = (ga - 1,) if abelard_greedy else range(ga - 1, -1, -1)
         return [(("set-counter", g), (si, body, ge, g)) for g in choices]
 
-    def _explore(self, start_states, eloise_greedy=False,
-                 abelard_greedy=False):
-        """Breadth-first reachable position graph from the given states,
-        each starting at the root with both counters at f."""
-        pos_id = {}
-        pos_list = []
-        status = []
-        succs = []
-        queue = []
-        for w in start_states:
-            ip = (self.model.state_index(w), 0, self.f, self.f)
-            if ip not in pos_id:
-                pos_id[ip] = len(pos_list)
-                pos_list.append(ip)
-                queue.append(ip)
-        head = 0
-        cap = self.max_positions
-        while head < len(queue):
-            ipos = queue[head]
-            head += 1
-            st = self._status(ipos)
-            status.append(st)
-            if st == _WON_E or st == _WON_A:
-                succs.append(())
-                continue
-            row = []
-            for _, dst in self._moves(ipos, eloise_greedy, abelard_greedy):
-                di = pos_id.get(dst)
-                if di is None:
-                    di = len(pos_list)
-                    if di >= cap:
-                        raise GameLimitError(
-                            f"position cap {cap} exceeded while exploring")
-                    pos_id[dst] = di
-                    pos_list.append(dst)
-                    queue.append(dst)
-                row.append(di)
-            succs.append(tuple(row))
-        tags = [()] * len(pos_list)
-        return _Graph(pos_list, pos_id, status, succs, tags)
-
     def solve(self, mode="greedy"):
         """Winner plus a winning strategy, as in the clock-bounded game.
 
         Greedy mode lowers counters by exactly one; exhaustive mode
         explores every allowed decrement.  The visited position count is
-        checked against card(M) * size * (f+1)^2 on every run.
+        checked against card(M) * size * (f+1)^2 on every run; checking
+        the final graph suffices, since in greedy mode the first graph is
+        a subgraph of it.
         """
-        if mode not in ("greedy", "exhaustive"):
-            raise ValueError(f"unknown solve mode {mode!r}")
-        greedy = mode == "greedy"
-        graph = self._explore([self.start], greedy, greedy)
-        self._check_space(graph)
-        winners = graph.winners()
-        init = 0
-        win_code = winners[init]
-        if greedy:
-            graph = self._explore([self.start], win_code == _E,
-                                  win_code == _A)
-            self._check_space(graph)
-            winners = graph.winners()
-            if winners[init] != win_code:
-                raise RuntimeError(
-                    "unit decrements disagreed with one-sided refinement; "
-                    "rerun in exhaustive mode")
-        moves = {}
-        mover_code = _TURN_E if win_code == _E else _TURN_A
-        seen = {init}
-        stack = [init]
-        while stack:
-            i = stack.pop()
-            st = graph.status[i]
-            if st == _WON_E or st == _WON_A:
-                continue
-            row = graph.succs[i]
-            if st == mover_code:
-                pick = None
-                for kk, j in enumerate(row):
-                    if winners[j] == win_code:
-                        pick = kk
-                        break
-                if pick is None:
-                    raise RuntimeError("no winning move at a won position")
-                ipos = graph.pos_list[i]
-                j = row[pick]
-                moves[self._public(ipos)] = self._move_label(
-                    ipos, graph.pos_list[j], pick)
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-            else:
-                for j in row:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-        return _PLAYER_NAME[win_code], Strategy(_PLAYER_NAME[win_code], moves)
-
-    def _check_space(self, graph):
-        self.last_explored = len(graph)
+        result = self._solve(mode)
         limit = self.model.card * self.sentence.size * (self.f + 1) ** 2
-        if len(graph) > limit:
+        if self.last_explored > limit:
             raise RuntimeError(
-                f"explored {len(graph)} positions, above the "
+                f"explored {self.last_explored} positions, above the "
                 f"card*size*(f+1)^2 bound {limit}")
+        return result
 
     def _move_label(self, ipos, dst, edge_index):
         kind = self._kind[ipos[1]]
@@ -332,45 +230,6 @@ def _free_graph(model, sentence):
                 status[i] = _TURN_E if kind[rf] == F.MU else _TURN_A
                 succs[i] = (pid(si, rf_body[node]),)
     return status, succs
-
-
-def _attractor(status, succs, player_code):
-    """Positions from which ``player_code`` forces reaching a win.
-
-    Least fixed point over the possibly-cyclic free graph: a position
-    joins when it is a terminal won by the player, when its owner is the
-    player and some successor is in, or when its owner is the opponent
-    and every successor is in.
-    """
-    n = len(status)
-    won = _WON_E if player_code == _E else _WON_A
-    own_turn = _TURN_E if player_code == _E else _TURN_A
-    preds = [[] for _ in range(n)]
-    remaining = [0] * n
-    for i, row in enumerate(succs):
-        remaining[i] = len(row)
-        for j in row:
-            preds[j].append(i)
-    inside = [False] * n
-    queue = [i for i in range(n) if status[i] == won]
-    for i in queue:
-        inside[i] = True
-    head = 0
-    while head < len(queue):
-        j = queue[head]
-        head += 1
-        for i in preds[j]:
-            if inside[i]:
-                continue
-            if status[i] == own_turn:
-                inside[i] = True
-                queue.append(i)
-            else:
-                remaining[i] -= 1
-                if remaining[i] == 0:
-                    inside[i] = True
-                    queue.append(i)
-    return inside
 
 
 def free_regions(model, sentence):

@@ -81,6 +81,33 @@ def test_eval_json_schema(m1_path, capsys):
     assert data["strategy"]
 
 
+PHI_STAR = "nu X. [] mu Y. (<>Y | (p & X))"
+THREE_BINDERS = "mu Z. nu X. [] mu Y. ((<>Y & q) | (p & X) | <>Z)"
+
+
+@pytest.mark.parametrize("family,n,formula,semantics,mode,expected", [
+    ("starN", 3, PHI_STAR, "omega", "greedy", (0, 626, 155)),
+    ("starN", 3, PHI_STAR, "omega", "exhaustive", (0, 631, 155)),
+    ("daggerN", 3, "mu X. (p | []X)", "fbounded:1", "greedy", (0, 320, 14)),
+    ("daggerN", 3, "mu X. (p | []X)", "fbounded:1", "exhaustive",
+     (0, 323, 14)),
+    ("clique", 2, THREE_BINDERS, "omega", "greedy", (1, 2217, 352)),
+    ("clique", 2, THREE_BINDERS, "omega", "exhaustive", (1, 2217, 352)),
+])
+def test_eval_solver_output_is_pinned(tmp_path, capsys, family, n, formula,
+                                      semantics, mode, expected):
+    """Exit code, explored positions and strategy size of the solver: the
+    observable fingerprint of exploration and strategy extraction."""
+    model = generate_family(family, n)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    code, out, _ = run(["eval", "--model", str(path), "--formula", formula,
+                        "--state", model.states[0], "--semantics", semantics,
+                        "--mode", mode, "--json", "--strategy"], capsys)
+    data = json.loads(out)
+    assert (code, data["positions"], len(data["strategy"])) == expected
+
+
 def test_eval_errors(m1_path, tmp_path, capsys):
     code, _, err = run(["eval", "--model", m1_path, "--formula", "mu X. Y",
                         "--state", "a"], capsys)

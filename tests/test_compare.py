@@ -1,5 +1,7 @@
 """The agreement harness itself: self-tests and counterexample machinery."""
 
+import pytest
+
 from mucheck import compare, corpus, semantics
 from mucheck.semantics import OMEGA
 
@@ -97,6 +99,50 @@ def test_fullmap_winner_matches_solver(m1, afp):
                 == EvalGame(m1, w, afp, gamma).solve("exhaustive")[0]
 
 
+def test_fullmap_winner_respects_its_position_cap(m1, afp):
+    from mucheck.game import GameLimitError
+    with pytest.raises(GameLimitError):
+        compare.fullmap_winner(m1, "a", afp, 3, max_positions=5)
+
+
+def test_fullmap_oracle_owns_its_clock_rule(monkeypatch):
+    """A broken label rule in the canonical game must not reach the
+    full-map oracle, which checks that rule."""
+    from mucheck import formula as F
+    from mucheck.game import EvalGame, _WON_A
+    real = EvalGame._status
+
+    def broken(self, ipos):
+        node, clocks = ipos[1], ipos[2]
+        if (self._kind[node] == F.LABEL and self._rf_is_mu[node]
+                and clocks[self._rf_slot[node]] == 1):
+            return _WON_A  # a mu-label with clock 1 is lost by Eloise
+        return real(self, ipos)
+
+    monkeypatch.setattr(EvalGame, "_status", broken)
+    tallies = compare.run_mode_sweep([F.parse("mu X. (p | <>X)")],
+                                     max_states=2, gammas=(2,), workers=1)
+    tally = tallies["canonical-fullmap"]
+    assert tally.instances == 520
+    assert tally.failures > 0
+    assert tally.cex["property"] == "canonical-fullmap"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweeps_on_empty_inputs_return_zero_tallies(workers):
+    for props, tallies in (
+            (compare.MAIN_PROPERTIES,
+             compare.run_main_sweep([], workers=workers)),
+            (compare.MODE_PROPERTIES,
+             compare.run_mode_sweep([], workers=workers)),
+            (compare.AR_PROPERTIES,
+             compare.run_ar_sweep(max_states=0, workers=workers))):
+        assert sorted(tallies) == sorted(name for name, _ in props)
+        for tally in tallies.values():
+            assert (tally.instances, tally.failures, tally.cex) \
+                == (0, 0, None)
+
+
 def test_normalize_checks_pass():
     sents = corpus.random_sentences(6, 2, 8, 2)
     models = [corpus.random_model(__import__("random").Random(4), 2)]
@@ -173,18 +219,19 @@ def _kernel_instances():
 
 
 def _kernel(model, sent, gammas):
-    """The sweep's tagged graph and its bit layout: bit b < len(gammas) is
-    gammas[b], the last bit the collapse bound max(1, card)."""
+    """The sweep's graph at the largest cap, its edge tags and its bit
+    layout: bit b < len(gammas) is gammas[b], the last bit the collapse
+    bound max(1, card)."""
     from mucheck import reduction
     from mucheck.game import EvalGame
     bounds = list(gammas) + [max(1, model.card)]
     caps = [compare._cap_for(g, model) for g in bounds]
-    game = EvalGame(model, model.states[0], sent, OMEGA)
-    graph = game._explore(model.states,
-                          binder_choices=tuple(range(max(caps) - 1, -1, -1)))
+    game = EvalGame(model, model.states[0], sent, max(caps))
+    graph = game._explore(model.states)
+    tags = compare._edge_tags(game, graph)
     p_flags, q_flags = reduction._position_valuation(game, graph)
     inits = [graph.pos_id[(si, 0, ())] for si in range(model.card)]
-    return bounds, caps, graph, p_flags, q_flags, inits
+    return bounds, caps, graph, tags, p_flags, q_flags, inits
 
 
 def test_kernel_agrees_with_per_bound_solving():
@@ -193,10 +240,10 @@ def test_kernel_agrees_with_per_bound_solving():
     gammas = (1, 2, 3, OMEGA)
     checked = 0
     for model, sent in _kernel_instances():
-        bounds, caps, graph, p_flags, q_flags, inits = _kernel(
+        bounds, caps, graph, tags, p_flags, q_flags, inits = _kernel(
             model, sent, gammas)
-        win, ar, diff = compare._replay(graph, caps, p_flags, q_flags)
-        bad = compare._playouts(graph, caps, win, inits)
+        win, ar, diff = compare._replay(graph, tags, caps, p_flags, q_flags)
+        bad = compare._playouts(graph, tags, caps, win, inits)
         assert diff == 0 and bad == 0
         for b, bound in enumerate(bounds):
             for si, init in enumerate(inits):
@@ -221,15 +268,15 @@ def test_playout_pass_catches_a_wrong_winner():
     playout; a pass that never fails would otherwise go unnoticed."""
     flipped = 0
     for model, sent in _kernel_instances()[:8]:
-        _, caps, graph, p_flags, q_flags, inits = _kernel(
+        _, caps, graph, tags, p_flags, q_flags, inits = _kernel(
             model, sent, (1, 2, OMEGA))
-        win, _, _ = compare._replay(graph, caps, p_flags, q_flags)
+        win, _, _ = compare._replay(graph, tags, caps, p_flags, q_flags)
         nb = len(caps)
         for si, init in enumerate(inits):
             for b in range(nb):
                 wrong = list(win)
                 wrong[init] ^= 1 << b
-                bad = compare._playouts(graph, caps, wrong, inits)
+                bad = compare._playouts(graph, tags, caps, wrong, inits)
                 assert bad >> (si * nb + b) & 1
                 flipped += 1
     assert flipped > 0
@@ -240,16 +287,17 @@ def test_replay_consistency_bit_catches_ar_mismatch():
     winners there, under exactly the caps where Abelard wins."""
     hits = 0
     for model, sent in _kernel_instances()[:8]:
-        _, caps, graph, p_flags, q_flags, _ = _kernel(
+        _, caps, graph, tags, p_flags, q_flags, _ = _kernel(
             model, sent, (1, 2, OMEGA))
-        win, _, diff = compare._replay(graph, caps, p_flags, q_flags)
+        win, _, diff = compare._replay(graph, tags, caps, p_flags, q_flags)
         assert diff == 0
         full = (1 << len(caps)) - 1
         for i in range(len(graph)):
             if win[i] != full and not p_flags[i]:
                 wrong = list(p_flags)
                 wrong[i] = True
-                _, _, diff = compare._replay(graph, caps, wrong, q_flags)
+                _, _, diff = compare._replay(graph, tags, caps, wrong,
+                                             q_flags)
                 assert diff & ~win[i] & full == ~win[i] & full
                 hits += 1
                 break
