@@ -30,8 +30,8 @@ from . import formula as F
 from . import reduction
 from . import semantics
 from . import variants
-from .game import (ABELARD, ELOISE, EvalGame, GameLimitError, StrategyError,
-                   _E, _TURN_A, _TURN_E, _WON_A, _WON_E)
+from .game import (ABELARD, ELOISE, EvalGame, GameCore, GameLimitError,
+                   StrategyError, _E, _TURN_A, _TURN_E, _WON_A, _WON_E)
 from .kripke import KripkeModel
 from .semantics import OMEGA
 
@@ -537,7 +537,7 @@ class _FullMapGame(EvalGame):
     binder inside the binder's body.  This is the literal clock
     bookkeeping that the canonical truncated tuples compress, kept as an
     oracle for them: it owns its label rules and shares only the
-    clock-free rules with EvalGame.  Only winners are read from it, so it
+    clock-free rules of GameCore.  Only winners are read from it, so it
     always offers every clock choice.
     """
 
@@ -553,10 +553,12 @@ class _FullMapGame(EvalGame):
     def _root(self, si):
         return (si, 0, (self.clock_cap,) * len(self._slot))
 
-    def _status(self, ipos):
+    # The shared clock-free rules with this class's own label rule, so
+    # that nothing done to EvalGame's label rule reaches this oracle.
+    _status = GameCore._status
+
+    def _label_status(self, ipos):
         node = ipos[1]
-        if self._kind[node] != F.LABEL:
-            return EvalGame._status(self, ipos)
         gamma = ipos[2][self._slot[self._rf[node]]]
         if self._rf_is_mu[node]:
             return _TURN_E if gamma else _WON_A
@@ -585,8 +587,13 @@ class _FullMapGame(EvalGame):
             c2[slot] = g
             for r in resets:
                 c2[r] = cap
-            out.append((("set-clock", g), (si, body, tuple(c2))))
+            out.append((si, body, tuple(c2)))
         return out
+
+    def _decision_label(self, ipos, dst):
+        node = ipos[1]
+        binder = self._rf[node] if self._kind[node] == F.LABEL else node
+        return ("set-clock", dst[2][self._slot[binder]])
 
 
 def fullmap_winner(model, state, sentence, bound,

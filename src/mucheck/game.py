@@ -139,15 +139,39 @@ def _strategy_move_index(strategy, pos, moves):
 class GameCore:
     """Exploration, solving, play and validation shared by every game.
 
-    A game supplies only its position codec: ``_root(si)`` (the start
-    position at state index ``si``), ``_internal``/``_public`` between
-    public and internal positions, ``_status`` and ``_moves`` on internal
-    positions, ``_move_label`` naming a strategy edge, and
-    ``describe_position``/``position_json`` for output.  It also sets
-    ``model``, ``start`` and ``max_positions``.
+    A game supplies only its position codec over internal positions
+    ``(state index, node, ...)``: ``_root(si)``, the start position at
+    state index ``si``; ``_internal``/``_public`` between public and
+    internal positions; ``_label_status``, the status at labels (the
+    clock-free rules are shared); ``_moves``, the successor positions in
+    move order, unnamed; ``_decision_label``, the name of a binder or
+    label move (``_move_label`` names every move); ``_decision_kinds``,
+    the node kinds whose moves depend on the clock or counter policy;
+    and ``describe_position``/``position_json`` for output.
     """
 
     last_explored = 0  # size of the last position graph explored
+
+    def __init__(self, model, state, sentence, max_positions):
+        model.state_index(state)
+        if not F.is_normal(sentence):
+            sentence = F.normalize(sentence)
+        self.model = model
+        self.start = state
+        self.sentence = sentence
+        self.index = F.build_index(sentence)
+        self.max_positions = max_positions
+        s = sentence
+        self._kind = s.kind
+        self._name = s.name
+        self._children = s.children
+        self._rf = self.index.rf
+        self._rf_is_mu = {lab: s.kind[b] == F.MU for lab, b in self._rf.items()}
+        self._rf_body = {lab: s.children[b][0] for lab, b in self._rf.items()}
+        self._val = {p: model._val_mask.get(p, 0)
+                     for p in set(s.name[n] for n in range(s.size)
+                                  if s.kind[n] in (F.PROP, F.NEGPROP))}
+        self._succ = model._succ
 
     def status(self, pos):
         code = self._status(self._internal(pos))
@@ -156,6 +180,26 @@ class GameCore:
         if code == _WON_A:
             return GameStatus("won", ABELARD)
         return GameStatus("turn", ELOISE if code == _TURN_E else ABELARD)
+
+    def _status(self, ipos):
+        """Status code of an internal position: the clock-free rules here,
+        the codec's ``_label_status`` at labels."""
+        si = ipos[0]
+        node = ipos[1]
+        kind = self._kind[node]
+        if kind == F.PROP:
+            return _WON_E if self._val[self._name[node]] >> si & 1 else _WON_A
+        if kind == F.NEGPROP:
+            return _WON_A if self._val[self._name[node]] >> si & 1 else _WON_E
+        if kind == F.OR or kind == F.MU:
+            return _TURN_E
+        if kind == F.AND or kind == F.NU:
+            return _TURN_A
+        if kind == F.DIAMOND:
+            return _TURN_E if self._succ[si] else _WON_A
+        if kind == F.BOX:
+            return _TURN_A if self._succ[si] else _WON_E
+        return self._label_status(ipos)
 
     def legal_moves(self, pos, mode="exhaustive"):
         """All (move, position) pairs available at ``pos``, in move order:
@@ -166,8 +210,18 @@ class GameCore:
         if self._status(ipos) in (_WON_E, _WON_A):
             return []
         greedy = mode == "greedy"
-        return [(move, self._public(dst))
-                for move, dst in self._moves(ipos, greedy, greedy)]
+        return [(self._move_label(ipos, dst, k), self._public(dst))
+                for k, dst in enumerate(self._moves(ipos, greedy, greedy))]
+
+    def _move_label(self, ipos, dst, edge_index):
+        """The name of the move from ``ipos`` along its ``edge_index``-th
+        edge, to ``dst``."""
+        kind = self._kind[ipos[1]]
+        if kind == F.OR or kind == F.AND:
+            return ("pick-left",) if edge_index == 0 else ("pick-right",)
+        if kind == F.DIAMOND or kind == F.BOX:
+            return ("go-to-state", self.model.states[dst[0]])
+        return self._decision_label(ipos, dst)
 
     def _explore(self, start_states, eloise_greedy=False, abelard_greedy=False):
         """Breadth-first reachable position graph from the given states.
@@ -175,27 +229,30 @@ class GameCore:
         Returns a _Graph over internal positions, numbered in discovery
         order, so the first start state's root is position 0.
         """
-        pos_id = {}
-        pos_list = []  # doubles as the breadth-first queue
-        status = []
-        succs = []
+        roots = list(dict.fromkeys(self._root(self.model.state_index(w))
+                                   for w in start_states))
+        status = [self._status(ip) for ip in roots]
+        graph = _Graph(roots, {ip: i for i, ip in enumerate(roots)}, status,
+                       [()] * len(roots))
+        self._expand(graph, [i for i, st in enumerate(status)
+                             if st >= _TURN_E], eloise_greedy, abelard_greedy)
+        return graph
+
+    def _expand(self, graph, frontier, eloise_greedy, abelard_greedy):
+        """The explorer loop: (re)build the row of every position in
+        ``frontier`` under the given clock policy, appending each newly
+        discovered turn position to it, so that play carries on
+        breadth-first.  Positions that end the game keep an empty row."""
+        pos_list = graph.pos_list
+        pos_id = graph.pos_id
+        status = graph.status
+        succs = graph.succs
         cap = self.max_positions
-        for w in start_states:
-            ip = self._root(self.model.state_index(w))
-            if ip not in pos_id:
-                pos_id[ip] = len(pos_list)
-                pos_list.append(ip)
-        head = 0
-        while head < len(pos_list):
-            ipos = pos_list[head]
-            head += 1
-            st = self._status(ipos)
-            status.append(st)
-            if st == _WON_E or st == _WON_A:
-                succs.append(())
-                continue
+        moves = self._moves
+        position_status = self._status
+        for i in frontier:  # grows while it is walked
             row = []
-            for _, dst in self._moves(ipos, eloise_greedy, abelard_greedy):
+            for dst in moves(pos_list[i], eloise_greedy, abelard_greedy):
                 di = pos_id.get(dst)
                 if di is None:
                     di = len(pos_list)
@@ -204,21 +261,38 @@ class GameCore:
                             f"position cap {cap} exceeded while exploring")
                     pos_id[dst] = di
                     pos_list.append(dst)
+                    st = position_status(dst)
+                    status.append(st)
+                    succs.append(())
+                    if st >= _TURN_E:
+                        frontier.append(di)
                 row.append(di)
-            succs.append(tuple(row))
+            succs[i] = tuple(row)
+        graph._topo = None
         self.last_explored = len(pos_list)
-        return _Graph(pos_list, pos_id, status, succs)
+
+    def _refine(self, graph, win_code):
+        """Extend a greedy graph in place into its one-sided refinement:
+        re-expand the loser's clock and counter decisions with every
+        choice, and explore on from the positions that adds."""
+        loser_turn = _TURN_A if win_code == _E else _TURN_E
+        decides = self._decision_kinds
+        kind = self._kind
+        redo = [i for i, ip in enumerate(graph.pos_list)
+                if graph.status[i] == loser_turn and kind[ip[1]] in decides]
+        self._expand(graph, redo, win_code == _E, win_code == _A)
 
     def _solve(self, mode):
         """Winner of the game from ``start`` plus a winning strategy.
 
         Greedy mode determines the winner on the subgame where both
         players only ever make the largest legal clock or counter choice,
-        then re-explores with every opponent choice so that the strategy
-        covers every opponent deviation; the winner's own decisions stay
-        greedy.  Exhaustive mode explores every choice once.  The greedy
-        graph is a subgraph of its one-sided refinement, so
-        ``last_explored`` ends as the larger of the two.
+        then refines that graph in place so that the strategy covers every
+        opponent deviation; the winner's own decisions stay greedy.  A
+        greedy choice is the first of the full choices, so the refined
+        graph is the one a fresh one-sided exploration finds, and
+        ``last_explored`` its size.  Exhaustive mode explores every choice
+        once.
         """
         if mode not in ("greedy", "exhaustive"):
             raise ValueError(f"unknown solve mode {mode!r}")
@@ -227,8 +301,7 @@ class GameCore:
         winners = graph.winners()
         win_code = winners[0]
         if greedy:
-            graph = self._explore([self.start], win_code == _E,
-                                  win_code == _A)
+            self._refine(graph, win_code)
             winners = graph.winners()
             if winners[0] != win_code:
                 raise RuntimeError(
@@ -337,31 +410,13 @@ class EvalGame(GameCore):
     def __init__(self, model, state, sentence, bound,
                  max_positions=DEFAULT_MAX_POSITIONS):
         check_bound(bound)
-        model.state_index(state)
-        if not F.is_normal(sentence):
-            sentence = F.normalize(sentence)
-        self.model = model
-        self.start = state
-        self.sentence = sentence
+        super().__init__(model, state, sentence, max_positions)
         self.bound = bound
-        self.index = F.build_index(sentence)
-        self.max_positions = max_positions
         # Clock values a binder may announce, largest first.
         cap = model.card + 1 if bound is OMEGA else bound
         self.clock_cap = cap
         self._clock_choices = tuple(range(cap - 1, -1, -1))
-        s = sentence
-        self._kind = s.kind
-        self._name = s.name
-        self._children = s.children
-        self._rf = self.index.rf
         self._rf_slot = self.index.rf_slot
-        self._rf_is_mu = {lab: s.kind[rf] == F.MU for lab, rf in self._rf.items()}
-        self._rf_body = {lab: s.children[rf][0] for lab, rf in self._rf.items()}
-        self._val = {p: model._val_mask.get(p, 0)
-                     for p in set(s.name[n] for n in range(s.size)
-                                  if s.kind[n] in (F.PROP, F.NEGPROP))}
-        self._succ = model._succ
 
     # -- public views -----------------------------------------------------
 
@@ -438,51 +493,32 @@ class EvalGame(GameCore):
         si, node, clocks = ipos
         return Position(self.model.states[si], node, clocks)
 
-    def _status(self, ipos):
-        si, node, clocks = ipos
-        kind = self._kind[node]
-        if kind == F.PROP:
-            return _WON_E if self._val[self._name[node]] >> si & 1 else _WON_A
-        if kind == F.NEGPROP:
-            return _WON_A if self._val[self._name[node]] >> si & 1 else _WON_E
-        if kind == F.OR:
-            return _TURN_E
-        if kind == F.AND:
-            return _TURN_A
-        if kind == F.DIAMOND:
-            return _TURN_E if self._succ[si] else _WON_A
-        if kind == F.BOX:
-            return _TURN_A if self._succ[si] else _WON_E
-        if kind == F.MU:
-            return _TURN_E
-        if kind == F.NU:
-            return _TURN_A
-        # Label: the clock of its binder decides; None means the untouched
-        # bound, which cannot be zero.
-        gamma = clocks[self._rf_slot[node]]
+    _decision_kinds = (F.MU, F.NU, F.LABEL)
+
+    def _label_status(self, ipos):
+        # The clock of the label's binder decides; None means the
+        # untouched bound, which cannot be zero.
+        node = ipos[1]
+        gamma = ipos[2][self._rf_slot[node]]
         if self._rf_is_mu[node]:
             return _TURN_E if gamma is None or gamma else _WON_A
         return _TURN_A if gamma is None or gamma else _WON_E
 
     def _moves(self, ipos, eloise_greedy=False, abelard_greedy=False):
-        """(move, internal position) pairs in deterministic move order."""
+        """Successor internal positions in deterministic move order."""
         si, node, clocks = ipos
         kind = self._kind[node]
         if kind == F.OR or kind == F.AND:
             left, right = self._children[node]
-            return [(("pick-left",), (si, left, clocks)),
-                    (("pick-right",), (si, right, clocks))]
+            return (si, left, clocks), (si, right, clocks)
         if kind == F.DIAMOND or kind == F.BOX:
             child = self._children[node][0]
-            states = self.model.states
-            return [(("go-to-state", states[v]), (v, child, clocks))
-                    for v in self._succ[si]]
+            return [(v, child, clocks) for v in self._succ[si]]
         if kind == F.MU or kind == F.NU:
             body = self._children[node][0]
             greedy = eloise_greedy if kind == F.MU else abelard_greedy
             choices = self._clock_choices[:1] if greedy else self._clock_choices
-            return [(("set-clock", g), (si, body, clocks + (g,)))
-                    for g in choices]
+            return [(si, body, clocks + (g,)) for g in choices]
         # Label: lower the binder's clock and return to its body.
         slot = self._rf_slot[node]
         gamma = clocks[slot]
@@ -494,8 +530,7 @@ class EvalGame(GameCore):
                 else self._clock_choices
         else:
             choices = (gamma - 1,) if greedy else range(gamma - 1, -1, -1)
-        return [(("set-clock", g), (si, body, prefix + (g,)))
-                for g in choices]
+        return [(si, body, prefix + (g,)) for g in choices]
 
     def solve(self, mode="greedy"):
         """Winner of the game plus a winning strategy for that player.
@@ -508,12 +543,7 @@ class EvalGame(GameCore):
         """
         return self._solve(mode)
 
-    def _move_label(self, ipos, dst, edge_index):
-        kind = self._kind[ipos[1]]
-        if kind == F.OR or kind == F.AND:
-            return ("pick-left",) if edge_index == 0 else ("pick-right",)
-        if kind == F.DIAMOND or kind == F.BOX:
-            return ("go-to-state", self.model.states[dst[0]])
+    def _decision_label(self, ipos, dst):
         return ("set-clock", dst[2][-1])
 
 

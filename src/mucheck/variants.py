@@ -46,25 +46,9 @@ class FBoundedGame(GameCore):
 
     def __init__(self, model, state, sentence, k=1,
                  max_positions=DEFAULT_MAX_POSITIONS):
-        model.state_index(state)
-        if not F.is_normal(sentence):
-            sentence = F.normalize(sentence)
-        self.model = model
-        self.start = state
-        self.sentence = sentence
+        super().__init__(model, state, sentence, max_positions)
         self.k = k
-        self.f = f_value(model, sentence, k)
-        self.index = F.build_index(sentence)
-        self.max_positions = max_positions
-        self._kind = sentence.kind
-        self._name = sentence.name
-        self._children = sentence.children
-        self._rf_is_mu = {lab: sentence.kind[rf] == F.MU
-                          for lab, rf in self.index.rf.items()}
-        self._rf_body = {lab: sentence.children[rf][0]
-                         for lab, rf in self.index.rf.items()}
-        self._val = model._val_mask
-        self._succ = model._succ
+        self.f = f_value(model, self.sentence, k)
 
     def initial_position(self):
         return FPosition(self.start, 0, self.f, self.f)
@@ -97,53 +81,31 @@ class FBoundedGame(GameCore):
         si, node, ge, ga = ipos
         return FPosition(self.model.states[si], node, ge, ga)
 
-    def _status(self, ipos):
-        si, node, ge, ga = ipos
-        kind = self._kind[node]
-        if kind == F.PROP:
-            return (_WON_E if self._val.get(self._name[node], 0) >> si & 1
-                    else _WON_A)
-        if kind == F.NEGPROP:
-            return (_WON_A if self._val.get(self._name[node], 0) >> si & 1
-                    else _WON_E)
-        if kind == F.OR:
-            return _TURN_E
-        if kind == F.AND:
-            return _TURN_A
-        if kind == F.DIAMOND:
-            return _TURN_E if self._succ[si] else _WON_A
-        if kind == F.BOX:
-            return _TURN_A if self._succ[si] else _WON_E
-        if kind == F.MU:
-            return _TURN_E
-        if kind == F.NU:
-            return _TURN_A
-        if self._rf_is_mu[node]:
-            return _TURN_E if ge else _WON_A
-        return _TURN_A if ga else _WON_E
+    _decision_kinds = (F.LABEL,)
+
+    def _label_status(self, ipos):
+        if self._rf_is_mu[ipos[1]]:
+            return _TURN_E if ipos[2] else _WON_A
+        return _TURN_A if ipos[3] else _WON_E
 
     def _moves(self, ipos, eloise_greedy=False, abelard_greedy=False):
         si, node, ge, ga = ipos
         kind = self._kind[node]
         if kind == F.OR or kind == F.AND:
             left, right = self._children[node]
-            return [(("pick-left",), (si, left, ge, ga)),
-                    (("pick-right",), (si, right, ge, ga))]
+            return (si, left, ge, ga), (si, right, ge, ga)
         if kind == F.DIAMOND or kind == F.BOX:
             child = self._children[node][0]
-            states = self.model.states
-            return [(("go-to-state", states[v]), (v, child, ge, ga))
-                    for v in self._succ[si]]
+            return [(v, child, ge, ga) for v in self._succ[si]]
         if kind == F.MU or kind == F.NU:
             # No announcement: step into the body with counters unchanged.
-            body = self._children[node][0]
-            return [(("enter",), (si, body, ge, ga))]
+            return ((si, self._children[node][0], ge, ga),)
         body = self._rf_body[node]
         if self._rf_is_mu[node]:
             choices = (ge - 1,) if eloise_greedy else range(ge - 1, -1, -1)
-            return [(("set-counter", g), (si, body, g, ga)) for g in choices]
+            return [(si, body, g, ga) for g in choices]
         choices = (ga - 1,) if abelard_greedy else range(ga - 1, -1, -1)
-        return [(("set-counter", g), (si, body, ge, g)) for g in choices]
+        return [(si, body, ge, g) for g in choices]
 
     def solve(self, mode="greedy"):
         """Winner plus a winning strategy, as in the clock-bounded game.
@@ -151,8 +113,8 @@ class FBoundedGame(GameCore):
         Greedy mode lowers counters by exactly one; exhaustive mode
         explores every allowed decrement.  The visited position count is
         checked against card(M) * size * (f+1)^2 on every run; checking
-        the final graph suffices, since in greedy mode the first graph is
-        a subgraph of it.
+        the final graph suffices, since in greedy mode the greedy graph
+        is refined in place into it.
         """
         result = self._solve(mode)
         limit = self.model.card * self.sentence.size * (self.f + 1) ** 2
@@ -162,16 +124,11 @@ class FBoundedGame(GameCore):
                 f"card*size*(f+1)^2 bound {limit}")
         return result
 
-    def _move_label(self, ipos, dst, edge_index):
-        kind = self._kind[ipos[1]]
-        if kind == F.OR or kind == F.AND:
-            return ("pick-left",) if edge_index == 0 else ("pick-right",)
-        if kind == F.DIAMOND or kind == F.BOX:
-            return ("go-to-state", self.model.states[dst[0]])
-        if kind == F.MU or kind == F.NU:
+    def _decision_label(self, ipos, dst):
+        node = ipos[1]
+        if self._kind[node] != F.LABEL:
             return ("enter",)
-        si, node, ge, ga = dst
-        return ("set-counter", ge if self._rf_is_mu[ipos[1]] else ga)
+        return ("set-counter", dst[2] if self._rf_is_mu[node] else dst[3])
 
 
 def solve_fbounded(model, state, sentence, k=1, mode="greedy",

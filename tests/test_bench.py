@@ -1,0 +1,25 @@
+"""The benchmark harness runs its eval-game workload end to end.
+
+``bench/run.py`` checks every operation's output against its expected
+verdict and position counts; this runs its smallest configuration once.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_eval_game_smoke_run_is_correct():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"),
+         "--workload", "eval-game", "--seed", "0", "--size", "smoke",
+         "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0
+    assert result["attempted"] > 0

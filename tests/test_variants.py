@@ -1,5 +1,6 @@
 """Two-counter and free semantics against brute-force oracles."""
 
+import itertools
 import random
 
 import pytest
@@ -127,3 +128,64 @@ def test_free_undetermined_region_contains_mu_self_loop(m1):
     eloise, abelard, neither = free_regions(m1, parse("mu X. X"))
     assert FreePosition("a", 0) in neither
     assert FreePosition("a", 1) in neither
+
+
+def _two_counter_game(state="a",
+                      formula="nu Y. mu X. ((p & []X) | <>Y)"):
+    """Both counters in play: a mu-label inside a nu-binder, or the
+    reverse."""
+    model = KripkeModel(["a", "b", "c"],
+                        [("a", "c"), ("a", "b"), ("b", "b"), ("c", "a")],
+                        {"p": ["b"]})
+    # 0 nu Y, 1 mu X, 2 or, 3 and, 4 p, 5 []X, 6 X, 7 <>Y, 8 Y
+    return FBoundedGame(model, state, parse(formula))
+
+
+def test_fbounded_legal_moves_are_pinned():
+    game = _two_counter_game()
+
+    def names(pos, mode="exhaustive"):
+        return [(move, (dst.state, dst.node, dst.gamma_e, dst.gamma_a))
+                for move, dst in game.legal_moves(pos, mode)]
+
+    assert names(FPosition("a", 0, 3, 2)) == [(("enter",), ("a", 1, 3, 2))]
+    assert names(FPosition("a", 1, 3, 2)) == [(("enter",), ("a", 2, 3, 2))]
+    assert names(FPosition("a", 2, 3, 2)) == [
+        (("pick-left",), ("a", 3, 3, 2)), (("pick-right",), ("a", 7, 3, 2))]
+    # Successor states in model order, not in edge-list order.
+    assert names(FPosition("a", 5, 3, 2)) == [
+        (("go-to-state", "b"), ("b", 6, 3, 2)),
+        (("go-to-state", "c"), ("c", 6, 3, 2))]
+    # A mu-label lowers Eloise's counter, a nu-label Abelard's, largest
+    # value first; greedy mode keeps only g-1.
+    assert names(FPosition("a", 6, 3, 2)) == [
+        (("set-counter", 2), ("a", 2, 2, 2)),
+        (("set-counter", 1), ("a", 2, 1, 2)),
+        (("set-counter", 0), ("a", 2, 0, 2))]
+    assert names(FPosition("a", 6, 3, 2), "greedy") == [
+        (("set-counter", 2), ("a", 2, 2, 2))]
+    assert names(FPosition("a", 8, 3, 2)) == [
+        (("set-counter", 1), ("a", 1, 3, 1)),
+        (("set-counter", 0), ("a", 1, 3, 0))]
+    assert names(FPosition("a", 8, 3, 2), "greedy") == [
+        (("set-counter", 1), ("a", 1, 3, 1))]
+    assert names(FPosition("a", 6, 0, 2)) == []  # exhausted: Abelard won
+    assert names(FPosition("b", 4, 3, 2)) == []  # a literal
+
+
+@pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+def test_fbounded_two_counter_strategy_validates_and_plays(mode):
+    winners = set()
+    for formula, state in itertools.product(
+            ("nu Y. mu X. ((p & []X) | <>Y)",
+             "mu Y. nu X. ((!p | <>X) & []Y)"), ("a", "b", "c")):
+        game = _two_counter_game(state, formula)
+        winner, strategy = game.solve(mode)
+        winners.add(winner)
+        assert game.validate_strategy(winner, strategy) > 0
+        if winner == ELOISE:
+            trace = game.play(strategy, first_move_player)
+        else:
+            trace = game.play(first_move_player, strategy)
+        assert trace.winner == winner
+    assert winners == {ELOISE, ABELARD}
