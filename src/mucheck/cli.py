@@ -17,8 +17,8 @@ from . import reduction
 from . import semantics
 from . import variants
 from .game import (ABELARD, DEFAULT_MAX_POSITIONS, ELOISE, EvalGame,
-                   GameLimitError, first_move_player, format_move,
-                   interactive_player)
+                   GameLimitError, _strategy_move_index, first_move_player,
+                   format_move, interactive_player)
 from .kripke import FAMILIES, ModelError, generate_family, load_model_file
 from .semantics import OMEGA, BoundError
 from .variants import FBoundedGame
@@ -179,15 +179,10 @@ def cmd_play(args):
 
     def machine_for(player):
         if winner == player:
-            strat = strategy
-
             def move(g, pos, moves):
-                mv = strat[pos]
-                for k, (m, _) in enumerate(moves):
-                    if m == tuple(mv):
-                        print(f"{player} plays: {format_move(m)}")
-                        return k
-                raise RuntimeError("solved strategy offered an illegal move")
+                k = _strategy_move_index(strategy, pos, moves)
+                print(f"{player} plays: {format_move(moves[k][0])}")
+                return k
             return move
 
         def fallback(g, pos, moves):
@@ -273,6 +268,17 @@ def cmd_gen(args):
     return EXIT_TRUE
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mucheck",
@@ -288,7 +294,7 @@ def build_parser():
         if with_state:
             p.add_argument("--state", required=True,
                            help="start state in the model")
-        p.add_argument("--max-positions", type=int,
+        p.add_argument("--max-positions", type=_positive_int,
                        default=DEFAULT_MAX_POSITIONS,
                        help="solver position cap")
 
@@ -357,8 +363,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which reads as "undetermined".
+        return EXIT_ERROR if exc.code else exc.code
     try:
         return args.func(args)
     except GameLimitError as exc:

@@ -12,7 +12,7 @@ bound at once: each position carries a bitmask with one bit per bound, so one
 backward pass yields the winners and AR membership under all bounds and
 one forward pass replays every winning strategy.  The full-clock-map
 oracle is a position codec for the shared game explorer, and every sweep
-shares one worker pool runner.
+shares one model enumerator, one job splitter and one worker pool runner.
 
 Models that agree on the propositions a sentence actually mentions are
 indistinguishable to every engine, so the sweep runs one representative
@@ -275,11 +275,13 @@ def _playouts(graph, tags, caps, win, inits):
 EXHAUSTIVE_STATES = 2  # sizes enumerated in full; larger sizes are sampled
 
 
-def _model_classes(max_states, vocab_key, seed=0, samples_per_size=60):
+def _model_classes(max_states, vocab_key, seed=0, samples_per_size=60,
+                   extra=()):
     """Representative models plus class sizes for a proposition subset.
 
     Sizes up to EXHAUSTIVE_STATES cover every graph and valuation; larger
-    sizes contribute ``samples_per_size`` seeded random models each.
+    sizes contribute ``samples_per_size`` seeded random models each, and
+    ``extra`` (code, props) pairs one model each, last.
     """
     out = []
     props = tuple(sorted(vocab_key))
@@ -292,6 +294,7 @@ def _model_classes(max_states, vocab_key, seed=0, samples_per_size=60):
         rng = random.Random(f"models:{seed}:{n}")
         for _ in range(samples_per_size):
             out.append((corpus.random_model(rng, n, props or ("p", "q")), 1))
+    out.extend((corpus.model_from_code(*code, p), 1) for code, p in extra)
     return out
 
 
@@ -355,7 +358,7 @@ def _check_sentence(sent, sent_idx, models_by_vocab, gammas, max_positions,
             continue
         p_flags, q_flags = reduction._position_valuation(game, graph)
         tags = _edge_tags(game, graph)
-        inits = [graph.pos_id[(si, 0, ())] for si in range(card)]
+        inits = [graph.pos_id[game._root(si)] for si in range(card)]
         win, ar, diff = _replay(graph, tags, caps, p_flags, q_flags)
         bad = _playouts(graph, tags, caps, win, inits)
 
@@ -405,9 +408,8 @@ def _new_tallies(names):
 
 
 def _main_worker(args):
-    (trees, start_idx, max_states, gammas_enc, max_positions, seed,
+    (trees, start_idx, max_states, gammas, max_positions, seed,
      samples_per_size) = args
-    gammas = tuple(OMEGA if g == "omega" else g for g in gammas_enc)
     models_by_vocab = {v: _model_classes(max_states, v, seed,
                                          samples_per_size) for v in _VOCABS}
     tallies = _new_tallies(MAIN_PROPERTIES)
@@ -416,6 +418,20 @@ def _main_worker(args):
         _check_sentence(sent, start_idx + k, models_by_vocab, gammas,
                         max_positions, tallies)
     return tallies
+
+
+def _split(items, workers, min_parallel, chunks_per_worker=1):
+    """Worker count and job size for a sweep runner.
+
+    ``workers`` defaults to one per CPU, at most 8.  One job takes every
+    item when there is one worker or fewer than ``min_parallel`` items;
+    otherwise each worker gets ``chunks_per_worker`` jobs.
+    """
+    if workers is None:
+        workers = min(os.cpu_count() or 1, 8)
+    if workers <= 1 or len(items) < min_parallel:
+        return workers, max(1, len(items))
+    return workers, max(1, -(-len(items) // (workers * chunks_per_worker)))
 
 
 def _pool_map(worker, jobs, workers):
@@ -441,15 +457,9 @@ def run_main_sweep(sentences, max_states=2, gammas=(1, 2, 3, 4, OMEGA),
                    workers=None, max_positions=1_000_000, seed=0,
                    samples_per_size=60):
     """Main-sweep tallies over the given sentence corpus."""
-    gammas_enc = tuple("omega" if g is OMEGA else g for g in gammas)
     trees = [s.tree() for s in sentences]
-    if workers is None:
-        workers = min(os.cpu_count() or 1, 8)
-    if workers <= 1 or len(trees) < 64:
-        chunk = max(1, len(trees))
-    else:
-        chunk = (len(trees) + workers - 1) // workers
-    jobs = [(trees[i:i + chunk], i, max_states, gammas_enc, max_positions,
+    workers, chunk = _split(trees, workers, 64)
+    jobs = [(trees[i:i + chunk], i, max_states, gammas, max_positions,
              seed, samples_per_size)
             for i in range(0, len(trees), chunk)]
     tallies = _new_tallies(MAIN_PROPERTIES)
@@ -482,7 +492,7 @@ def _ar_worker(args):
             full = fb._explore(model.states)
             full_win = full.winners()
         for si, state in enumerate(model.states):
-            start = (si, 0, fb.f, fb.f)
+            start = fb._root(si)
             verdict_e = unit_win[unit.pos_id[start]] == _E
             tallies["fbounded-chi"].add(
                 1, verdict_e == (state in ar_set), key,
@@ -494,8 +504,11 @@ def _ar_worker(args):
     return tallies
 
 
-def run_ar_sweep(max_states=3, workers=None, decrement_max_states=2,
-                 seed=0, samples_per_size=200):
+AR_SAMPLES_PER_SIZE = 200  # seeded AR models per size above three states
+DECREMENT_MAX_STATES = 2  # largest AR models checked for arbitrary decrements
+
+
+def run_ar_sweep(max_states=3, workers=None, seed=0):
     """chi / AR / two-counter agreement over small AR models.
 
     Exhaustive through three states; larger sizes are seeded samples.
@@ -506,14 +519,12 @@ def run_ar_sweep(max_states=3, workers=None, decrement_max_states=2,
     for n in range(4, max_states + 1):
         rng = random.Random(f"ar:{seed}:{n}")
         codes.extend((n, rng.getrandbits(n * n), rng.getrandbits(n * 2))
-                     for _ in range(samples_per_size))
-    if workers is None:
-        workers = min(os.cpu_count() or 1, 8)
+                     for _ in range(AR_SAMPLES_PER_SIZE))
+    workers, chunk = _split(codes, workers, 1, chunks_per_worker=4)
     # decrement agreement only runs on the small models; split accordingly
-    chunk = max(1, (len(codes) + (workers * 4) - 1) // (workers * 4))
     jobs = []
-    small = [c for c in codes if c[0] <= decrement_max_states]
-    large = [c for c in codes if c[0] > decrement_max_states]
+    small = [c for c in codes if c[0] <= DECREMENT_MAX_STATES]
+    large = [c for c in codes if c[0] > DECREMENT_MAX_STATES]
     for src, flag in ((small, True), (large, False)):
         for i in range(0, len(src), chunk):
             jobs.append((src[i:i + chunk], flag))
@@ -604,15 +615,14 @@ def fullmap_winner(model, state, sentence, bound,
 
 
 def _mode_worker(args):
-    (trees, model_codes_by_vocab, gammas_enc, start_idx) = args
-    gammas = tuple(OMEGA if g == "omega" else g for g in gammas_enc)
+    trees, start_idx, max_states, extra, gammas = args
+    models_by_vocab = {v: _model_classes(max_states, v, extra=extra)
+                       for v in _VOCABS}
     tallies = _new_tallies(MODE_PROPERTIES)
     for k, tree in enumerate(trees):
         sent = F.Sentence(tree)
-        vocab = _sentence_vocab(sent)
-        for model_idx, (code, props, mult) in enumerate(
-                model_codes_by_vocab[vocab]):
-            model = corpus.model_from_code(*code, props)
+        for model_idx, (model, mult) in enumerate(
+                models_by_vocab[_sentence_vocab(sent)]):
             for gi, g in enumerate(gammas):
                 game = EvalGame(model, model.states[0], sent, g)
                 greedy_graph = game._explore(model.states, True, True)
@@ -626,8 +636,9 @@ def _mode_worker(args):
                 for si in range(model.card):
                     state = model.states[si]
                     key = (start_idx + k, model_idx, gi, si)
-                    a = win_g[greedy_graph.pos_id[(si, 0, ())]]
-                    b = win_f[full_graph.pos_id[(si, 0, ())]]
+                    root = game._root(si)
+                    a = win_g[greedy_graph.pos_id[root]]
+                    b = win_f[full_graph.pos_id[root]]
                     tallies["greedy-exhaustive"].add(
                         mult, a == b, key,
                         (model, sent, g, state, "greedy-exhaustive"))
@@ -643,27 +654,11 @@ def run_mode_sweep(sentences, max_states=2, extra_models=(),
     """Greedy/exhaustive and canonical/full-map agreement sweep.
 
     ``extra_models`` supplies sampled larger models as (code, props)
-    pairs; exhaustive enumeration covers sizes up to ``max_states``.
+    pairs, run after the main sweep's model classes up to ``max_states``.
     """
-    codes_by_vocab = {}
-    for v in _VOCABS:
-        props = tuple(sorted(v))
-        entries = []
-        for n in range(1, max_states + 1):
-            mult = (1 << n) ** (2 - len(props))
-            entries.extend((code, props, mult)
-                           for code in corpus.all_model_codes(n, props))
-        entries.extend((code, p, 1) for code, p in extra_models)
-        codes_by_vocab[v] = entries
-    gammas_enc = tuple("omega" if g is OMEGA else g for g in gammas)
     trees = [s.tree() for s in sentences]
-    if workers is None:
-        workers = min(os.cpu_count() or 1, 8)
-    if workers <= 1 or len(trees) < 8:
-        chunk = max(1, len(trees))
-    else:
-        chunk = (len(trees) + workers - 1) // workers
-    jobs = [(trees[i:i + chunk], codes_by_vocab, gammas_enc, i)
+    workers, chunk = _split(trees, workers, 8)
+    jobs = [(trees[i:i + chunk], i, max_states, tuple(extra_models), gammas)
             for i in range(0, len(trees), chunk)]
     tallies = _new_tallies(MODE_PROPERTIES)
     tallies.update(_pool_map(_mode_worker, jobs, workers))
@@ -699,16 +694,7 @@ def run_normalize_checks(sentences, models, gammas=(2,)):
 
 def _shadow_binders(sent):
     """Rename every binder to the same label, keeping references intact."""
-
-    def walk(tree, env):
-        kind, name, kids = tree
-        if kind == F.LABEL:
-            return (kind, env.get(name, name), ())
-        if kind in F.BINDER_KINDS:
-            return (kind, "X", (walk(kids[0], {**env, name: "X"}),))
-        return (kind, name, tuple(walk(k, env) for k in kids))
-
-    return F.Sentence(walk(sent.tree(), {}))
+    return F._rename_binders(sent, lambda name: "X")
 
 
 # ---------------------------------------------------------------------------
@@ -815,70 +801,43 @@ def _fails(cex):
         return False
 
 
-def minimize_counterexample(cex, rounds=50):
+MINIMIZE_ROUNDS = 50  # shrink steps tried on one counterexample
+
+
+def _shrinks(cex):
+    """Smaller variants of a counterexample dict, in the order tried: drop
+    one edge, drop one state from one valuation, take a closed strict
+    subsentence, lower a finite bound by one."""
+    model = cex["model"]
+    edges = model["edges"]
+    for i in range(len(edges)):
+        yield {**cex, "model": {**model, "edges": edges[:i] + edges[i + 1:]}}
+    for p, ws in model["val"].items():
+        for i in range(len(ws)):
+            val = {**model["val"], p: ws[:i] + ws[i + 1:]}
+            yield {**cex, "model": {**model, "val": val}}
+    sent = F.parse(cex["formula"])
+    for node in range(1, sent.size):
+        sub = sent.subsentence(node)
+        if not F.free_labels(sub):
+            yield {**cex, "formula": F.render(sub)}
+    g = cex["gamma"]
+    if g is not None and g != "omega" and int(g) > 1:
+        yield {**cex, "gamma": str(int(g) - 1)}
+
+
+def minimize_counterexample(cex):
     """Greedy shrink of a failing instance: drop edges, shrink valuations,
     move to closed subsentences, and lower finite bounds while the
     property keeps failing.  A trial that crashes is not accepted."""
     if not _fails(cex):
         return cex  # not reproducible in isolation; report as-is
     current = dict(cex)
-    for _ in range(rounds):
-        improved = False
-        model = current["model"]
-        # drop one edge
-        for i in range(len(model["edges"])):
-            trial = dict(current)
-            m2 = {"states": model["states"],
-                  "edges": model["edges"][:i] + model["edges"][i + 1:],
-                  "val": model["val"]}
-            trial["model"] = m2
-            if _fails(trial):
-                current = trial
-                improved = True
-                break
-        if improved:
-            continue
-        # shrink one valuation entry
-        for p, ws in model["val"].items():
-            done = False
-            for i in range(len(ws)):
-                trial = dict(current)
-                val2 = dict(model["val"])
-                val2[p] = ws[:i] + ws[i + 1:]
-                trial["model"] = {"states": model["states"],
-                                  "edges": model["edges"], "val": val2}
-                if _fails(trial):
-                    current = trial
-                    done = improved = True
-                    break
-            if done:
-                break
-        if improved:
-            continue
-        # replace by a closed strict subsentence
-        sent = F.parse(current["formula"])
-        for node in range(1, sent.size):
-            sub = sent.subsentence(node)
-            if F.free_labels(sub):
-                continue
-            trial = dict(current)
-            trial["formula"] = F.render(sub)
-            if _fails(trial):
-                current = trial
-                improved = True
-                break
-        if improved:
-            continue
-        # lower a finite bound
-        g = current["gamma"]
-        if g is not None and g != "omega" and int(g) > 1:
-            trial = dict(current)
-            trial["gamma"] = str(int(g) - 1)
-            if _fails(trial):
-                current = trial
-                improved = True
-        if not improved:
+    for _ in range(MINIMIZE_ROUNDS):
+        smaller = next((t for t in _shrinks(current) if _fails(t)), None)
+        if smaller is None:
             break
+        current = smaller
     return current
 
 

@@ -51,11 +51,6 @@ def all_models(max_states, props=("p", "q")):
             yield model_from_code(*code, props)
 
 
-def count_models(max_states, props=("p", "q")):
-    return sum((1 << (n * n)) * (1 << (n * len(props)))
-               for n in range(1, max_states + 1))
-
-
 def random_model(rng, n, props=("p", "q")):
     edge_bits = rng.getrandbits(n * n)
     val_bits = rng.getrandbits(n * len(props))

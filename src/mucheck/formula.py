@@ -339,23 +339,21 @@ def render(s, node=0):
 # ---------------------------------------------------------------------------
 # Transformations.
 
+def _binder_of(s, nid):
+    """The nearest Mu/Nu ancestor of label ``nid`` with its name, or None
+    when the label is free in ``s``."""
+    name = s.name[nid]
+    b = s.parent[nid]
+    while b is not None and not (s.kind[b] in BINDER_KINDS
+                                 and s.name[b] == name):
+        b = s.parent[b]
+    return b
+
+
 def free_labels(s):
     """Names of label occurrences not bound inside ``s``."""
-    out = set()
-
-    def walk(tree, scope):
-        kind, name, kids = tree
-        if kind == LABEL:
-            if name not in scope:
-                out.add(name)
-        elif kind in BINDER_KINDS:
-            walk(kids[0], scope | {name})
-        else:
-            for kid in kids:
-                walk(kid, scope)
-
-    walk(s.tree(), frozenset())
-    return out
+    return {s.name[nid] for nid, kind in enumerate(s.kind)
+            if kind == LABEL and _binder_of(s, nid) is None}
 
 
 def is_normal(s):
@@ -369,12 +367,23 @@ def is_normal(s):
     return True
 
 
-def _all_label_names(tree, acc):
-    kind, name, kids = tree
-    if kind == LABEL or kind in BINDER_KINDS:
-        acc.add(name)
-    for kid in kids:
-        _all_label_names(kid, acc)
+def _rename_binders(s, rename):
+    """``s`` with each binder, in pre-order, renamed to ``rename(name)``
+    and every label it binds renamed alike; free labels keep their
+    names."""
+    names = list(s.name)
+    for nid, kind in enumerate(s.kind):
+        if kind in BINDER_KINDS:
+            names[nid] = rename(s.name[nid])
+        elif kind == LABEL:
+            b = _binder_of(s, nid)
+            if b is not None:
+                names[nid] = names[b]
+    trees = [None] * s.size
+    for nid in range(s.size - 1, -1, -1):
+        trees[nid] = (s.kind[nid], names[nid],
+                      tuple(trees[c] for c in s.children[nid]))
+    return Sentence(trees[0])
 
 
 def normalize(s):
@@ -384,28 +393,21 @@ def normalize(s):
     fresh names (X -> X1, X2, ...), avoiding every name in the input.
     Idempotent, and the result is alpha-equivalent to the input.
     """
-    taken = set()
-    _all_label_names(s.tree(), taken)
+    taken = {s.name[nid] for nid, kind in enumerate(s.kind)
+             if kind == LABEL or kind in BINDER_KINDS}
     assigned = set()
 
-    def fresh(base):
-        i = 1
-        while base + str(i) in taken or base + str(i) in assigned:
-            i += 1
-        return base + str(i)
+    def rename(name):
+        new = name
+        if name in assigned:
+            i = 1
+            while name + str(i) in taken or name + str(i) in assigned:
+                i += 1
+            new = name + str(i)
+        assigned.add(new)
+        return new
 
-    def walk(tree, env):
-        kind, name, kids = tree
-        if kind == LABEL:
-            return (kind, env.get(name, name), ())
-        if kind in BINDER_KINDS:
-            new = name if name not in assigned else fresh(name)
-            assigned.add(new)
-            body = walk(kids[0], {**env, name: new})
-            return (kind, new, (body,))
-        return (kind, name, tuple(walk(kid, env) for kid in kids))
-
-    return Sentence(walk(s.tree(), {}))
+    return _rename_binders(s, rename)
 
 
 _DUAL_KIND = {PROP: NEGPROP, NEGPROP: PROP, LABEL: LABEL,

@@ -229,8 +229,15 @@ class GameCore:
         Returns a _Graph over internal positions, numbered in discovery
         order, so the first start state's root is position 0.
         """
-        roots = list(dict.fromkeys(self._root(self.model.state_index(w))
-                                   for w in start_states))
+        return self._explore_roots(
+            [self._root(self.model.state_index(w)) for w in start_states],
+            eloise_greedy, abelard_greedy)
+
+    def _explore_roots(self, roots, eloise_greedy=False,
+                       abelard_greedy=False):
+        """The reachable position graph from internal root positions,
+        numbered in discovery order from the distinct roots on."""
+        roots = list(dict.fromkeys(roots))
         status = [self._status(ip) for ip in roots]
         graph = _Graph(roots, {ip: i for i, ip in enumerate(roots)}, status,
                        [()] * len(roots))

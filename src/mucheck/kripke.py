@@ -122,6 +122,8 @@ def load_model(data):
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ModelError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ModelError("model file must contain a JSON object")
     for key in ("states", "edges"):

@@ -20,6 +20,11 @@ class _Omega:
     def __repr__(self):
         return "omega"
 
+    def __reduce__(self):
+        # Unpickle as the module's singleton, so ``is OMEGA`` survives
+        # worker processes.
+        return "OMEGA"
+
 
 OMEGA = _Omega()
 

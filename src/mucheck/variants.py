@@ -10,7 +10,8 @@ for the shared ``GameCore`` explorer and solver.
 
 The free game drops counters entirely: only literal positions and stuck
 movers end play, so neither player may have a winning strategy and the
-verdict can be Undetermined.  It is solved by the shared attractor.
+verdict can be Undetermined.  ``_FreeGame`` is its position codec, and the
+shared attractor solves it over every (state, node) pair.
 """
 
 from typing import NamedTuple
@@ -135,71 +136,52 @@ def solve_fbounded(model, state, sentence, k=1, mode="greedy",
                    max_positions=DEFAULT_MAX_POSITIONS):
     """Verdict (always Eloise or Abelard) and strategy of the two-counter
     game."""
-    game = FBoundedGame(model, state, sentence, k, max_positions)
-    verdict, strategy = game.solve(mode)
-    return verdict, strategy
+    return FBoundedGame(model, state, sentence, k, max_positions).solve(mode)
 
 
 # ---------------------------------------------------------------------------
 # Free semantics.
 
-def _free_graph(model, sentence):
-    """Full (state, node) position graph with status codes and successors."""
-    index = F.build_index(sentence)
-    kind = sentence.kind
-    name = sentence.name
-    children = sentence.children
-    rf_body = {lab: children[rf][0] for lab, rf in index.rf.items()}
-    n_states = model.card
-    n_nodes = sentence.size
-    val = model._val_mask
-    succ = model._succ
+class _FreeGame(GameCore):
+    """The clock-free game over ``(state index, node)`` positions: a label
+    is its binder's owner's turn, and play jumps back to the binder's
+    body with nothing else changed.  It is only explored, from every
+    position at once (_free_positions); the attractor solves it."""
 
-    def pid(si, node):
-        return si * n_nodes + node
+    def _label_status(self, ipos):
+        return _TURN_E if self._rf_is_mu[ipos[1]] else _TURN_A
 
-    status = [0] * (n_states * n_nodes)
-    succs = [()] * (n_states * n_nodes)
-    for si in range(n_states):
-        for node in range(n_nodes):
-            k = kind[node]
-            i = pid(si, node)
-            if k == F.PROP:
-                status[i] = _WON_E if val.get(name[node], 0) >> si & 1 else _WON_A
-            elif k == F.NEGPROP:
-                status[i] = _WON_A if val.get(name[node], 0) >> si & 1 else _WON_E
-            elif k == F.OR or k == F.AND:
-                status[i] = _TURN_E if k == F.OR else _TURN_A
-                left, right = children[node]
-                succs[i] = (pid(si, left), pid(si, right))
-            elif k == F.DIAMOND or k == F.BOX:
-                if not succ[si]:
-                    status[i] = _WON_A if k == F.DIAMOND else _WON_E
-                else:
-                    status[i] = _TURN_E if k == F.DIAMOND else _TURN_A
-                    child = children[node][0]
-                    succs[i] = tuple(pid(v, child) for v in succ[si])
-            elif k == F.MU or k == F.NU:
-                status[i] = _TURN_E if k == F.MU else _TURN_A
-                succs[i] = (pid(si, children[node][0]),)
-            else:  # label: jump to the binder's body, nothing else happens
-                rf = index.rf[node]
-                status[i] = _TURN_E if kind[rf] == F.MU else _TURN_A
-                succs[i] = (pid(si, rf_body[node]),)
-    return status, succs
+    def _moves(self, ipos, eloise_greedy=False, abelard_greedy=False):
+        si, node = ipos
+        kind = self._kind[node]
+        if kind == F.OR or kind == F.AND:
+            left, right = self._children[node]
+            return (si, left), (si, right)
+        if kind == F.DIAMOND or kind == F.BOX:
+            child = self._children[node][0]
+            return [(v, child) for v in self._succ[si]]
+        if kind == F.MU or kind == F.NU:
+            return ((si, self._children[node][0]),)
+        return ((si, self._rf_body[node]),)
+
+
+def _free_positions(model, state, sentence):
+    """The free game's graph over every (state index, node) pair, numbered
+    ``si * size + node``.  The roots hold every position, so none is
+    discovered and the position cap cannot trip."""
+    game = _FreeGame(model, state, sentence, DEFAULT_MAX_POSITIONS)
+    return game._explore_roots([(si, node) for si in range(model.card)
+                                for node in range(game.sentence.size)])
 
 
 def free_regions(model, sentence):
     """Partition of all free positions into Eloise / Abelard / Undetermined."""
-    if not F.is_normal(sentence):
-        sentence = F.normalize(sentence)
-    status, succs = _free_graph(model, sentence)
-    win_e = _attractor(status, succs, _E)
-    win_a = _attractor(status, succs, _A)
-    n_nodes = sentence.size
+    graph = _free_positions(model, model.states[0], sentence)
+    win_e = _attractor(graph.status, graph.succs, _E)
+    win_a = _attractor(graph.status, graph.succs, _A)
     eloise, abelard, neither = set(), set(), set()
-    for i in range(len(status)):
-        pos = FreePosition(model.states[i // n_nodes], i % n_nodes)
+    for i, (si, node) in enumerate(graph.pos_list):
+        pos = FreePosition(model.states[si], node)
         if win_e[i]:
             eloise.add(pos)
         if win_a[i]:
@@ -211,13 +193,10 @@ def free_regions(model, sentence):
 
 def solve_free(model, state, sentence):
     """Verdict of the clock-free game: Eloise, Abelard, or Undetermined."""
-    si = model.state_index(state)
-    if not F.is_normal(sentence):
-        sentence = F.normalize(sentence)
-    status, succs = _free_graph(model, sentence)
-    init = si * sentence.size
-    if _attractor(status, succs, _E)[init]:
+    graph = _free_positions(model, state, sentence)
+    init = graph.pos_id[(model.state_index(state), 0)]
+    if _attractor(graph.status, graph.succs, _E)[init]:
         return ELOISE
-    if _attractor(status, succs, _A)[init]:
+    if _attractor(graph.status, graph.succs, _A)[init]:
         return ABELARD
     return UNDETERMINED

@@ -128,6 +128,38 @@ def test_eval_errors(m1_path, tmp_path, capsys):
     assert code == 10
 
 
+def test_usage_errors_exit_with_the_error_code(m1_path, capsys):
+    """argparse's own code 2 reads as "undetermined"; usage errors exit 10
+    and --help still exits 0."""
+    for argv in (["eval", "--model", m1_path, "--formula", "p"],
+                 ["eval", "--model", m1_path, "--formula", "p", "--state",
+                  "a", "--max-positions", "0"],
+                 ["eval", "--model", m1_path, "--formula", "p", "--state",
+                  "a", "--max-positions", "-3"],
+                 ["eval", "--model", m1_path, "--formula", "p", "--state",
+                  "a", "--max-positions", "many"],
+                 ["eval", "--model", m1_path, "--formula", "p", "--state",
+                  "a", "--bogus"],
+                 ["nonsense"], []):
+        code, out, err = run(argv, capsys)
+        assert code == 10, argv
+        assert out == "" and "error:" in err
+    assert run(["--help"], capsys)[0] == 0
+    assert run(["eval", "--help"], capsys)[0] == 0
+    code, out, _ = run(["eval", "--model", m1_path, "--formula", "p",
+                        "--state", "b", "--max-positions", "1"], capsys)
+    assert code == 0 and out.strip() == "true"
+
+
+def test_eval_deeply_nested_model_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(["eval", "--model", str(path), "--formula", "p",
+                          "--state", "a"], capsys)
+    assert code == 10
+    assert out == "" and err.startswith("error: invalid JSON")
+
+
 def test_eval_deep_formula_is_internal_error(m1_path, tmp_path, capsys):
     """A crash (here the recursion limit on 500 nested diamonds) exits with
     the internal-error code, never with a verdict code."""

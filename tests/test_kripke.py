@@ -50,6 +50,11 @@ def test_load_model_bad_json_and_shapes():
         load_model('{"states": [1], "edges": [], "val": {}}')
 
 
+def test_load_model_deeply_nested_json_is_a_model_error():
+    with pytest.raises(ModelError):
+        load_model("[" * 200_000)
+
+
 def test_load_model_ignores_extra_keys():
     data = {"states": ["a"], "edges": [], "val": {},
             "root": "a", "backmap": {}}

@@ -81,6 +81,12 @@ def test_eval_bounded_afp(m1, afp):
     assert eval_bounded(m1, afp, OMEGA) == eval_standard(m1, afp)
 
 
+def test_omega_survives_pickling():
+    import pickle
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(OMEGA, protocol)) is OMEGA
+
+
 def test_bound_validation(m1, afp):
     for bad in (0, -1, "2", 1.5, True):
         with pytest.raises(BoundError):

@@ -124,6 +124,19 @@ def test_free_partition_properties():
                    for p in eloise | abelard | neither)
 
 
+def test_free_graph_numbers_every_state_node_pair():
+    """Every (state, node) pair is a root, at id si * size + node, so
+    exploring discovers nothing and the position cap never applies."""
+    from mucheck.variants import _FreeGame
+    rng = random.Random(71)
+    m = random_model(rng, 3)
+    s = random_sentences(1, 5, 9, 2)[0]
+    roots = [(si, node) for si in range(m.card) for node in range(s.size)]
+    graph = _FreeGame(m, m.states[0], s, 1)._explore_roots(roots)
+    assert graph.pos_list == roots
+    assert graph.pos_id == {ip: i for i, ip in enumerate(roots)}
+
+
 def test_free_undetermined_region_contains_mu_self_loop(m1):
     eloise, abelard, neither = free_regions(m1, parse("mu X. X"))
     assert FreePosition("a", 0) in neither
