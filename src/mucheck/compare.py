@@ -6,13 +6,20 @@ bounded compositional semantics, the card(M) collapse against the
 standard semantics, the AR reductions, chi against the AR solver, the
 two-counter game against AR, greedy against exhaustive clock policies,
 canonical clock tuples against full clock maps, duality, and
-normalization soundness.  The main sweep builds one position graph per
-(model, sentence) at the largest clock bound and replays it under every
-bound at once: each position carries a bitmask with one bit per bound, so one
-backward pass yields the winners and AR membership under all bounds and
-one forward pass replays every winning strategy.  The full-clock-map
-oracle is a position codec for the shared game explorer, and every sweep
-shares one model enumerator, one job splitter and one worker pool runner.
+normalization soundness.
+
+The main and clock-policy sweeps group the models by card and play one
+game per (sentence, card group), on the disjoint union of the group's
+models.  Play follows the model's edges and never leaves a component, so
+that game is the disjoint union of the models' games, and its results
+map back to each model; the compositional engines still run per model.
+The main sweep builds its position graph at the largest clock bound and
+replays it under every bound at once: each position carries a bitmask
+with one bit per bound, so one backward pass yields the winners and AR
+membership under all bounds and one forward pass replays every winning
+strategy.  The full-clock-map oracle is a position codec for the shared
+game explorer, and every sweep shares one model enumerator, one job
+splitter and one worker pool runner.
 
 Models that agree on the propositions a sentence actually mentions are
 indistinguishable to every engine, so the sweep runs one representative
@@ -169,7 +176,7 @@ def _edge_tags(game, graph):
     return tags
 
 
-def _replay(graph, tags, caps, p_flags, q_flags):
+def _replay(graph, tags, caps, p_flags, q_flags, card=None):
     """Winners and AR membership under every cap in one backward pass.
 
     Bit b of a position's mask stands for clock-choice cap ``caps[b]``;
@@ -177,6 +184,9 @@ def _replay(graph, tags, caps, p_flags, q_flags):
     Returns per-position masks of the caps under which Eloise wins and
     under which the position is in the AR winning set of the position
     model, plus the mask of caps under which the two differ anywhere.
+    When the model is a disjoint union of components of ``card`` states
+    each (state index si lies in component si // card), bit
+    ``c * len(caps) + b`` of that last mask marks cap b in component c.
     """
     full = (1 << len(caps)) - 1
     admit = _admit_masks(tuple(caps))
@@ -214,61 +224,76 @@ def _replay(graph, tags, caps, p_flags, q_flags):
                 a &= ar[j] | block[t]
         win[i] = w
         ar[i] = a
-        diff |= w ^ a
+        if w != a:
+            c = graph.pos_list[i][0] // card if card else 0
+            diff |= (w ^ a) << (c * len(caps))
     return win, ar, diff
 
 
-def _playouts(graph, tags, caps, win, inits):
+def _playouts(graph, tags, caps, win, inits, card=None):
     """Replay every first-winning-move strategy against all opponent moves.
 
     One forward pass over the topological order serves every start and
-    cap: bit ``s * len(caps) + b`` of a reach mask stands for the playout
-    from ``inits[s]`` under ``caps[b]`` by the player whom ``win`` (masks
-    over the same caps, as _replay returns them) names the winner there.
-    That player follows the first admitted edge into a position ``win``
-    says they win; the opponent follows every admitted edge.
-    Returns the mask of playout bits that reach a terminal lost for their
-    player or a turn of that player with no such edge.
+    cap.  ``inits[s]`` is the start position at state index s, and
+    ``win`` holds masks over ``caps`` as _replay returns them.  The
+    playout from ``inits[s]`` under ``caps[b]`` is played for the player
+    whom ``win`` names the winner there: that player follows the first
+    admitted edge into a position ``win`` says they win; the opponent
+    follows every admitted edge.  Returns the mask whose bit
+    ``s * len(caps) + b`` marks a playout that reaches a terminal lost for
+    its player or a turn of that player with no such edge.
+
+    When the model is a disjoint union of components of ``card`` states
+    each, no playout leaves its start's component, so the reach masks
+    give the starts of each component the same bits and stay
+    ``card * len(caps)`` bits wide however many components there are.
     """
     nb = len(caps)
     full = (1 << nb) - 1
-    rep = 0  # one copy of the cap bits per start
-    for s in range(len(inits)):
+    period = card or len(inits)
+    rep = 0  # one copy of the cap bits per start of a component
+    for s in range(period):
         rep |= 1 << (s * nb)
     admit = [m * rep for m in _admit_masks(tuple(caps))]
     status = graph.status
     succs = graph.succs
-    reach = [0] * len(status)
-    for_e = 0  # playouts Eloise is to win
+    pos_list = graph.pos_list
+    # Reaching playouts, split by the player each is played for.
+    reach_e = [0] * len(status)
+    reach_a = [0] * len(status)
     for s, init in enumerate(inits):
-        for_e |= win[init] << (s * nb)
-        reach[init] |= full << (s * nb)
-    for_a = (full * rep) ^ for_e
+        shift = s % period * nb
+        reach_e[init] |= win[init] << shift
+        reach_a[init] |= (full ^ win[init]) << shift
     bad = 0
     for i in graph.topo_order():
-        r = reach[i]
-        if not r:
+        mine_e = reach_e[i]
+        mine_a = reach_a[i]
+        if not (mine_e or mine_a):
             continue
         st = status[i]
         if st == _WON_E:
-            bad |= r & for_a
-            continue
-        if st == _WON_A:
-            bad |= r & for_e
-            continue
-        if st == _TURN_E:
-            mine = r & for_e
-            theirs = r & for_a
+            lost = mine_a
+        elif st == _WON_A:
+            lost = mine_e
+        elif st == _TURN_E:
+            for j, t in zip(succs[i], tags[i]):
+                a = admit[t]
+                take = mine_e & a & win[j] * rep
+                reach_e[j] |= take
+                reach_a[j] |= mine_a & a
+                mine_e ^= take
+            lost = mine_e
         else:
-            mine = r & for_a
-            theirs = r & for_e
-        for j, t in zip(succs[i], tags[i]):
-            a = admit[t]
-            wins_e = win[j] * rep
-            take = mine & a & (wins_e if st == _TURN_E else ~wins_e)
-            reach[j] |= take | (theirs & a)
-            mine ^= take
-        bad |= mine
+            for j, t in zip(succs[i], tags[i]):
+                a = admit[t]
+                take = mine_a & a & ~(win[j] * rep)
+                reach_a[j] |= take
+                reach_e[j] |= mine_e & a
+                mine_a ^= take
+            lost = mine_a
+        if lost:
+            bad |= lost << (pos_list[i][0] // period * period * nb)
     return bad
 
 
@@ -312,59 +337,120 @@ def _sentence_vocab(sent):
     return frozenset(used & {"p", "q"})
 
 
-def _check_sentence(sent, sent_idx, models_by_vocab, gammas, max_positions,
+def _disjoint_union(models):
+    """The models side by side in one model: state index si of the k-th
+    is state index ``k * card + si`` when every model has ``card``
+    states.  A model on its own is its own union."""
+    if len(models) == 1:
+        return models[0]
+    states, edges, val = [], [], {}
+    for k, model in enumerate(models):
+        name = {w: f"{k}:{w}" for w in model.states}
+        states.extend(name[w] for w in model.states)
+        edges.extend((name[a], name[b]) for a, b in model.relation)
+        for p, ws in model.valuation.items():
+            val.setdefault(p, []).extend(name[w] for w in ws)
+    return KripkeModel(states, edges, val)
+
+
+def _card_groups(pairs):
+    """Model classes of one vocabulary, as _model_classes gives them,
+    grouped by card: one ``(union, members)`` pair per card, where
+    ``members`` lists ``(model_idx, model, mult)`` in component order and
+    ``union`` is their disjoint union.
+
+    Play follows the model's edges, so it never leaves a component, and
+    the game on a union is the disjoint union of its components' games.
+    Every member of a group has the same card, so every clock cap the
+    sweeps derive from a bound (_cap_for) is the same for all of them.
+    """
+    by_card = {}
+    for model_idx, (model, mult) in enumerate(pairs):
+        by_card.setdefault(model.card, []).append((model_idx, model, mult))
+    return [(_disjoint_union([m for _, m, _ in members]), members)
+            for members in by_card.values()]
+
+
+def _check_sentence(sent, sent_idx, groups_by_vocab, gammas, max_positions,
                     tallies):
-    """All main-sweep properties for one sentence across its model classes."""
+    """All main-sweep properties for one sentence across its model classes:
+    the compositional ones per model, the game ones per card group."""
     dual_sent = F.dual(sent)
-    vocab = _sentence_vocab(sent)
+    for union, members in groups_by_vocab[_sentence_vocab(sent)]:
+        rows = []
+        for model_idx, model, mult in members:
+            key0 = (sent_idx, model_idx)
+            cap0 = max(1, model.card)  # the collapse bound
+            std = semantics.eval_standard(model, sent)
+            bounded = {}
+            for g in (cap0, OMEGA) + gammas:
+                if g not in bounded:
+                    bounded[g] = semantics.eval_bounded(model, sent, g)
+            tallies["card-collapse"].add(
+                mult, bounded[cap0] == std, key0,
+                (model, sent, cap0, None, "card-collapse"))
+            tallies["omega-standard"].add(
+                mult, bounded[OMEGA] == std, key0,
+                (model, sent, OMEGA, None, "omega-standard"))
+            dual_set = semantics.eval_standard(model, dual_sent)
+            tallies["duality"].add(
+                mult, dual_set == frozenset(model.states) - std, key0,
+                (model, sent, None, None, "duality"))
+            rows.append((model_idx, model, mult, std, bounded))
+        _check_games(sent, sent_idx, union, rows, gammas, max_positions,
+                     tallies)
+
+
+def _check_games(sent, sent_idx, union, rows, gammas, max_positions,
+                 tallies):
+    """The game properties of one sentence on one card group, from one
+    game on the group's union model.
+
+    ``rows`` holds per member ``(model_idx, model, mult, std, bounded)``:
+    its standard and bounded truth sets.  When the union's game trips the
+    position cap or has a cycle, the group runs again one member at a
+    time, so termination and the cap stay per (sentence, model).
+    """
     nb = len(gammas)
     gbits = (1 << nb) - 1
-    pairs = models_by_vocab[vocab]
-    for model_idx, (model, mult) in enumerate(pairs):
-        card = model.card
-        key0 = (sent_idx, model_idx)
-        cap0 = max(1, card)  # the collapse bound
-        std = semantics.eval_standard(model, sent)
-        bounded = {}
-        for g in (cap0, OMEGA) + gammas:
-            if g not in bounded:
-                bounded[g] = semantics.eval_bounded(model, sent, g)
-        tallies["card-collapse"].add(
-            mult, bounded[cap0] == std, key0,
-            (model, sent, cap0, None, "card-collapse"))
-        tallies["omega-standard"].add(
-            mult, bounded[OMEGA] == std, key0,
-            (model, sent, OMEGA, None, "omega-standard"))
-        dual_set = semantics.eval_standard(model, dual_sent)
-        tallies["duality"].add(
-            mult, dual_set == frozenset(model.states) - std, key0,
-            (model, sent, None, None, "duality"))
-
-        # Bit b < nb of the replay masks is gammas[b]; bit nb is cap0.  The
-        # game at the largest cap holds every smaller cap's game as the
-        # edges whose announced clock value lies below that cap.
-        caps = tuple(_cap_for(g, model) for g in gammas) + (cap0,)
-        game = EvalGame(model, model.states[0], sent, max(caps),
-                        max_positions=max_positions)
-        try:
-            graph = game._explore(model.states)
-            graph.topo_order()
-            acyclic = True
-        except (RuntimeError, GameLimitError):
-            acyclic = False
+    model0 = rows[0][1]
+    card = model0.card
+    # Bit b < nb of the replay masks is gammas[b]; bit nb is the collapse
+    # bound.  The game at the largest cap holds every smaller cap's game
+    # as the edges whose announced clock value lies below that cap.
+    caps = tuple(_cap_for(g, model0) for g in gammas) + (max(1, card),)
+    ncaps = len(caps)
+    game = EvalGame(union, union.states[0], sent, max(caps),
+                    max_positions=max_positions)
+    try:
+        graph = game._explore(union.states)
+        graph.topo_order()
+        acyclic = True
+    except (RuntimeError, GameLimitError):
+        acyclic = False
+    if not acyclic and len(rows) > 1:
+        for row in rows:
+            _check_games(sent, sent_idx, row[1], [row], gammas,
+                         max_positions, tallies)
+        return
+    for model_idx, model, mult, _, _ in rows:
         tallies["termination"].add(
-            mult, acyclic, key0, (model, sent, None, None, "termination"))
-        if not acyclic:
-            continue
-        p_flags, q_flags = reduction._position_valuation(game, graph)
-        tags = _edge_tags(game, graph)
-        inits = [graph.pos_id[game._root(si)] for si in range(card)]
-        win, ar, diff = _replay(graph, tags, caps, p_flags, q_flags)
-        bad = _playouts(graph, tags, caps, win, inits)
+            mult, acyclic, (sent_idx, model_idx),
+            (model, sent, None, None, "termination"))
+    if not acyclic:
+        return
+    p_flags, q_flags = reduction._position_valuation(game, graph)
+    tags = _edge_tags(game, graph)
+    inits = [graph.pos_id[game._root(u)] for u in range(union.card)]
+    win, ar, diff = _replay(graph, tags, caps, p_flags, q_flags, card)
+    bad = _playouts(graph, tags, caps, win, inits, card)
 
-        # Per start state, bit gi of each mask marks a failure at gammas[gi].
-        for si, init in enumerate(inits):
-            state = model.states[si]
+    # Per start state, bit gi of each mask marks a failure at gammas[gi].
+    for k, (model_idx, model, mult, std, bounded) in enumerate(rows):
+        model_diff = diff >> (k * ncaps)
+        for si, state in enumerate(model.states):
+            u = k * card + si
+            init = inits[u]
             truth = 0
             for gi, g in enumerate(gammas):
                 if state in bounded[g]:
@@ -372,8 +458,8 @@ def _check_sentence(sent, sent_idx, models_by_vocab, gammas, max_positions,
             w = win[init]
             for name, fail in (
                     ("game-vs-bounded", w ^ truth),
-                    ("reduction-J", diff | (w ^ ar[init])),
-                    ("strategy-playouts", bad >> (si * len(caps)))):
+                    ("reduction-J", model_diff | (w ^ ar[init])),
+                    ("strategy-playouts", bad >> (u * ncaps))):
                 tally = tallies[name]
                 tally.instances += mult * nb
                 if fail & gbits:
@@ -410,12 +496,12 @@ def _new_tallies(names):
 def _main_worker(args):
     (trees, start_idx, max_states, gammas, max_positions, seed,
      samples_per_size) = args
-    models_by_vocab = {v: _model_classes(max_states, v, seed,
-                                         samples_per_size) for v in _VOCABS}
+    groups_by_vocab = {v: _card_groups(_model_classes(
+        max_states, v, seed, samples_per_size)) for v in _VOCABS}
     tallies = _new_tallies(MAIN_PROPERTIES)
     for k, tree in enumerate(trees):
         sent = F.Sentence(tree)
-        _check_sentence(sent, start_idx + k, models_by_vocab, gammas,
+        _check_sentence(sent, start_idx + k, groups_by_vocab, gammas,
                         max_positions, tallies)
     return tallies
 
@@ -616,37 +702,59 @@ def fullmap_winner(model, state, sentence, bound,
 
 def _mode_worker(args):
     trees, start_idx, max_states, extra, gammas = args
-    models_by_vocab = {v: _model_classes(max_states, v, extra=extra)
+    groups_by_vocab = {v: _card_groups(_model_classes(max_states, v,
+                                                      extra=extra))
                        for v in _VOCABS}
     tallies = _new_tallies(MODE_PROPERTIES)
     for k, tree in enumerate(trees):
         sent = F.Sentence(tree)
-        for model_idx, (model, mult) in enumerate(
-                models_by_vocab[_sentence_vocab(sent)]):
+        for union, members in groups_by_vocab[_sentence_vocab(sent)]:
             for gi, g in enumerate(gammas):
-                game = EvalGame(model, model.states[0], sent, g)
-                greedy_graph = game._explore(model.states, True, True)
-                full_graph = game._explore(model.states, False, False)
-                fm = _FullMapGame(model, model.states[0], sent, g,
-                                  FULLMAP_MAX_POSITIONS)
-                fm_graph = fm._explore(model.states)
-                win_g = greedy_graph.winners()
-                win_f = full_graph.winners()
-                win_m = fm_graph.winners()
-                for si in range(model.card):
-                    state = model.states[si]
-                    key = (start_idx + k, model_idx, gi, si)
-                    root = game._root(si)
-                    a = win_g[greedy_graph.pos_id[root]]
-                    b = win_f[full_graph.pos_id[root]]
-                    tallies["greedy-exhaustive"].add(
-                        mult, a == b, key,
-                        (model, sent, g, state, "greedy-exhaustive"))
-                    m = win_m[fm_graph.pos_id[fm._root(si)]]
-                    tallies["canonical-fullmap"].add(
-                        mult, m == b, key,
-                        (model, sent, g, state, "canonical-fullmap"))
+                _check_policies(sent, start_idx + k, union, members, gi, g,
+                                tallies)
     return tallies
+
+
+def _check_policies(sent, sent_idx, union, members, gi, g, tallies):
+    """Greedy against exhaustive and canonical against full-map winners
+    of one sentence at ``gammas[gi] = g`` on one card group, from one
+    graph of each kind on the group's union model.  When one of them
+    trips its position cap or has a cycle, the group runs again one
+    member at a time, where the error propagates as it always has."""
+    model0 = members[0][1]
+    cap = _cap_for(g, model0)  # an OMEGA bound means the member's card
+    game = EvalGame(union, union.states[0], sent, cap)
+    fm = _FullMapGame(union, union.states[0], sent, cap,
+                      FULLMAP_MAX_POSITIONS)
+    try:
+        greedy_graph = game._explore(union.states, True, True)
+        full_graph = game._explore(union.states, False, False)
+        fm_graph = fm._explore(union.states)
+        win_g = greedy_graph.winners()
+        win_f = full_graph.winners()
+        win_m = fm_graph.winners()
+    except (RuntimeError, GameLimitError):
+        if len(members) == 1:
+            raise
+        for member in members:
+            _check_policies(sent, sent_idx, member[1], [member], gi, g,
+                            tallies)
+        return
+    card = model0.card
+    for k, (model_idx, model, mult) in enumerate(members):
+        for si, state in enumerate(model.states):
+            u = k * card + si
+            key = (sent_idx, model_idx, gi, si)
+            root = game._root(u)
+            a = win_g[greedy_graph.pos_id[root]]
+            b = win_f[full_graph.pos_id[root]]
+            tallies["greedy-exhaustive"].add(
+                mult, a == b, key,
+                (model, sent, g, state, "greedy-exhaustive"))
+            m = win_m[fm_graph.pos_id[fm._root(u)]]
+            tallies["canonical-fullmap"].add(
+                mult, m == b, key,
+                (model, sent, g, state, "canonical-fullmap"))
 
 
 def run_mode_sweep(sentences, max_states=2, extra_models=(),

@@ -347,13 +347,6 @@ class GameCore:
                         stack.append(j)
         return _PLAYER_NAME[win_code], Strategy(_PLAYER_NAME[win_code], moves)
 
-    def apply_move(self, pos, move):
-        """The position reached by playing ``move`` at ``pos``."""
-        for cand, dst in self.legal_moves(pos):
-            if cand == tuple(move):
-                return dst
-        raise ValueError(f"move {move} is not legal at {pos}")
-
     def play(self, eloise, abelard, max_rounds=1_000_000):
         """Play the game out and return the Trace.
 

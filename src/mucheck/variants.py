@@ -11,7 +11,8 @@ for the shared ``GameCore`` explorer and solver.
 The free game drops counters entirely: only literal positions and stuck
 movers end play, so neither player may have a winning strategy and the
 verdict can be Undetermined.  ``_FreeGame`` is its position codec, and the
-shared attractor solves it over every (state, node) pair.
+shared attractor solves it: over every (state, node) pair for the
+regions, over the positions reachable from the start for a verdict.
 """
 
 from typing import NamedTuple
@@ -145,8 +146,11 @@ def solve_fbounded(model, state, sentence, k=1, mode="greedy",
 class _FreeGame(GameCore):
     """The clock-free game over ``(state index, node)`` positions: a label
     is its binder's owner's turn, and play jumps back to the binder's
-    body with nothing else changed.  It is only explored, from every
-    position at once (_free_positions); the attractor solves it."""
+    body with nothing else changed.  It is only explored, and the
+    attractor solves it."""
+
+    def _root(self, si):
+        return (si, 0)
 
     def _label_status(self, ipos):
         return _TURN_E if self._rf_is_mu[ipos[1]] else _TURN_A
@@ -165,18 +169,20 @@ class _FreeGame(GameCore):
         return ((si, self._rf_body[node]),)
 
 
-def _free_positions(model, state, sentence):
-    """The free game's graph over every (state index, node) pair, numbered
-    ``si * size + node``.  The roots hold every position, so none is
-    discovered and the position cap cannot trip."""
-    game = _FreeGame(model, state, sentence, DEFAULT_MAX_POSITIONS)
-    return game._explore_roots([(si, node) for si in range(model.card)
-                                for node in range(game.sentence.size)])
+def _free_game(model, state, sentence):
+    """The free game.  It has at most card(M) * size positions, so a cap
+    of that many never trips."""
+    return _FreeGame(model, state, sentence, model.card * sentence.size)
 
 
 def free_regions(model, sentence):
-    """Partition of all free positions into Eloise / Abelard / Undetermined."""
-    graph = _free_positions(model, model.states[0], sentence)
+    """Partition of all free positions into Eloise / Abelard / Undetermined.
+
+    The graph holds every (state index, node) pair as a root, numbered
+    ``si * size + node``, so exploring discovers nothing."""
+    game = _free_game(model, model.states[0], sentence)
+    graph = game._explore_roots([(si, node) for si in range(model.card)
+                                 for node in range(game.sentence.size)])
     win_e = _attractor(graph.status, graph.succs, _E)
     win_a = _attractor(graph.status, graph.succs, _A)
     eloise, abelard, neither = set(), set(), set()
@@ -192,11 +198,14 @@ def free_regions(model, sentence):
 
 
 def solve_free(model, state, sentence):
-    """Verdict of the clock-free game: Eloise, Abelard, or Undetermined."""
-    graph = _free_positions(model, state, sentence)
-    init = graph.pos_id[(model.state_index(state), 0)]
-    if _attractor(graph.status, graph.succs, _E)[init]:
+    """Verdict of the clock-free game: Eloise, Abelard, or Undetermined.
+
+    Attractor membership depends only on the positions a position can
+    reach, so the graph holds only those reachable from the start."""
+    graph = _free_game(model, state, sentence)._explore([state])
+    # The start is position 0.
+    if _attractor(graph.status, graph.succs, _E)[0]:
         return ELOISE
-    if _attractor(graph.status, graph.succs, _A)[init]:
+    if _attractor(graph.status, graph.succs, _A)[0]:
         return ABELARD
     return UNDETERMINED

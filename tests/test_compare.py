@@ -378,3 +378,191 @@ def test_recheck_reads_a_losing_strategy_as_failure(m1, monkeypatch):
     cex = {"property": "strategy-playouts", "model": m1.to_json_dict(),
            "formula": "mu X. (p | [] X)", "gamma": "2", "state": "a"}
     assert compare._recheck(cex) is False
+
+
+# ---------------------------------------------------------------------------
+# Golden output: `mucheck compare --json` with the elapsed time dropped.  A
+# speedup of the sweeps must leave it byte-identical.
+
+def _compare_json(argv, capsys):
+    import re
+    from mucheck.cli import main
+    code = main(["compare", "--json", "--workers", "1"] + argv)
+    out = capsys.readouterr().out
+    return code, re.sub(r'"elapsed_s": [^,\n]+', '"elapsed_s": 0', out)
+
+
+def _golden(name):
+    import pathlib
+    return (pathlib.Path(__file__).parent / "golden" / name).read_text()
+
+
+def test_compare_json_is_pinned(capsys):
+    code, out = _compare_json(
+        ["--max-states", "2", "--max-binders", "1", "--max-nodes", "3",
+         "--random-count", "4", "--gammas", "1,omega",
+         "--ar-max-states", "2"], capsys)
+    assert code == 0
+    assert out == _golden("compare_clean.json")
+
+
+def test_compare_json_counterexamples_are_pinned(monkeypatch, capsys):
+    """Failure counts and the earliest raw counterexample of every
+    property under a broken bounded engine; each names its own model."""
+    _flip_bound_two(monkeypatch)
+    code, out = _compare_json(
+        ["--max-states", "2", "--max-binders", "1", "--max-nodes", "2",
+         "--random-count", "2", "--gammas", "2,omega",
+         "--ar-max-states", "1", "--no-minimize"], capsys)
+    assert code == 1
+    assert out == _golden("compare_flip_bound_two.json")
+
+
+# ---------------------------------------------------------------------------
+# Card groups: one game per (sentence, card) on the disjoint union of the
+# group's models, mapped back to per-model tallies.
+
+def _one_model_groups(pairs):
+    """_card_groups with every model in a group of its own."""
+    return [(model, [(model_idx, model, mult)])
+            for model_idx, (model, mult) in enumerate(pairs)]
+
+
+def _lying_literals(monkeypatch):
+    from mucheck import formula as F
+    from mucheck.game import EvalGame, _WON_A, _WON_E
+    real = EvalGame._status
+
+    def broken(self, ipos):
+        st = real(self, ipos)
+        if self._kind[ipos[1]] == F.NEGPROP:
+            return _WON_E if st == _WON_A else _WON_A if st == _WON_E else st
+        return st
+
+    monkeypatch.setattr(EvalGame, "_status", broken)
+
+
+def _wrong_first_winner(monkeypatch):
+    """A backward pass that names the wrong winner under the first bound
+    at the first start state of every model."""
+    real = compare._replay
+
+    def broken(graph, tags, caps, p_flags, q_flags, card=None):
+        win, ar, diff = real(graph, tags, caps, p_flags, q_flags, card)
+        for i, (si, node, clocks) in enumerate(graph.pos_list):
+            if node == 0 and not clocks and si % card == 0:
+                win[i] ^= 1
+        return win, ar, diff
+
+    monkeypatch.setattr(compare, "_replay", broken)
+
+
+def _fingerprint(tallies):
+    return {name: (t.instances, t.failures, t.cex, t.cex_key)
+            for name, t in tallies.items()}
+
+
+def _main_and_mode_sweeps(**main_kwargs):
+    sents = small_sentences()
+    extra = [((3, 0b101100011, 0b011010), ("p", "q")),
+             ((3, 0b111000101, 0b100101), ("p", "q"))]
+    main = compare.run_main_sweep(sents, max_states=2,
+                                  gammas=(1, 2, OMEGA), workers=1,
+                                  **main_kwargs)
+    mode = compare.run_mode_sweep(sents[:12], max_states=2,
+                                  extra_models=extra, gammas=(1, 2, OMEGA),
+                                  workers=1)
+    return _fingerprint(main), _fingerprint(mode)
+
+
+@pytest.mark.parametrize("fault", [None, "bounded", "literals", "winner"])
+def test_card_groups_match_one_model_groups(monkeypatch, fault):
+    """Tallies, failure counts and earliest counterexamples are the same
+    whether each card group shares one game or every model has its own,
+    with no fault, under a broken bounded engine (which flips the first
+    state of each model, not of the union), under a broken game rule
+    (where the AR comparison must fail per model, not per group) and
+    under a wrong winner (whose playouts must fail per model)."""
+    if fault == "bounded":
+        _flip_bound_two(monkeypatch)
+    elif fault == "literals":
+        _lying_literals(monkeypatch)
+    elif fault == "winner":
+        _wrong_first_winner(monkeypatch)
+    grouped = _main_and_mode_sweeps()
+    monkeypatch.setattr(compare, "_card_groups", _one_model_groups)
+    assert _main_and_mode_sweeps() == grouped
+    main, mode = grouped
+    failures = {name: fp[1] for name, fp in {**main, **mode}.items()}
+    if fault is None:
+        assert not any(failures.values())
+    elif fault == "bounded":
+        assert failures["game-vs-bounded"] > 0
+    elif fault == "winner":
+        assert 0 < failures["strategy-playouts"] \
+            < main["strategy-playouts"][0]
+    else:
+        assert failures["game-vs-bounded"] > 0
+        assert 0 < failures["reduction-J"] < main["reduction-J"][0]
+        assert failures["canonical-fullmap"] > 0
+
+
+def test_omega_off_by_one_is_caught(monkeypatch):
+    """Each model's OMEGA bound runs card(model) iterations, never the
+    card of its group's union, so an iteration count one short fails."""
+    real = semantics.bound_iterations
+
+    def short(bound, model):
+        return real(bound, model) - (bound is OMEGA)
+
+    monkeypatch.setattr(semantics, "bound_iterations", short)
+    tallies = compare.run_main_sweep(small_sentences(), max_states=2,
+                                     gammas=(1, 2, OMEGA), workers=1)
+    t = tallies["omega-standard"]
+    assert (t.instances, t.failures) == (8976, 75)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(compare, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(compare, name, counted)
+    return calls
+
+
+def test_union_over_the_position_cap_runs_one_model_at_a_time(monkeypatch):
+    """No model's game of these sentences exceeds 50 positions, but most
+    card groups' union games do: those groups run one model at a time,
+    and every count is that of an uncapped run."""
+    uncapped = _fingerprint(compare.run_main_sweep(
+        small_sentences(), max_states=2, gammas=(1, 2, OMEGA), workers=1))
+    calls = _count_calls(monkeypatch, "_check_games")
+    capped = _fingerprint(compare.run_main_sweep(
+        small_sentences(), max_states=2, gammas=(1, 2, OMEGA), workers=1,
+        max_positions=50))
+    assert capped == uncapped
+    assert capped["termination"][1] == 0
+    assert sum(len(args[3]) == 1 for args in calls) > len(calls) // 2
+
+
+def test_mode_union_over_the_fullmap_cap_runs_one_model_at_a_time(
+        monkeypatch):
+    sents = small_sentences()[:12]
+    uncapped = _fingerprint(compare.run_mode_sweep(
+        sents, max_states=2, gammas=(1, 2), workers=1))
+    calls = _count_calls(monkeypatch, "_check_policies")
+    monkeypatch.setattr(compare, "FULLMAP_MAX_POSITIONS", 10)
+    capped = _fingerprint(compare.run_mode_sweep(
+        sents, max_states=2, gammas=(1, 2), workers=1))
+    assert capped == uncapped
+    assert sum(len(args[3]) == 1 for args in calls) > len(calls) // 2
+    # A cap that one model's own game exceeds still stops the sweep.
+    from mucheck.game import GameLimitError
+    monkeypatch.setattr(compare, "FULLMAP_MAX_POSITIONS", 2)
+    with pytest.raises(GameLimitError):
+        compare.run_mode_sweep(sents, max_states=2, gammas=(1, 2),
+                               workers=1)

@@ -202,3 +202,27 @@ def test_fbounded_two_counter_strategy_validates_and_plays(mode):
             trace = game.play(first_move_player, strategy)
         assert trace.winner == winner
     assert winners == {ELOISE, ABELARD}
+
+
+def test_free_verdict_agrees_with_free_regions():
+    """The verdict explores only what the start reaches; the regions
+    explore every (state, node) pair.  On the free tests' corpora both
+    give the same verdict at every start."""
+    rng = random.Random(51)
+    sents = all_sentences(3, 1)[::5] + random_sentences(8, 77, 6, 2)
+    cases = []
+    for _ in range(8):
+        m = random_model(rng, rng.randint(1, 2))
+        cases.extend((m, s) for s in sents)
+    rng = random.Random(61)
+    for _ in range(12):
+        m = random_model(rng, rng.randint(1, 3))
+        cases.append((m, random_sentences(1, rng.randint(0, 10**6), 8,
+                                          2)[0]))
+    for m, s in cases:
+        eloise, abelard, _ = free_regions(m, s)
+        for w in m.states:
+            start = FreePosition(w, 0)
+            expected = (ELOISE if start in eloise
+                        else ABELARD if start in abelard else UNDETERMINED)
+            assert solve_free(m, w, s) == expected
