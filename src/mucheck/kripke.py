@@ -16,7 +16,7 @@ class KripkeModel:
     """
 
     __slots__ = ("states", "relation", "valuation", "_index", "_succ",
-                 "_succ_mask", "_val_mask", "_full_mask")
+                 "_masks", "_val_mask", "_full_mask")
 
     def __init__(self, states, edges, valuation):
         states = tuple(states)
@@ -58,7 +58,7 @@ class KripkeModel:
         for lst in succ:
             lst.sort()
         self._succ = tuple(tuple(lst) for lst in succ)
-        self._succ_mask = tuple(sum(1 << v for v in lst) for lst in self._succ)
+        self._masks = None
         self._val_mask = {p: sum(1 << index[w] for w in ws)
                           for p, ws in val.items()}
         self._full_mask = (1 << len(states)) - 1
@@ -66,6 +66,22 @@ class KripkeModel:
     @property
     def card(self):
         return len(self.states)
+
+    def succ_pred_masks(self):
+        """Successor and predecessor bitmasks, one int per state.
+
+        Built on first use and cached: only the compositional semantics
+        reads them, so loading or solving a game never pays for them.
+        """
+        if self._masks is None:
+            pred = [0] * len(self.states)
+            for i, lst in enumerate(self._succ):
+                bit = 1 << i
+                for v in lst:
+                    pred[v] |= bit
+            self._masks = (tuple(sum(1 << v for v in lst)
+                                 for lst in self._succ), tuple(pred))
+        return self._masks
 
     def state_index(self, w):
         try:

@@ -7,6 +7,14 @@ number of steps; the bound ``OMEGA`` admits every finite clock value,
 which on a finite model collapses to ``max(1, card(M))`` steps because
 every monotone operator on the model's powerset stabilizes within
 ``card(M)`` iterations.
+
+Modal steps are differential, as in the linear-time alternation-free
+algorithm of Cleaveland & Steffen (1993): each diamond remembers its last
+target and result, and a new target is applied through the states that
+left or joined it and their predecessors, so an iterate costs what
+changed rather than a scan of every state.  A box is the dual diamond,
+``[]T = ~<>~T``.  The update is exact for any pair of targets, so results
+and iteration counts are those of a full scan.
 """
 
 from . import formula as F
@@ -77,12 +85,49 @@ def _env_from_assignment(model, assignment):
     return {name: model.states_to_mask(ws) for name, ws in assignment.items()}
 
 
-def _eval_mask(model, sent, node, env, iters):
+def _diamond(model, memo, node, target):
+    """States with a successor in ``target``, updated from the last call.
+
+    ``memo[node]`` holds the modal node's last ``(target, result)``.
+    States that left the target make their predecessors candidates, and
+    only candidates inside the old result are re-tested against the new
+    target; states that joined it add their predecessors.
+    """
+    old, result = memo.get(node, (0, 0))
+    if old == target:
+        return result
+    succ, pred = model._masks or model.succ_pred_masks()
+    gone = old & ~target
+    if gone:
+        cand = 0
+        while gone:
+            low = gone & -gone
+            cand |= pred[low.bit_length() - 1]
+            gone ^= low
+        cand &= result
+        while cand:
+            low = cand & -cand
+            if not succ[low.bit_length() - 1] & target:
+                result ^= low
+            cand ^= low
+    joined = target & ~old
+    while joined:
+        low = joined & -joined
+        result |= pred[low.bit_length() - 1]
+        joined ^= low
+    memo[node] = (target, result)
+    return result
+
+
+def _eval_mask(model, sent, node, env, iters, memo):
     """Evaluate the subformula at ``node`` to a state bitmask.
 
     ``env`` maps label names to masks.  ``iters`` is None for the standard
     semantics (iterate fixpoints until stable) or the maximum number of
-    iterations under a finite bound.
+    iterations under a finite bound.  ``memo`` is one evaluation's record
+    of each modal node's last target and result (see ``_diamond``): inside
+    a fixpoint consecutive targets differ in a few states, so a diamond or
+    box costs O(changed states and their predecessors), not O(card).
     """
     kind = sent.kind[node]
     if kind == F.PROP:
@@ -97,25 +142,18 @@ def _eval_mask(model, sent, node, env, iters):
                 f"no assignment for free label {sent.name[node]!r}") from None
     kids = sent.children[node]
     if kind == F.OR:
-        return (_eval_mask(model, sent, kids[0], env, iters)
-                | _eval_mask(model, sent, kids[1], env, iters))
+        return (_eval_mask(model, sent, kids[0], env, iters, memo)
+                | _eval_mask(model, sent, kids[1], env, iters, memo))
     if kind == F.AND:
-        return (_eval_mask(model, sent, kids[0], env, iters)
-                & _eval_mask(model, sent, kids[1], env, iters))
+        return (_eval_mask(model, sent, kids[0], env, iters, memo)
+                & _eval_mask(model, sent, kids[1], env, iters, memo))
     if kind == F.DIAMOND:
-        target = _eval_mask(model, sent, kids[0], env, iters)
-        out = 0
-        for i, m in enumerate(model._succ_mask):
-            if m & target:
-                out |= 1 << i
-        return out
+        return _diamond(model, memo, node,
+                        _eval_mask(model, sent, kids[0], env, iters, memo))
     if kind == F.BOX:
-        target = _eval_mask(model, sent, kids[0], env, iters)
-        out = 0
-        for i, m in enumerate(model._succ_mask):
-            if not (m & ~target):
-                out |= 1 << i
-        return out
+        full = model._full_mask
+        target = _eval_mask(model, sent, kids[0], env, iters, memo)
+        return full & ~_diamond(model, memo, node, full & ~target)
     # Mu / Nu: iterate the operator A |-> [[body]](X := A).
     name = sent.name[node]
     body = kids[0]
@@ -124,7 +162,7 @@ def _eval_mask(model, sent, node, env, iters):
     inner = dict(env)
     while remaining != 0:
         inner[name] = current
-        updated = _eval_mask(model, sent, body, inner, iters)
+        updated = _eval_mask(model, sent, body, inner, iters, memo)
         if updated == current:
             break
         current = updated
@@ -136,7 +174,7 @@ def _eval_mask(model, sent, node, env, iters):
 def eval_standard(model, sent, node=0, assignment=None):
     """States satisfying the subformula at ``node`` (standard semantics)."""
     env = _env_from_assignment(model, assignment)
-    return model.mask_to_states(_eval_mask(model, sent, node, env, None))
+    return model.mask_to_states(_eval_mask(model, sent, node, env, None, {}))
 
 
 def eval_bounded(model, sent, bound, node=0, assignment=None):
@@ -148,7 +186,7 @@ def eval_bounded(model, sent, bound, node=0, assignment=None):
     """
     iters = bound_iterations(bound, model)
     env = _env_from_assignment(model, assignment)
-    return model.mask_to_states(_eval_mask(model, sent, node, env, iters))
+    return model.mask_to_states(_eval_mask(model, sent, node, env, iters, {}))
 
 
 def approximant(model, sent, binder, bound, steps, assignment=None):
@@ -168,7 +206,8 @@ def approximant(model, sent, binder, bound, steps, assignment=None):
     name = sent.name[binder]
     body = sent.children[binder][0]
     current = 0 if kind == F.MU else model._full_mask
+    memo = {}
     for _ in range(steps):
         env[name] = current
-        current = _eval_mask(model, sent, body, env, iters)
+        current = _eval_mask(model, sent, body, env, iters, memo)
     return model.mask_to_states(current)

@@ -2,8 +2,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run: no randomness, no
+# example database, and no per-example deadline on a machine whose speed
+# varies.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 from mucheck import formula as F
 from mucheck.kripke import KripkeModel

@@ -199,3 +199,59 @@ def naive_free_verdict(model, sent, state):
     if forces(ABELARD, state, 0, horizon):
         return ABELARD
     return UNDETERMINED
+
+
+def naive_eval_mask(model, sent, node, env, iters):
+    """Scan-based compositional evaluation of ``node`` to a state bitmask.
+
+    The evaluator as it stood before modal steps became differential:
+    every diamond and box application tests every state's successors.
+    ``env`` maps label names to masks; ``iters`` is None for the standard
+    semantics or the iteration count of a finite bound.
+    """
+    kind = sent.kind[node]
+    if kind == F.PROP:
+        return model._val_mask.get(sent.name[node], 0)
+    if kind == F.NEGPROP:
+        return model._full_mask & ~model._val_mask.get(sent.name[node], 0)
+    if kind == F.LABEL:
+        return env[sent.name[node]]
+    kids = sent.children[node]
+    if kind == F.OR:
+        return (naive_eval_mask(model, sent, kids[0], env, iters)
+                | naive_eval_mask(model, sent, kids[1], env, iters))
+    if kind == F.AND:
+        return (naive_eval_mask(model, sent, kids[0], env, iters)
+                & naive_eval_mask(model, sent, kids[1], env, iters))
+    if kind == F.DIAMOND:
+        return naive_diamond(model, naive_eval_mask(model, sent, kids[0],
+                                                    env, iters))
+    if kind == F.BOX:
+        return naive_box(model, naive_eval_mask(model, sent, kids[0],
+                                                env, iters))
+    name = sent.name[node]
+    body = kids[0]
+    current = 0 if kind == F.MU else model._full_mask
+    remaining = -1 if iters is None else iters
+    inner = dict(env)
+    while remaining != 0:
+        inner[name] = current
+        updated = naive_eval_mask(model, sent, body, inner, iters)
+        if updated == current:
+            break
+        current = updated
+        if remaining > 0:
+            remaining -= 1
+    return current
+
+
+def naive_diamond(model, target):
+    """States with some successor in ``target``, by scanning every state."""
+    return sum(1 << i for i, succs in enumerate(model._succ)
+               if any(target >> v & 1 for v in succs))
+
+
+def naive_box(model, target):
+    """States whose successors all lie in ``target``, by scanning."""
+    return sum(1 << i for i, succs in enumerate(model._succ)
+               if all(target >> v & 1 for v in succs))

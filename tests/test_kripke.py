@@ -1,11 +1,16 @@
 """Kripke models: construction, JSON loading, validation, families."""
 
 import json
+import pickle
 
 import pytest
 
+from mucheck.formula import parse
+from mucheck.game import EvalGame
 from mucheck.kripke import (KripkeModel, ModelError, generate_family,
                             load_model, save_model)
+from mucheck.reduction import solve_ar
+from mucheck.semantics import OMEGA, eval_standard
 
 
 def test_load_model_basic():
@@ -122,3 +127,40 @@ def test_successor_order_is_state_order():
     m = KripkeModel(["b", "a"], [("b", "a"), ("b", "b")], {})
     # declaration order rules, so successors of b list b first
     assert m.successors("b") == ("b", "a")
+
+
+def test_game_paths_leave_the_semantic_masks_unbuilt():
+    grid = load_model(json.dumps(generate_family("ar-grid", 4).to_json_dict()))
+    solve_ar(grid, "g0_0")
+    assert grid._masks is None
+    star = generate_family("starN", 4)
+    EvalGame(star, "w_0", parse("nu X. [] mu Y. (<>Y | (p & X))"),
+             OMEGA).solve()
+    assert star._masks is None
+
+
+def test_semantic_masks_are_built_once_and_correct():
+    m = generate_family("daggerN", 5)
+    sent = parse("mu X. (p | []X)")
+    first = eval_standard(m, sent)
+    masks = m.succ_pred_masks()
+    assert eval_standard(m, sent) == first
+    assert m.succ_pred_masks() is masks
+    succ, pred = masks
+    for i, lst in enumerate(m._succ):
+        assert succ[i] == sum(1 << v for v in lst)
+        assert pred[i] == sum(1 << u for u, row in enumerate(m._succ)
+                              if i in row)
+
+
+def test_model_pickles_before_and_after_its_masks_are_built():
+    m = generate_family("clique", 3)
+    sent = parse("nu X. ([]X & mu Y. (p | <>Y))")
+    fresh = pickle.loads(pickle.dumps(m))
+    assert fresh == m and fresh._masks is None
+    assert eval_standard(fresh, sent) == eval_standard(m, sent)
+    assert m._masks is not None
+    built = pickle.loads(pickle.dumps(m))
+    assert built == m and built._masks is not None
+    assert built.succ_pred_masks() == m.succ_pred_masks()
+    assert eval_standard(built, sent) == eval_standard(m, sent)
