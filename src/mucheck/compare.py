@@ -572,11 +572,13 @@ def _ar_worker(args):
         # Counters start at f for every state, so one graph per clock
         # policy holds every start state's game.
         fb = variants.FBoundedGame(model, model.states[0], chi_sent, 1)
+        # Solved from the start positions only: the roots come first.
+        roots = range(model.card)
         unit = fb._explore(model.states, True, True)
-        unit_win = unit.winners()
+        unit_win = unit.winners(roots)
         if check_decrements:
             full = fb._explore(model.states)
-            full_win = full.winners()
+            full_win = full.winners(roots)
         for si, state in enumerate(model.states):
             start = fb._root(si)
             verdict_e = unit_win[unit.pos_id[start]] == _E
@@ -697,7 +699,8 @@ def fullmap_winner(model, state, sentence, bound,
                    max_positions=FULLMAP_MAX_POSITIONS):
     """Winner computed with explicit clock maps over every binder."""
     game = _FullMapGame(model, state, sentence, bound, max_positions)
-    return ELOISE if game._explore([state]).winners()[0] == _E else ABELARD
+    return (ELOISE if game._explore([state]).winners((0,))[0] == _E
+            else ABELARD)
 
 
 def _mode_worker(args):
@@ -730,9 +733,10 @@ def _check_policies(sent, sent_idx, union, members, gi, g, tallies):
         greedy_graph = game._explore(union.states, True, True)
         full_graph = game._explore(union.states, False, False)
         fm_graph = fm._explore(union.states)
-        win_g = greedy_graph.winners()
-        win_f = full_graph.winners()
-        win_m = fm_graph.winners()
+        roots = range(len(union.states))  # the roots come first
+        win_g = greedy_graph.winners(roots)
+        win_f = full_graph.winners(roots)
+        win_m = fm_graph.winners(roots)
     except (RuntimeError, GameLimitError):
         if len(members) == 1:
             raise
@@ -792,7 +796,7 @@ def run_normalize_checks(sentences, models, gammas=(2,)):
                 bset = semantics.eval_bounded(model, norm, g)
                 for state in model.states:
                     graph = game._explore([state])  # its root is position 0
-                    ok = ok and ((graph.winners()[0] == _E)
+                    ok = ok and ((graph.winners((0,))[0] == _E)
                                  == (state in bset))
             tallies["normalize-soundness"].add(
                 1, ok, (sent_idx, model_idx),
@@ -812,8 +816,8 @@ def _policy_winners(game, w):
     """Winner codes at ``w`` when both players make only the largest clock
     or counter choice, and when they make every choice: the comparison the
     sweeps run, without the solver's own consistency check."""
-    greedy = game._explore([w], True, True).winners()[0]
-    full = game._explore([w]).winners()[0]
+    greedy = game._explore([w], True, True).winners((0,))[0]
+    full = game._explore([w]).winners((0,))[0]
     return greedy, full
 
 

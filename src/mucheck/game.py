@@ -6,8 +6,12 @@ Abelard (falsifier: conjunctions, boxes, nu).  A game position is
 aligned with the node's strict Mu/Nu ancestors (root first).  Binders not
 on that ancestor path implicitly carry the untouched bound, so resets on
 a label jump amount to truncating the tuple.  This canonical form keeps
-the reachable position set a finite DAG that is solved by memoized
-backward induction.
+the reachable position set a finite DAG, so every play is finite and a
+position's value follows from its successors.  The solver is one
+short-circuit depth-first search from the start: each turn position's
+successors are tried in move order until its mover finds one that mover
+wins, which is also the position's first winning move, so the strategy
+is read off the search and its public form is built only when it is read.
 
 Rules in brief:
 
@@ -38,8 +42,14 @@ DEFAULT_MAX_POSITIONS = 10_000_000
 # Internal status codes.
 _WON_E, _WON_A, _TURN_E, _TURN_A = 0, 1, 2, 3
 _E, _A = 0, 1  # winner codes
+# A won status code is its winner's code, and a turn code minus _TURN_E
+# is its mover's code.  _OPEN marks a position on the solve's stack.
+_UNSET, _OPEN = -1, 2
 
 _PLAYER_NAME = (ELOISE, ABELARD)
+
+_CYCLE = ("position graph contains a cycle; the clock discipline should "
+          "make this impossible")
 
 
 class GameLimitError(Exception):
@@ -62,13 +72,32 @@ class GameStatus(NamedTuple):
 
 
 class Strategy:
-    """Move prescriptions for one player on their reachable positions."""
+    """Move prescriptions for one player on their reachable positions.
 
-    __slots__ = ("player", "moves")
+    Either given as a ``moves`` dict, or by a solver as its strategy walk
+    over a game: the (internal position, move index, successor) of every
+    prescribed position, in walk order.  The public ``moves`` dict is then
+    built on first access; ``len`` and ``repr`` read only the walk.
+    """
 
-    def __init__(self, player, moves):
+    __slots__ = ("player", "_moves", "_size", "_game", "_walk")
+
+    def __init__(self, player, moves=None, game=None, walk=None):
         self.player = player
-        self.moves = moves
+        self._moves = moves
+        self._size = len(moves if walk is None else walk)
+        self._game = game
+        self._walk = walk
+
+    @property
+    def moves(self):
+        if self._moves is None:
+            public = self._game._public
+            label = self._game._move_label
+            self._moves = {public(ipos): label(ipos, dst, k)
+                           for ipos, k, dst in self._walk}
+            self._game = self._walk = None
+        return self._moves
 
     def __contains__(self, pos):
         return pos in self.moves
@@ -80,10 +109,10 @@ class Strategy:
             raise StrategyError(f"strategy has no move for {pos}") from None
 
     def __len__(self):
-        return len(self.moves)
+        return self._size
 
     def __repr__(self):
-        return f"Strategy({self.player}, {len(self.moves)} positions)"
+        return f"Strategy({self.player}, {self._size} positions)"
 
 
 class Trace:
@@ -300,52 +329,55 @@ class GameCore:
         graph is the one a fresh one-sided exploration finds, and
         ``last_explored`` its size.  Exhaustive mode explores every choice
         once.
+
+        Each graph is solved from its start only (``_Graph.solve``), so
+        the cycle check covers the positions that search visits: every
+        position the winner and the strategy depend on.  Acyclicity of
+        whole graphs is asserted by ``topo_order`` in the sweeps' replays
+        and in the position-model export.
         """
         if mode not in ("greedy", "exhaustive"):
             raise ValueError(f"unknown solve mode {mode!r}")
         greedy = mode == "greedy"
         graph = self._explore([self.start], greedy, greedy)
-        winners = graph.winners()
-        win_code = winners[0]
+        win, pick = graph.solve((0,))
+        win_code = win[0]
         if greedy:
             self._refine(graph, win_code)
-            winners = graph.winners()
-            if winners[0] != win_code:
+            win, pick = graph.solve((0,))
+            if win[0] != win_code:
                 raise RuntimeError(
                     "greedy policy disagreed with its one-sided "
                     "refinement; rerun in exhaustive mode")
-        # First-winning-move strategy over the positions reachable under it.
-        moves = {}
-        mover_code = _TURN_E if win_code == _E else _TURN_A
+        # First-winning-move strategy over the positions reachable under it:
+        # the winner takes the recorded pick, the loser every move.
+        pos_list = graph.pos_list
+        status = graph.status
+        succs = graph.succs
+        mover_code = _TURN_E + win_code
+        loser_code = _TURN_A - win_code
+        walk = []
         seen = {0}
         stack = [0]
         while stack:
             i = stack.pop()
-            st = graph.status[i]
-            if st == _WON_E or st == _WON_A:
-                continue
-            row = graph.succs[i]
+            st = status[i]
             if st == mover_code:
-                pick = None
-                for k, j in enumerate(row):
-                    if winners[j] == win_code:
-                        pick = k
-                        break
-                if pick is None:
+                k = pick[i]
+                if k < 0:
                     raise RuntimeError("no winning move at a won position")
-                ipos = graph.pos_list[i]
-                j = row[pick]
-                moves[self._public(ipos)] = self._move_label(
-                    ipos, graph.pos_list[j], pick)
+                j = succs[i][k]
+                walk.append((pos_list[i], k, pos_list[j]))
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
-            else:
-                for j in row:
+            elif st == loser_code:
+                for j in succs[i]:
                     if j not in seen:
                         seen.add(j)
                         stack.append(j)
-        return _PLAYER_NAME[win_code], Strategy(_PLAYER_NAME[win_code], moves)
+        player = _PLAYER_NAME[win_code]
+        return player, Strategy(player, game=self, walk=walk)
 
     def play(self, eloise, abelard, max_rounds=1_000_000):
         """Play the game out and return the Trace.
@@ -548,7 +580,7 @@ class EvalGame(GameCore):
 
 
 class _Graph:
-    """Explored position graph with status codes and a topological order."""
+    """Explored position graph with status codes and successor rows."""
 
     __slots__ = ("pos_list", "pos_id", "status", "succs", "_topo")
 
@@ -581,33 +613,75 @@ class _Graph:
                 if indeg[j] == 0:
                     order.append(j)
         if len(order) != n:
-            raise RuntimeError(
-                "position graph contains a cycle; the clock discipline "
-                "should make this impossible")
+            raise RuntimeError(_CYCLE)
         self._topo = order
         return order
 
-    def winners(self):
-        """Backward-induction winner (0 Eloise, 1 Abelard) per position."""
-        order = self.topo_order()
+    def solve(self, roots, every_edge=False):
+        """Winner codes and first winning moves of what ``roots`` need.
+
+        One iterative depth-first search: a turn position's row is tried
+        in move order until its mover finds a successor that mover wins.
+        Returns ``(win, pick)``: ``win[i]`` is the winner code (0 Eloise,
+        1 Abelard) of every position the search solved and ``_UNSET``
+        elsewhere; ``pick[i]`` is the row index of the first successor won
+        by the mover, or -1 where the mover loses.  With ``every_edge``
+        the rest of each row is searched too, so every edge reachable
+        from ``roots`` is checked.  Raises RuntimeError on meeting a
+        position already on the search stack, which is a cycle.
+        """
         status = self.status
         succs = self.succs
-        winners = [0] * len(status)
-        for i in reversed(order):
-            st = status[i]
-            if st == _WON_E:
-                winners[i] = _E
-            elif st == _WON_A:
-                winners[i] = _A
-            else:
-                mover = _E if st == _TURN_E else _A
-                result = 1 - mover
-                for j in succs[i]:
-                    if winners[j] == mover:
-                        result = mover
-                        break
-                winners[i] = result
-        return winners
+        win = [_UNSET] * len(status)
+        pick = [-1] * len(status)
+        stack = []
+        for r in roots:
+            if win[r] != _UNSET:
+                continue
+            st = status[r]
+            if st < _TURN_E:
+                win[r] = st
+                continue
+            win[r] = _OPEN
+            i, row, k, mover = r, succs[r], 0, st - _TURN_E
+            while True:
+                end = len(row)
+                while k < end:
+                    j = row[k]
+                    w = win[j]
+                    if w == _UNSET:
+                        sj = status[j]
+                        if sj >= _TURN_E:
+                            break  # solve j first
+                        win[j] = w = sj
+                    elif w == _OPEN:
+                        raise RuntimeError(_CYCLE)
+                    if w == mover:
+                        if pick[i] < 0:
+                            pick[i] = k
+                        if not every_edge:
+                            k = end
+                            break
+                    k += 1
+                if k < end:
+                    # Descend into j; row[k] is read again on return.
+                    stack.append((i, row, k, mover))
+                    win[j] = _OPEN
+                    i, row, k, mover = j, succs[j], 0, sj - _TURN_E
+                    continue
+                win[i] = mover if pick[i] >= 0 else 1 - mover
+                if not stack:
+                    break
+                i, row, k, mover = stack.pop()
+        return win, pick
+
+    def winners(self, roots=None):
+        """Winner codes (0 Eloise, 1 Abelard) of the positions solving
+        from ``roots`` needs, ``_UNSET`` elsewhere; without ``roots``, of
+        every position, with every edge checked for a cycle."""
+        if roots is None:
+            return self.solve(range(len(self.status)), every_edge=True)[0]
+        return self.solve(roots)[0]
 
 
 def _attractor(status, succs, player_code):

@@ -108,6 +108,51 @@ def test_eval_solver_output_is_pinned(tmp_path, capsys, family, n, formula,
     assert (code, data["positions"], len(data["strategy"])) == expected
 
 
+# Full `eval --strategy --trace` output, text and JSON (timings removed),
+# recorded before the solver became a lazy depth-first search: the
+# strategy is the first winning move in move order, so any correct solver
+# must print exactly these bytes.
+GOLDEN_EVAL_CASES = {
+    "star3_phistar_omega_greedy": ("starN", 3, PHI_STAR, "omega", "greedy"),
+    "star3_phistar_omega_exhaustive": ("starN", 3, PHI_STAR, "omega",
+                                       "exhaustive"),
+    "clique2_three_omega_greedy": ("clique", 2, THREE_BINDERS, "omega",
+                                   "greedy"),
+    "clique2_three_omega_exhaustive": ("clique", 2, THREE_BINDERS, "omega",
+                                       "exhaustive"),
+    "dagger3_afp_fbounded1_greedy": ("daggerN", 3, "mu X. (p | []X)",
+                                     "fbounded:1", "greedy"),
+}
+
+
+def eval_golden_output(case, json_form, tmp_path, monkeypatch, capsys):
+    """The golden file name and the printed output of one eval case; the
+    model file is named relative to the working directory, so the JSON
+    form's ``model`` field does not depend on where the test runs."""
+    import re
+    family, n, formula, semantics, mode = GOLDEN_EVAL_CASES[case]
+    model = generate_family(family, n)
+    save_model(model, tmp_path / "model.json")
+    monkeypatch.chdir(tmp_path)
+    argv = ["eval", "--model", "model.json", "--formula", formula,
+            "--state", model.states[0], "--semantics", semantics,
+            "--mode", mode, "--strategy", "--trace"]
+    code, out, _ = run(argv + ["--json"] if json_form else argv, capsys)
+    out = re.sub(r'\n  "timings": \{[^}]*\},', "", out)
+    return f"eval_{case}.{'json' if json_form else 'txt'}", f"{code}\n{out}"
+
+
+@pytest.mark.parametrize("json_form", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_EVAL_CASES))
+def test_eval_strategy_and_trace_are_pinned(case, json_form, tmp_path,
+                                            monkeypatch, capsys):
+    import pathlib
+    name, out = eval_golden_output(case, json_form, tmp_path, monkeypatch,
+                                   capsys)
+    golden = pathlib.Path(__file__).parent / "golden" / name
+    assert out == golden.read_text()
+
+
 def test_eval_errors(m1_path, tmp_path, capsys):
     code, _, err = run(["eval", "--model", m1_path, "--formula", "mu X. Y",
                         "--state", "a"], capsys)

@@ -7,6 +7,8 @@ game rules with explicit full clock dictionaries and no sharing.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naive_oracles import naive_bounded_winner
 
@@ -14,7 +16,8 @@ from mucheck import formula as F
 from mucheck.corpus import all_sentences, random_model, random_sentences
 from mucheck.formula import parse
 from mucheck.game import (ABELARD, ELOISE, EvalGame, GameLimitError,
-                          GameStatus, Position, StrategyError,
+                          GameStatus, Position, StrategyError, _Graph,
+                          _TURN_E, _UNSET, _WON_A,
                           first_move_player, solve)
 from mucheck.kripke import KripkeModel, generate_family
 from mucheck.semantics import OMEGA, eval_bounded, eval_standard
@@ -242,3 +245,159 @@ def test_solve_wrapper(m1, afp):
     assert winner == ELOISE
     assert strategy.player == ELOISE
     assert len(strategy) > 0
+
+
+# -- the solving kernel on random graphs ------------------------------------
+
+def _reference_solve(status, succs, roots):
+    """Plain memoized recursion with the solver's move order: the winner
+    of each position it visits, and each won turn's first winning move.
+    Raises RuntimeError on meeting a position on its own path."""
+    win, pick, path = {}, {}, set()
+
+    def visit(i):
+        if i in win:
+            return win[i]
+        if i in path:
+            raise RuntimeError("cycle")
+        st = status[i]
+        if st < _TURN_E:
+            win[i] = st
+            return st
+        mover = st - _TURN_E
+        path.add(i)
+        win_i = 1 - mover
+        for k, j in enumerate(succs[i]):
+            if visit(j) == mover:
+                pick[i] = k
+                win_i = mover
+                break
+        path.discard(i)
+        win[i] = win_i
+        return win_i
+
+    for r in roots:
+        visit(r)
+    return win, pick
+
+
+def _graph(status, succs):
+    n = len(status)
+    return _Graph(list(range(n)), {}, list(status), list(succs))
+
+
+@st.composite
+def _dags(draw, max_size=30):
+    """A random acyclic graph of status codes and successor rows: edges
+    only go up a random ranking, turns outweigh terminals, and rows may be
+    empty or repeat a successor."""
+    n = draw(st.integers(1, max_size))
+    rank = draw(st.permutations(range(n)))
+    status = draw(st.lists(st.sampled_from((0, 1, 2, 3, 2, 3)),
+                           min_size=n, max_size=n))
+    succs = []
+    for i in range(n):
+        above = [j for j in range(n) if rank[j] > rank[i]]
+        if status[i] < _TURN_E or not above:
+            succs.append(())
+        else:
+            succs.append(tuple(draw(st.lists(st.sampled_from(above),
+                                             max_size=4))))
+    roots = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    return status, succs, roots
+
+
+def _reachable(succs, roots):
+    seen, stack = set(roots), list(roots)
+    while stack:
+        for j in succs[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
+def _assert_solves_as_reference(status, succs, roots):
+    """solve(roots) fills exactly the positions the reference visits, with
+    its winners and first winning moves; returns solve's result."""
+    win, pick = _graph(status, succs).solve(roots)
+    ref_win, ref_pick = _reference_solve(status, succs, roots)
+    for i in range(len(status)):
+        assert win[i] == ref_win.get(i, _UNSET)
+        assert pick[i] == ref_pick.get(i, -1)
+    assert set(ref_win) <= _reachable(succs, roots)
+    return win, pick
+
+
+@settings(max_examples=300)
+@given(_dags())
+def test_solve_matches_the_recursive_reference(graph):
+    status, succs, roots = graph
+    win, pick = _assert_solves_as_reference(status, succs, roots)
+    # Every won turn's pick is its first successor won by the mover.
+    for i, k in enumerate(pick):
+        if k >= 0:
+            mover = status[i] - _TURN_E
+            row = succs[i]
+            assert win[row[k]] == mover
+            assert all(win[j] != mover for j in row[:k])
+
+
+@settings(max_examples=200)
+@given(_dags())
+def test_whole_graph_winners_solve_every_position(graph):
+    status, succs, _ = graph
+    g = _graph(status, succs)
+    every = range(len(status))
+    ref_win, ref_pick = _reference_solve(status, succs, every)
+    assert g.winners() == [ref_win[i] for i in every]
+    assert g.solve(every, every_edge=True) == g.solve(every)
+
+
+@st.composite
+def _cyclic(draw):
+    """A random acyclic graph with one back edge added: some turn position
+    b reachable from a turn position a gets a in its row."""
+    status, succs, roots = draw(_dags())
+    turns = [i for i in range(len(status)) if status[i] >= _TURN_E]
+    if not turns:
+        status[0] = _TURN_E
+        turns = [0]
+    a = draw(st.sampled_from(turns))
+    below = sorted(i for i in _reachable(succs, [a])
+                   if status[i] >= _TURN_E)
+    b = draw(st.sampled_from(below))
+    row = list(succs[b])
+    row.insert(draw(st.integers(0, len(row))), a)
+    succs[b] = tuple(row)
+    return status, succs, roots, a
+
+
+@settings(max_examples=200)
+@given(_cyclic())
+def test_solve_raises_on_the_cycles_it_meets(graph):
+    status, succs, roots, a = graph
+    g = _graph(status, succs)
+    # winners() checks every edge of the graph, so it meets the cycle.
+    with pytest.raises(RuntimeError):
+        g.winners()
+    # From roots, the search meets the cycle exactly when the reference
+    # recursion does, and otherwise solves what the reference solves.
+    try:
+        _reference_solve(status, succs, roots)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            g.solve(roots)
+    else:
+        _assert_solves_as_reference(status, succs, roots)
+    # When every turn is Eloise's and every terminal Abelard's, no mover
+    # ever short-circuits, so any cycle reachable from a root is met.
+    lost = [_TURN_E if st >= _TURN_E else _WON_A for st in status]
+    g = _graph(lost, succs)
+    if a in _reachable(succs, roots):
+        with pytest.raises(RuntimeError):
+            g.solve(roots)
+    else:
+        g.solve(roots)
+    with pytest.raises(RuntimeError):
+        g.solve(roots + [a])

@@ -13,7 +13,8 @@ import pytest
 from mucheck import formula as F
 from mucheck.cli import EXIT_CAP, main
 from mucheck.corpus import random_ar_model
-from mucheck.game import EvalGame, GameLimitError, _A, _E
+from mucheck.game import (EvalGame, GameLimitError, _A, _E, _TURN_A,
+                          _TURN_E, _WON_A, _WON_E)
 from mucheck.kripke import generate_family, save_model
 from mucheck.reduction import chi, solve_ar
 from mucheck.semantics import OMEGA
@@ -71,6 +72,53 @@ def test_refined_graph_is_a_fresh_one_sided_exploration():
         grew += len(graph) > greedy_size
     # chain(5) under both games: the loser's choices add positions.
     assert grew >= 2
+
+
+def _first_winning_moves(game, graph, win_code):
+    """The strategy built from the whole graph's winners: a walk from the
+    start that takes the first move into a position the winner wins and
+    every opponent move, in the solver's walk order."""
+    winners = graph.winners()
+    mover = _TURN_E if win_code == _E else _TURN_A
+    moves = {}
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        st = graph.status[i]
+        if st in (_WON_E, _WON_A):
+            continue
+        row = graph.succs[i]
+        if st == mover:
+            k = next(k for k, j in enumerate(row) if winners[j] == win_code)
+            ipos = graph.pos_list[i]
+            moves[game._public(ipos)] = game._move_label(
+                ipos, graph.pos_list[row[k]], k)
+            row = row[k:k + 1]
+        for j in row:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return moves
+
+
+@pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+def test_strategy_is_the_first_winning_move_of_the_whole_graph(mode):
+    for game in _games():
+        greedy = mode == "greedy"
+        graph = game._explore([game.start], greedy, greedy)
+        win = graph.winners()[0]
+        if greedy:
+            game._refine(graph, win)
+        expected = _first_winning_moves(game, graph, win)
+        winner, strategy = game.solve(mode)
+        assert winner == strategy.player == ("Eloise", "Abelard")[win]
+        # Size and repr come from the walk; the dict is built on demand.
+        assert repr(strategy) == \
+            f"Strategy({winner}, {len(expected)} positions)"
+        assert strategy._moves is None
+        assert list(strategy.moves.items()) == list(expected.items())
+        assert len(strategy) == len(strategy.moves)
 
 
 def test_refinement_keeps_the_position_cap(tmp_path, capsys):
