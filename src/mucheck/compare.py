@@ -553,6 +553,21 @@ def run_main_sweep(sentences, max_states=2, gammas=(1, 2, 3, 4, OMEGA),
     return tallies
 
 
+def _start_winners(graph, starts):
+    """Winner codes at the positions ``starts`` of ``graph``, solved from
+    those positions only, once the whole graph is checked for a cycle:
+    a sweep asserts termination of every game it explores."""
+    graph.topo_order()
+    ids = [graph.pos_id[p] for p in starts]
+    win = graph.winners(ids)
+    return [win[i] for i in ids]
+
+
+def _root_winner(graph):
+    """Winner code at the root of a one-state exploration, position 0."""
+    return _start_winners(graph, graph.pos_list[:1])[0]
+
+
 # ---------------------------------------------------------------------------
 # AR sweep: chi agreement and the two-counter game.
 
@@ -572,22 +587,19 @@ def _ar_worker(args):
         # Counters start at f for every state, so one graph per clock
         # policy holds every start state's game.
         fb = variants.FBoundedGame(model, model.states[0], chi_sent, 1)
-        # Solved from the start positions only: the roots come first.
-        roots = range(model.card)
-        unit = fb._explore(model.states, True, True)
-        unit_win = unit.winners(roots)
+        starts = [fb._root(si) for si in range(model.card)]
+        unit_win = _start_winners(fb._explore(model.states, True, True),
+                                  starts)
         if check_decrements:
-            full = fb._explore(model.states)
-            full_win = full.winners(roots)
+            full_win = _start_winners(fb._explore(model.states), starts)
         for si, state in enumerate(model.states):
-            start = fb._root(si)
-            verdict_e = unit_win[unit.pos_id[start]] == _E
+            verdict_e = unit_win[si] == _E
             tallies["fbounded-chi"].add(
                 1, verdict_e == (state in ar_set), key,
                 (model, chi_sent, None, state, "fbounded-chi"))
             if check_decrements:
                 tallies["fbounded-decrements"].add(
-                    1, (full_win[full.pos_id[start]] == _E) == verdict_e, key,
+                    1, (full_win[si] == _E) == verdict_e, key,
                     (model, chi_sent, None, state, "fbounded-decrements"))
     return tallies
 
@@ -699,8 +711,7 @@ def fullmap_winner(model, state, sentence, bound,
                    max_positions=FULLMAP_MAX_POSITIONS):
     """Winner computed with explicit clock maps over every binder."""
     game = _FullMapGame(model, state, sentence, bound, max_positions)
-    return (ELOISE if game._explore([state]).winners((0,))[0] == _E
-            else ABELARD)
+    return ELOISE if _root_winner(game._explore([state])) == _E else ABELARD
 
 
 def _mode_worker(args):
@@ -729,14 +740,15 @@ def _check_policies(sent, sent_idx, union, members, gi, g, tallies):
     game = EvalGame(union, union.states[0], sent, cap)
     fm = _FullMapGame(union, union.states[0], sent, cap,
                       FULLMAP_MAX_POSITIONS)
+    units = range(len(union.states))
+    starts = [game._root(u) for u in units]
     try:
-        greedy_graph = game._explore(union.states, True, True)
-        full_graph = game._explore(union.states, False, False)
-        fm_graph = fm._explore(union.states)
-        roots = range(len(union.states))  # the roots come first
-        win_g = greedy_graph.winners(roots)
-        win_f = full_graph.winners(roots)
-        win_m = fm_graph.winners(roots)
+        win_g = _start_winners(game._explore(union.states, True, True),
+                               starts)
+        win_f = _start_winners(game._explore(union.states, False, False),
+                               starts)
+        win_m = _start_winners(fm._explore(union.states),
+                               [fm._root(u) for u in units])
     except (RuntimeError, GameLimitError):
         if len(members) == 1:
             raise
@@ -749,13 +761,11 @@ def _check_policies(sent, sent_idx, union, members, gi, g, tallies):
         for si, state in enumerate(model.states):
             u = k * card + si
             key = (sent_idx, model_idx, gi, si)
-            root = game._root(u)
-            a = win_g[greedy_graph.pos_id[root]]
-            b = win_f[full_graph.pos_id[root]]
+            b = win_f[u]
             tallies["greedy-exhaustive"].add(
-                mult, a == b, key,
+                mult, win_g[u] == b, key,
                 (model, sent, g, state, "greedy-exhaustive"))
-            m = win_m[fm_graph.pos_id[fm._root(u)]]
+            m = win_m[u]
             tallies["canonical-fullmap"].add(
                 mult, m == b, key,
                 (model, sent, g, state, "canonical-fullmap"))
@@ -795,8 +805,7 @@ def run_normalize_checks(sentences, models, gammas=(2,)):
                 game = EvalGame(model, model.states[0], shadowed, g)
                 bset = semantics.eval_bounded(model, norm, g)
                 for state in model.states:
-                    graph = game._explore([state])  # its root is position 0
-                    ok = ok and ((graph.winners((0,))[0] == _E)
+                    ok = ok and ((_root_winner(game._explore([state])) == _E)
                                  == (state in bset))
             tallies["normalize-soundness"].add(
                 1, ok, (sent_idx, model_idx),
@@ -816,8 +825,8 @@ def _policy_winners(game, w):
     """Winner codes at ``w`` when both players make only the largest clock
     or counter choice, and when they make every choice: the comparison the
     sweeps run, without the solver's own consistency check."""
-    greedy = game._explore([w], True, True).winners((0,))[0]
-    full = game._explore([w]).winners((0,))[0]
+    greedy = _root_winner(game._explore([w], True, True))
+    full = _root_winner(game._explore([w]))
     return greedy, full
 
 

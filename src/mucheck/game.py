@@ -333,8 +333,8 @@ class GameCore:
         Each graph is solved from its start only (``_Graph.solve``), so
         the cycle check covers the positions that search visits: every
         position the winner and the strategy depend on.  Acyclicity of
-        whole graphs is asserted by ``topo_order`` in the sweeps' replays
-        and in the position-model export.
+        whole graphs is asserted by ``topo_order`` on every graph the
+        sweeps explore and in the position-model export.
         """
         if mode not in ("greedy", "exhaustive"):
             raise ValueError(f"unknown solve mode {mode!r}")
@@ -617,7 +617,7 @@ class _Graph:
         self._topo = order
         return order
 
-    def solve(self, roots, every_edge=False):
+    def solve(self, roots):
         """Winner codes and first winning moves of what ``roots`` need.
 
         One iterative depth-first search: a turn position's row is tried
@@ -625,10 +625,8 @@ class _Graph:
         Returns ``(win, pick)``: ``win[i]`` is the winner code (0 Eloise,
         1 Abelard) of every position the search solved and ``_UNSET``
         elsewhere; ``pick[i]`` is the row index of the first successor won
-        by the mover, or -1 where the mover loses.  With ``every_edge``
-        the rest of each row is searched too, so every edge reachable
-        from ``roots`` is checked.  Raises RuntimeError on meeting a
-        position already on the search stack, which is a cycle.
+        by the mover, or -1 where the mover loses.  Raises RuntimeError on
+        meeting a position already on the search stack, which is a cycle.
         """
         status = self.status
         succs = self.succs
@@ -657,11 +655,9 @@ class _Graph:
                     elif w == _OPEN:
                         raise RuntimeError(_CYCLE)
                     if w == mover:
-                        if pick[i] < 0:
-                            pick[i] = k
-                        if not every_edge:
-                            k = end
-                            break
+                        pick[i] = k
+                        k = end
+                        break
                     k += 1
                 if k < end:
                     # Descend into j; row[k] is read again on return.
@@ -678,9 +674,10 @@ class _Graph:
     def winners(self, roots=None):
         """Winner codes (0 Eloise, 1 Abelard) of the positions solving
         from ``roots`` needs, ``_UNSET`` elsewhere; without ``roots``, of
-        every position, with every edge checked for a cycle."""
+        every position, after checking the whole graph for a cycle."""
         if roots is None:
-            return self.solve(range(len(self.status)), every_edge=True)[0]
+            self.topo_order()
+            roots = range(len(self.status))
         return self.solve(roots)[0]
 
 

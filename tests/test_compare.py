@@ -566,3 +566,19 @@ def test_mode_union_over_the_fullmap_cap_runs_one_model_at_a_time(
     with pytest.raises(GameLimitError):
         compare.run_mode_sweep(sents, max_states=2, gammas=(1, 2),
                                workers=1)
+
+
+def test_start_winners_check_the_whole_graph():
+    """The sweeps solve from their start positions only, but a cycle
+    anywhere in an explored graph still fails the sweep."""
+    from mucheck.game import _Graph
+    # "s" and "t" are won terminals; "x" and "y" form a cycle that no
+    # start reaches.
+    pos = ["s", "t", "x", "y"]
+    status = [1, 0, 2, 3]
+    graph = _Graph(pos, {p: i for i, p in enumerate(pos)}, status,
+                   [(), (), (3,), (2,)])
+    with pytest.raises(RuntimeError):
+        compare._start_winners(graph, ["t", "s"])
+    graph.succs[3] = ()
+    assert compare._start_winners(graph, ["t", "s"]) == [0, 1]
