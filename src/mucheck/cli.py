@@ -216,7 +216,7 @@ def cmd_reduce(args):
         reduced = reduction.build_position_model(
             model, args.state, sent, bound, tree=args.tree,
             max_positions=args.max_positions)
-    payload = json.dumps(reduced.to_json_dict(), indent=2) + "\n"
+    payload = reduced.json_text()
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -257,7 +257,7 @@ def cmd_compare(args):
 
 def cmd_gen(args):
     model = generate_family(args.family, args.n)
-    payload = json.dumps(model.to_json_dict(), indent=2) + "\n"
+    payload = model.json_text()
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)

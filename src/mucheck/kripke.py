@@ -1,10 +1,52 @@
 """Finite pointed Kripke models: validation, JSON I/O, example families."""
 
 import json
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 
 class ModelError(Exception):
     """Raised for malformed model data."""
+
+
+def _json_block(key, brackets, items, depth):
+    """Encoded ``items`` laid out as ``json.dumps(..., indent=2)`` lays
+    out a list (``brackets`` "[]") or an object ("{}", each item already
+    "key: value") that opens at nesting ``depth``, after ``key`` (the
+    encoded member key and ": ", or "")."""
+    pad = "\n" + "  " * (depth + 1)
+    body = ("," + pad).join(items)
+    if not body:
+        return key + brackets
+    return f"{key}{brackets[0]}{pad}{body}\n{'  ' * depth}{brackets[1]}"
+
+
+def _json_document(members):
+    """Chunks of the file holding one JSON object with the encoded
+    ``members`` (at least one), as ``json.dumps(..., indent=2)`` lays it
+    out, plus a newline."""
+    sep = "{\n  "
+    for member in members:
+        yield sep
+        yield member
+        sep = ",\n  "
+    yield "\n}\n"
+
+
+def _json_edges(srcs, dsts, count):
+    """The "edges" member for ``count`` pairs of encoded names, laid out
+    as ``json.dumps(..., indent=2)`` lays it out at nesting 1: names and
+    separators go into one flat list by slice assignment, joined once."""
+    if not count:
+        return '"edges": []'
+    parts = [",\n      "] * (4 * count)
+    parts[0::4] = srcs
+    parts[2::4] = dsts
+    parts[3::4] = ["\n    ],\n    [\n      "] * count
+    parts[-1] = "\n    ]\n  ]"
+    parts[0] = '"edges": [\n    [\n      ' + parts[0]
+    return "".join(parts)
 
 
 class KripkeModel:
@@ -22,45 +64,75 @@ class KripkeModel:
         states = tuple(states)
         if not states:
             raise ModelError("a Kripke model needs at least one state")
-        if len(set(states)) != len(states):
+        n = len(states)
+        index = dict(zip(states, range(n)))
+        if len(index) != n:
             raise ModelError("duplicate state identifiers")
-        index = {w: i for i, w in enumerate(states)}
+        get = index.get
 
-        seen = set()
+        seen = set()  # edge keys i * n + j
         relation = []
+        succ = [[] for _ in states]
         for edge in edges:
             src, dst = edge
-            if src not in index:
+            i = get(src)
+            if i is None:
                 raise ModelError(f"edge references unknown state {src!r}")
-            if dst not in index:
+            j = get(dst)
+            if j is None:
                 raise ModelError(f"edge references unknown state {dst!r}")
-            if (src, dst) not in seen:
-                seen.add((src, dst))
+            key = i * n + j
+            if key not in seen:
+                seen.add(key)
                 relation.append((src, dst))
+                succ[i].append(j)
 
         val = {}
+        val_mask = {}
         for p, ws in dict(valuation).items():
             ws = tuple(ws)
+            mask = 0
             for w in ws:
-                if w not in index:
+                i = get(w)
+                if i is None:
                     raise ModelError(
                         f"valuation of {p!r} references unknown state {w!r}")
+                mask |= 1 << i
             val[p] = frozenset(ws)
+            val_mask[p] = mask
+        self._fill(states, index, tuple(relation), succ, val, val_mask)
 
+    @classmethod
+    def _from_rows(cls, states, rows, valuation):
+        """The model ``KripkeModel(states, edges, val)`` where ``edges``
+        lists ``(states[i], states[j])`` for each ``j`` in ``rows[i]``,
+        row by row, and ``val`` maps each proposition to
+        ``[states[i] for i in ids]``; built from the integers without
+        looking up a single name.  ``states`` must be unique, every index
+        in range, and no row may repeat an index (a game position's moves
+        lead to distinct positions)."""
+        self = cls.__new__(cls)
+        states = tuple(states)
+        n = len(states)
+        name = states.__getitem__
+        relation = tuple(zip(
+            map(name, chain.from_iterable(map(repeat, range(n),
+                                              map(len, rows)))),
+            map(name, chain.from_iterable(rows))))
+        val = {p: frozenset(map(name, ids)) for p, ids in valuation.items()}
+        val_mask = {p: sum(1 << i for i in ids) for p, ids in valuation.items()}
+        self._fill(states, dict(zip(states, range(n))), relation, rows, val,
+                   val_mask)
+        return self
+
+    def _fill(self, states, index, relation, succ, val, val_mask):
         self.states = states
-        self.relation = tuple(relation)
+        self.relation = relation
         self.valuation = val
         self._index = index
-
-        succ = [[] for _ in states]
-        for src, dst in relation:
-            succ[index[src]].append(index[dst])
-        for lst in succ:
-            lst.sort()
-        self._succ = tuple(tuple(lst) for lst in succ)
+        self._succ = tuple(map(tuple, map(sorted, succ)))
         self._masks = None
-        self._val_mask = {p: sum(1 << index[w] for w in ws)
-                          for p, ws in val.items()}
+        self._val_mask = val_mask
         self._full_mask = (1 << len(states)) - 1
 
     @property
@@ -110,6 +182,29 @@ class KripkeModel:
                     for p, ws in sorted(self.valuation.items())},
         }
 
+    def json_text(self):
+        """The model file: ``json.dumps(self.to_json_dict(), indent=2)``
+        plus a newline, byte for byte, written in a few C-level passes."""
+        return "".join(_json_document(self._json_members()))
+
+    def _json_members(self, quoted=None):
+        """The encoded "states", "edges" and "val" members of the model
+        file, one at a time; ``quoted`` holds the encoded state names
+        when the caller has them already."""
+        if quoted is None:
+            quoted = list(map(_quote, self.states))
+        index = self._index.__getitem__
+        name = dict(zip(self.states, quoted)).__getitem__
+        yield _json_block('"states": ', "[]", quoted, 1)
+        relation = self.relation
+        yield _json_edges(map(name, map(itemgetter(0), relation)),
+                          map(name, map(itemgetter(1), relation)),
+                          len(relation))
+        yield _json_block('"val": ', "{}", (
+            _json_block(_quote(p) + ": ", "[]", map(
+                quoted.__getitem__, sorted(map(index, self.valuation[p]))), 2)
+            for p in sorted(self.valuation)), 1)
+
     def __eq__(self, other):
         if not isinstance(other, KripkeModel):
             return NotImplemented
@@ -140,7 +235,9 @@ def load_model(data):
         raise ModelError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ModelError("invalid JSON: nested too deeply") from None
-    if not isinstance(obj, dict):
+    # json.loads yields exact dicts, lists and strs, so shapes are checked
+    # with ``type(x) is``, a whole array at a time.
+    if type(obj) is not dict:
         raise ModelError("model file must contain a JSON object")
     for key in ("states", "edges"):
         if key not in obj:
@@ -148,20 +245,24 @@ def load_model(data):
     states = obj["states"]
     edges = obj["edges"]
     val = obj.get("val", {})
-    if not isinstance(states, list) or not all(isinstance(w, str) for w in states):
+    if type(states) is not list or not _all_of(states, str):
         raise ModelError("'states' must be an array of strings")
-    if not isinstance(edges, list):
+    if type(edges) is not list:
         raise ModelError("'edges' must be an array")
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2
-                and all(isinstance(x, str) for x in e)):
-            raise ModelError("every edge must be a 2-array of state names")
-    if not isinstance(val, dict):
+    if not (_all_of(edges, list) and set(map(len, edges)) <= {2}
+            and _all_of(chain.from_iterable(edges), str)):
+        raise ModelError("every edge must be a 2-array of state names")
+    if type(val) is not dict:
         raise ModelError("'val' must be an object")
     for p, ws in val.items():
-        if not isinstance(ws, list) or not all(isinstance(w, str) for w in ws):
+        if type(ws) is not list or not _all_of(ws, str):
             raise ModelError(f"valuation of {p!r} must be an array of states")
-    return KripkeModel(states, [tuple(e) for e in edges], val)
+    return KripkeModel(states, edges, val)
+
+
+def _all_of(items, cls):
+    """True when every item's exact type is ``cls``."""
+    return set(map(type, items)) <= {cls}
 
 
 def load_model_file(path):
@@ -170,9 +271,10 @@ def load_model_file(path):
 
 
 def save_model(model, path):
+    """Write ``model.json_text()`` one member at a time; ``model`` may be
+    a ``ReducedModel`` too."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+        fh.writelines(_json_document(model._json_members()))
 
 
 def check_assignment(model, assignment):

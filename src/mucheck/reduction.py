@@ -11,12 +11,14 @@ makes the AR game on the export play out exactly like the evaluation
 game.
 """
 
-import json
+from itertools import compress
+from json.encoder import encode_basestring_ascii as _quote
+from operator import add
 
 from . import formula as F
 from .game import (DEFAULT_MAX_POSITIONS, EvalGame, GameLimitError,
                    _TURN_A, _TURN_E, _WON_A, _WON_E, _E, _attractor)
-from .kripke import KripkeModel
+from .kripke import KripkeModel, _json_block, _json_document, save_model
 from .semantics import check_bound
 
 P_B = "p_B"
@@ -77,18 +79,43 @@ def solve_ar(model, state):
 
 class ReducedModel:
     """An AR model over evaluation-game positions, plus the root position
-    and a back-map from exported state names to position data."""
+    and a back-map from exported state names to position data.
 
-    __slots__ = ("model", "root", "backmap")
+    The back-map is built from the explored positions when it is first
+    read; ``json_text`` writes it straight from them.
+    """
 
-    def __init__(self, model, root, backmap):
+    __slots__ = ("model", "root", "_game", "_positions", "_pos_of",
+                 "_backmap")
+
+    def __init__(self, model, root, game, positions, pos_of):
+        # Exported state k is the internal position positions[pos_of[k]].
         self.model = model
         self.root = root
-        self.backmap = backmap
+        self._game = game
+        self._positions = positions
+        self._pos_of = pos_of
+        self._backmap = None
 
     @property
     def positions(self):
         return len(self.model.states)
+
+    @property
+    def backmap(self):
+        if self._backmap is None:
+            game = self._game
+            states = game.model.states
+            paths = game.index.node_path
+            anc = game.index.active_ancestors
+            name = game.sentence.name
+            pos = self._positions
+            self._backmap = {
+                nm: {"state": states[si], "node": paths[node],
+                     "clocks": {name[b]: v for b, v in zip(anc[node], clocks)}}
+                for nm, (si, node, clocks) in zip(
+                    self.model.states, map(pos.__getitem__, self._pos_of))}
+        return self._backmap
 
     def to_json_dict(self):
         data = self.model.to_json_dict()
@@ -96,13 +123,46 @@ class ReducedModel:
         data["backmap"] = self.backmap
         return data
 
+    def json_text(self):
+        """The reduced-model file: ``json.dumps(self.to_json_dict(),
+        indent=2)`` plus a newline, byte for byte, without building the
+        back-map."""
+        return "".join(_json_document(self._json_members()))
+
+    def _json_members(self):
+        quoted = list(map(_quote, self.model.states))
+        yield from self.model._json_members(quoted)
+        yield '"root": ' + _quote(self.root)
+        entries = _backmap_entries(self._game, self._positions)
+        yield _json_block('"backmap": ', "{}", map(
+            add, quoted, map(entries.__getitem__, self._pos_of)), 1)
+
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        save_model(self, path)
 
     def __repr__(self):
         return f"ReducedModel({self.positions} positions, root={self.root!r})"
+
+
+def _backmap_entries(game, positions):
+    """The encoded back-map value of every explored position, after the
+    ": " that follows its key, from one %-template per syntax node: the
+    node path and clock names are encoded once per node, not once per
+    position."""
+    paths = game.index.node_path
+    name = game.sentence.name
+    # Node paths and binder names hold no "%".  A game's binder names are
+    # pairwise distinct (GameCore normalizes the sentence otherwise), so
+    # every clock value has a key of its own.
+    templates = [
+        ': {\n      "state": %s,\n      "node": ' + _quote(paths[node])
+        + ',\n      "clocks": '
+        + _json_block("", "{}", (_quote(name[b]) + ": %d" for b in anc), 3)
+        + "\n    }"
+        for node, anc in enumerate(game.index.active_ancestors)]
+    state = list(map(_quote, game.model.states))
+    return [templates[node] % (state[si], *clocks)
+            for si, node, clocks in positions]
 
 
 def _position_valuation(game, graph):
@@ -139,47 +199,46 @@ def build_position_model(model, state, sentence, bound, tree=False,
     graph = game._explore([state])
     graph.topo_order()  # rejects cyclic graphs
     p_flags, q_flags = _position_valuation(game, graph)
-    paths = game.index.node_path
-
-    def describe(ipos):
-        si, node, clocks = ipos
-        return {
-            "state": model.states[si],
-            "node": paths[node],
-            "clocks": {game.sentence.name[b]: v for b, v in
-                       zip(game.index.active_ancestors[node], clocks)},
-        }
 
     if tree:
-        # Unfold the DAG into the game tree; names follow the move path.
-        names = []
-        tree_pos = []
-        edges = []
-        stack = [(0, "t")]  # the root position is the first explored
-        while stack:
-            i, name = stack.pop()
-            if len(names) >= max_positions:
-                raise GameLimitError(
-                    f"position cap {max_positions} exceeded while unfolding")
-            names.append(name)
-            tree_pos.append(i)
-            for k, j in enumerate(graph.succs[i]):
-                child = f"{name}.{k}"
-                edges.append((name, child))
-                stack.append((j, child))
+        names, pos_of, rows = _unfold(graph, max_positions)
     else:
+        paths = game.index.node_path
         names = [f"{model.states[si]}|{paths[node]}|"
                  + ",".join(map(str, clocks))
                  for si, node, clocks in graph.pos_list]
-        tree_pos = range(len(names))
-        edges = [(names[i], names[j])
-                 for i, row in enumerate(graph.succs) for j in row]
-    val = {P_B: [nm for nm, i in zip(names, tree_pos) if p_flags[i]],
-           Q_B: [nm for nm, i in zip(names, tree_pos) if q_flags[i]]}
-    reduced = KripkeModel(names, edges, val)
-    backmap = {nm: describe(graph.pos_list[i])
-               for nm, i in zip(names, tree_pos)}
-    return ReducedModel(reduced, names[0], backmap)
+        pos_of = range(len(names))
+        rows = graph.succs
+    ids = range(len(names))
+    val = {P_B: list(compress(ids, map(p_flags.__getitem__, pos_of))),
+           Q_B: list(compress(ids, map(q_flags.__getitem__, pos_of)))}
+    reduced = KripkeModel._from_rows(names, rows, val)
+    return ReducedModel(reduced, names[0], game, graph.pos_list, pos_of)
+
+
+def _unfold(graph, max_positions):
+    """The DAG unfolded into the game tree from the root position (the
+    first explored): tree state names follow the move path, and each
+    state's children are listed in move order."""
+    names = []
+    pos_of = []
+    rows = []
+    stack = [(0, "t", None, 0)]
+    while stack:
+        i, name, parent_row, k = stack.pop()
+        if len(names) >= max_positions:
+            raise GameLimitError(
+                f"position cap {max_positions} exceeded while unfolding")
+        if parent_row is not None:
+            parent_row[k] = len(names)
+        names.append(name)
+        pos_of.append(i)
+        succ = graph.succs[i]
+        row = [None] * len(succ)
+        rows.append(row)
+        for k, j in enumerate(succ):
+            stack.append((j, f"{name}.{k}", row, k))
+    return names, pos_of, rows
 
 
 def reduce_mc(model, state, sentence, tree=False,

@@ -1,7 +1,9 @@
-"""The benchmark harness runs its eval-game workload end to end.
+"""The benchmark harness runs its eval-game and reduce-export workloads
+end to end.
 
 ``bench/run.py`` checks every operation's output against its expected
-verdict and position counts; this runs its smallest configuration once.
+verdict and position counts, and every export against its stored sha256
+fingerprint; this runs the smallest configuration of each once.
 """
 
 import json
@@ -12,10 +14,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_eval_game_smoke_run_is_correct():
+def smoke_run(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"),
-         "--workload", "eval-game", "--seed", "0", "--size", "smoke",
+         "--workload", workload, "--seed", "0", "--size", "smoke",
          "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -23,3 +25,11 @@ def test_eval_game_smoke_run_is_correct():
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_eval_game_smoke_run_is_correct():
+    smoke_run("eval-game")
+
+
+def test_reduce_export_smoke_run_is_correct():
+    smoke_run("reduce-export")

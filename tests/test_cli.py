@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from mucheck.cli import main
-from mucheck.kripke import generate_family, save_model
+from mucheck.kripke import KripkeModel, generate_family, save_model
 
 
 @pytest.fixture
@@ -307,6 +307,80 @@ def test_reduce_cap_exit_code(m1_path, capsys):
                         "nu X. [] mu Y. (<>Y | (p & X))", "--state", "a",
                         "--gamma", "3", "--max-positions", "5"], capsys)
     assert code == 11
+
+
+# `reduce --out -` and `gen` output, byte for byte: exit code, then stderr
+# (the root: and positions: lines), then the exported JSON.  Recorded
+# before model files were written without `json.dumps(..., indent=2)`;
+# the files are compared as bytes because state names may hold control
+# characters.
+ODD_NAMES_MODEL = KripkeModel(
+    ['a"b', "c\\d", "e\x01\x1f\tf\r\n", "\u00fc\u20ac\U0001f600", "x|y,z"],
+    [('a"b', "c\\d"), ("c\\d", "e\x01\x1f\tf\r\n"),
+     ("e\x01\x1f\tf\r\n", "\u00fc\u20ac\U0001f600"),
+     ("\u00fc\u20ac\U0001f600", "x|y,z"), ("x|y,z", 'a"b')],
+    {"p": ["x|y,z", "c\\d"], "q": ['a"b']})
+
+GOLDEN_REDUCE_CASES = {
+    "dagger3_numu_omega": (generate_family("daggerN", 3), "w_0",
+                           "nu X. ([]X & mu Y. (p | <>Y))", "omega", False),
+    "dagger2_eventually_auto": (generate_family("daggerN", 2), "w_0",
+                                "mu X. (p | []X)", "auto", False),
+    "chain2_eventually_2_tree": (generate_family("chain", 2), "w_0",
+                                 "mu X. (p | []X)", "2", True),
+    "one_state_p_1": (KripkeModel(["w"], [], {"p": ["w"]}), "w", "p", "1",
+                      False),
+    "odd_names_shadowed_binders_2": (
+        ODD_NAMES_MODEL, 'a"b', "mu X. (q | <> nu X. (p & <>X) | []X)",
+        "2", False),
+}
+
+
+def reduce_golden_output(case, tmp_path, capsys):
+    model, state, formula, gamma, tree = GOLDEN_REDUCE_CASES[case]
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    argv = ["reduce", "--model", str(path), "--state", state, "--formula",
+            formula, "--gamma", gamma, "--out", "-"]
+    code, out, err = run(argv + ["--tree"] if tree else argv, capsys)
+    return f"reduce_{case}.txt", f"{code}\n{err}{out}"
+
+
+def gen_golden_output(capsys):
+    code, out, err = run(["gen", "starN", "3"], capsys)
+    return "gen_starN_3.txt", f"{code}\n{err}{out}"
+
+
+def golden_bytes(name):
+    import pathlib
+    return (pathlib.Path(__file__).parent / "golden" / name).read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REDUCE_CASES))
+def test_reduce_output_is_pinned(case, tmp_path, capsys):
+    name, out = reduce_golden_output(case, tmp_path, capsys)
+    assert out.encode("utf-8") == golden_bytes(name)
+    # --out FILE writes the same bytes and moves the info lines to stdout.
+    model, state, formula, gamma, tree = GOLDEN_REDUCE_CASES[case]
+    out_path = tmp_path / "reduced.json"
+    argv = ["reduce", "--model", str(tmp_path / "model.json"), "--state",
+            state, "--formula", formula, "--gamma", gamma, "--out",
+            str(out_path)]
+    code, info, err = run(argv + ["--tree"] if tree else argv, capsys)
+    expected = golden_bytes(name).decode("utf-8")
+    head, _, body = expected.partition("\n")
+    assert (str(code), err) == (head, "")
+    assert info + out_path.read_bytes().decode("utf-8") == body
+
+
+def test_gen_output_is_pinned(tmp_path, capsys):
+    name, out = gen_golden_output(capsys)
+    assert out.encode("utf-8") == golden_bytes(name)
+    out_path = tmp_path / "star3.json"
+    code, info, _ = run(["gen", "starN", "3", "--out", str(out_path)],
+                        capsys)
+    assert code == 0 and info == f"wrote starN(3): 4 states -> {out_path}\n"
+    assert out_path.read_bytes() == golden_bytes(name).partition(b"\n")[2]
 
 
 def test_gen_families(tmp_path, capsys):

@@ -55,6 +55,72 @@ def test_load_model_bad_json_and_shapes():
         load_model('{"states": [1], "edges": [], "val": {}}')
 
 
+@pytest.mark.parametrize("text,message", [
+    ('["a"]', "model file must contain a JSON object"),
+    ('{"states": ["a"]}', "model file is missing the 'edges' key"),
+    ('{"edges": []}', "model file is missing the 'states' key"),
+    ('{"states": [1], "edges": []}', "'states' must be an array of strings"),
+    ('{"states": "a", "edges": []}', "'states' must be an array of strings"),
+    ('{"states": ["a"], "edges": {}}', "'edges' must be an array"),
+    ('{"states": ["a"], "edges": [["a"]]}',
+     "every edge must be a 2-array of state names"),
+    ('{"states": ["a"], "edges": [["a", "a", "a"]]}',
+     "every edge must be a 2-array of state names"),
+    ('{"states": ["a"], "edges": [["a", 1]]}',
+     "every edge must be a 2-array of state names"),
+    ('{"states": ["a"], "edges": ["aa"]}',
+     "every edge must be a 2-array of state names"),
+    ('{"states": ["a"], "edges": [], "val": []}', "'val' must be an object"),
+    ('{"states": ["a"], "edges": [], "val": {"p": "a"}}',
+     "valuation of 'p' must be an array of states"),
+    ('{"states": ["a"], "edges": [], "val": {"p": [null]}}',
+     "valuation of 'p' must be an array of states"),
+    ('{"states": [], "edges": []}', "a Kripke model needs at least one state"),
+    ('{"states": ["a", "b", "a"], "edges": []}',
+     "duplicate state identifiers"),
+    ('{"states": ["a"], "edges": [["a", "a"], ["c", "a"]]}',
+     "edge references unknown state 'c'"),
+    ('{"states": ["a"], "edges": [["a", "d"]]}',
+     "edge references unknown state 'd'"),
+    ('{"states": ["a"], "edges": [["c", "d"]]}',
+     "edge references unknown state 'c'"),
+    ('{"states": ["a"], "edges": [], "val": {"p": ["a", "z"]}}',
+     "valuation of 'p' references unknown state 'z'"),
+    # Every shape is checked before any name is resolved.
+    ('{"states": ["a"], "edges": [["c", "a"], ["a"]]}',
+     "every edge must be a 2-array of state names"),
+    ('{"states": ["a"], "edges": [["c", "a"]], "val": {"p": 1}}',
+     "valuation of 'p' must be an array of states"),
+    ('{"states": ["a", "a"], "edges": [["c", "a"]], "val": {"p": ["z"]}}',
+     "duplicate state identifiers"),
+    ('{"states": ["a"], "edges": [["c", "a"]], "val": {"p": ["z"]}}',
+     "edge references unknown state 'c'"),
+])
+def test_load_model_error_messages(text, message):
+    with pytest.raises(ModelError) as err:
+        load_model(text)
+    assert str(err.value) == message
+
+
+def test_load_model_invalid_json_message():
+    with pytest.raises(ModelError) as err:
+        load_model(b"{not json")
+    assert str(err.value).startswith("invalid JSON: Expecting property name")
+
+
+def test_duplicate_edges_keep_their_first_seen_order():
+    data = {"states": ["a", "b", "c"],
+            "edges": [["b", "c"], ["a", "b"], ["b", "c"], ["c", "a"],
+                      ["a", "b"], ["b", "a"]],
+            "val": {"p": ["c", "a", "c"]}}
+    m = load_model(json.dumps(data))
+    assert m.relation == (("b", "c"), ("a", "b"), ("c", "a"), ("b", "a"))
+    assert m._succ == ((1,), (0, 2), (0,))
+    assert m.states_true("p") == frozenset({"a", "c"})
+    assert m._val_mask == {"p": 0b101}
+    assert m.to_json_dict()["val"] == {"p": ["a", "c"]}
+
+
 def test_load_model_deeply_nested_json_is_a_model_error():
     with pytest.raises(ModelError):
         load_model("[" * 200_000)

@@ -1,0 +1,93 @@
+"""Model files are written without ``json.dumps(..., indent=2)``.
+
+``KripkeModel.json_text`` and ``ReducedModel.json_text`` lay the file out
+themselves, so their text is compared here with what ``json.dumps`` makes
+of ``to_json_dict()``: on arbitrary text names (quotes, backslashes,
+control characters, non-ASCII text, lone surrogates), on empty edge
+lists and valuations, and on the exports of random small instances,
+DAG and tree.
+"""
+
+import json
+import random
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mucheck.corpus import random_model, random_sentences
+from mucheck.game import GameLimitError
+from mucheck.kripke import KripkeModel, load_model, save_model
+from mucheck.reduction import build_position_model, reduce_mc
+from mucheck.semantics import OMEGA
+
+# Every code point, surrogates included: ``json.dumps`` escapes them all.
+NAMES = st.text(st.characters(exclude_categories=()), max_size=6)
+
+
+def dumps(model):
+    return json.dumps(model.to_json_dict(), indent=2) + "\n"
+
+
+@st.composite
+def models(draw):
+    states = draw(st.lists(NAMES, min_size=1, max_size=8, unique=True))
+    n = len(states)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=20))
+    val = draw(st.dictionaries(
+        NAMES, st.lists(st.integers(0, n - 1), max_size=2 * n), max_size=4))
+    return KripkeModel(states, [(states[i], states[j]) for i, j in pairs],
+                       {p: [states[i] for i in ids] for p, ids in val.items()})
+
+
+@settings(max_examples=300)
+@given(models())
+def test_model_text_is_json_dumps(model):
+    text = model.json_text()
+    assert text == dumps(model)
+    again = load_model(text)
+    assert again == model
+    assert again.relation == model.relation
+    assert again._val_mask == model._val_mask
+
+
+def test_save_model_writes_the_model_text(tmp_path):
+    model = KripkeModel(["a", "é\"\\\n", "c"],
+                        [("a", "c"), ("c", "a"), ("a", "c")],
+                        {"q": [], "p": ["c", "a"]})
+    save_model(model, tmp_path / "m.json")
+    assert (tmp_path / "m.json").read_bytes() == dumps(model).encode()
+
+
+@st.composite
+def instances(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    model = random_model(rng, draw(st.integers(1, 3)))
+    sent = random_sentences(1, draw(st.integers(0, 10 ** 6)), 7, 2)[0]
+    state = draw(st.sampled_from(model.states))
+    bound = draw(st.sampled_from((1, 2, 3, OMEGA, "auto")))
+    return model, state, sent, bound, draw(st.booleans())
+
+
+@settings(max_examples=200)
+@given(instances())
+def test_reduced_model_text_is_json_dumps(instance):
+    model, state, sent, bound, tree = instance
+    try:
+        if bound == "auto":
+            reduced = reduce_mc(model, state, sent, tree=tree,
+                                max_positions=3000)
+        else:
+            reduced = build_position_model(model, state, sent, bound,
+                                           tree=tree, max_positions=3000)
+    except GameLimitError:
+        assume(False)
+    text = reduced.json_text()
+    assert text == dumps(reduced)
+    assert load_model(text) == reduced.model
+
+
+def test_reduced_model_save_writes_its_text(tmp_path, m1, phi_star):
+    reduced = build_position_model(m1, "a", phi_star, 2)
+    reduced.save(tmp_path / "r.json")
+    assert (tmp_path / "r.json").read_bytes() == dumps(reduced).encode()

@@ -11,7 +11,8 @@ from mucheck.corpus import (all_ar_models, all_sentences, random_model,
 from mucheck.formula import dual, parse, render
 from mucheck.game import ELOISE, EvalGame, GameLimitError
 from mucheck.kripke import KripkeModel, generate_family, load_model
-from mucheck.reduction import (VocabularyError, ar_winning_set,
+from mucheck.reduction import (P_B, Q_B, VocabularyError,
+                               _position_valuation, ar_winning_set,
                                build_position_model, chi, reduce_mc,
                                solve_ar)
 from mucheck.semantics import OMEGA, eval_standard
@@ -168,3 +169,86 @@ def test_ar_grid_family_solves():
     m = generate_family("ar-grid", 3)
     want = ar_winning_set(m)
     assert want == eval_standard(m, chi())
+
+
+def _by_names(model, state, sentence, bound, tree):
+    """The export as built through state names: ``KripkeModel(names,
+    edges, val)`` over the explored graph, and the eager back-map dict."""
+    game = EvalGame(model, state, sentence, bound)
+    graph = game._explore([state])
+    p_flags, q_flags = _position_valuation(game, graph)
+    paths = game.index.node_path
+    if tree:
+        names, tree_pos, edges = [], [], []
+        stack = [(0, "t")]
+        while stack:
+            i, name = stack.pop()
+            names.append(name)
+            tree_pos.append(i)
+            for k, j in enumerate(graph.succs[i]):
+                edges.append((name, f"{name}.{k}"))
+                stack.append((j, f"{name}.{k}"))
+    else:
+        names = [f"{model.states[si]}|{paths[node]}|"
+                 + ",".join(map(str, clocks))
+                 for si, node, clocks in graph.pos_list]
+        tree_pos = range(len(names))
+        edges = [(names[i], names[j])
+                 for i, row in enumerate(graph.succs) for j in row]
+    val = {P_B: [nm for nm, i in zip(names, tree_pos) if p_flags[i]],
+           Q_B: [nm for nm, i in zip(names, tree_pos) if q_flags[i]]}
+    backmap = {}
+    for nm, i in zip(names, tree_pos):
+        si, node, clocks = graph.pos_list[i]
+        backmap[nm] = {
+            "state": model.states[si], "node": paths[node],
+            "clocks": {game.sentence.name[b]: v for b, v in
+                       zip(game.index.active_ancestors[node], clocks)}}
+    return KripkeModel(names, edges, val), names[0], backmap
+
+
+def _reduction_instances():
+    m1 = KripkeModel(["a", "b"], [("a", "b"), ("b", "b")], {"p": ["b"]})
+    afp = parse("mu X. (p | []X)")
+    phi_star = parse("nu X. [] mu Y. (<>Y | (p & X))")
+    yield m1, "a", parse("p"), 1
+    yield m1, "b", parse("p"), 1
+    for bound in (1, 2, 3):
+        yield m1, "a", afp, bound
+    yield m1, "a", parse("mu X. X"), 2
+    yield generate_family("starN", 3), "w_0", phi_star, 4
+    yield generate_family("ar-grid", 3), "g0_0", chi(), OMEGA
+    rng = random.Random(71)
+    corpus = all_sentences(4, 1)[::9] + random_sentences(8, 14, 7, 2)
+    for _ in range(3):
+        m = random_model(rng, rng.randint(1, 2))
+        for s in corpus[::3]:
+            yield m, m.states[-1], s, OMEGA
+
+
+@pytest.mark.parametrize("tree", [False, True], ids=["dag", "tree"])
+def test_integer_row_build_equals_the_build_by_names(tree):
+    count = 0
+    for model, state, sentence, bound in _reduction_instances():
+        try:
+            reduced = build_position_model(model, state, sentence, bound,
+                                           tree=tree, max_positions=5000)
+        except GameLimitError:
+            assert tree  # only unfolded trees outgrow the cap
+            continue
+        ref, root, backmap = _by_names(model, state, sentence, bound, tree)
+        got = reduced.model
+        assert got == ref and reduced.root == root
+        assert got.states == ref.states
+        assert got.relation == ref.relation  # first-seen order
+        assert got.valuation == ref.valuation
+        assert got._index == ref._index
+        assert got._succ == ref._succ
+        assert got._val_mask == ref._val_mask
+        assert got._full_mask == ref._full_mask
+        assert got._masks is None
+        assert reduced._backmap is None  # built only when read
+        assert reduced.backmap == backmap
+        assert reduced.backmap is reduced.backmap
+        count += 1
+    assert count > 90
