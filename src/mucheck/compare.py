@@ -24,6 +24,12 @@ splitter and one worker pool runner.
 Models that agree on the propositions a sentence actually mentions are
 indistinguishable to every engine, so the sweep runs one representative
 per such class and scales the instance counts by the class size.
+
+A counterexample is rechecked and minimized with the sweep's own code:
+its model, sentence and bound are rebuilt and the property's per-instance
+check runs on that one model.  Each shrink the minimizer keeps is one on
+which that code still fails, and the reported state and bound are the
+ones at which it fails there.
 """
 
 import functools
@@ -37,8 +43,8 @@ from . import formula as F
 from . import reduction
 from . import semantics
 from . import variants
-from .game import (ABELARD, ELOISE, EvalGame, GameCore, GameLimitError,
-                   StrategyError, _E, _TURN_A, _TURN_E, _WON_A, _WON_E)
+from .game import (EvalGame, GameCore, GameLimitError, _E, _TURN_A, _TURN_E,
+                   _WON_A, _WON_E)
 from .kripke import KripkeModel
 from .semantics import OMEGA
 
@@ -139,10 +145,6 @@ class CompareReport:
             "partial": self.caps_hit,
             "all_passed": self.all_passed(),
         }
-
-
-def _cap_for(bound, model):
-    return model.card + 1 if bound is OMEGA else bound
 
 
 @functools.lru_cache(maxsize=64)
@@ -362,7 +364,8 @@ def _card_groups(pairs):
     Play follows the model's edges, so it never leaves a component, and
     the game on a union is the disjoint union of its components' games.
     Every member of a group has the same card, so every clock cap the
-    sweeps derive from a bound (_cap_for) is the same for all of them.
+    sweeps derive from a bound (semantics.clock_cap) is the same for all
+    of them.
     """
     by_card = {}
     for model_idx, (model, mult) in enumerate(pairs):
@@ -418,7 +421,8 @@ def _check_games(sent, sent_idx, union, rows, gammas, max_positions,
     # Bit b < nb of the replay masks is gammas[b]; bit nb is the collapse
     # bound.  The game at the largest cap holds every smaller cap's game
     # as the edges whose announced clock value lies below that cap.
-    caps = tuple(_cap_for(g, model0) for g in gammas) + (max(1, card),)
+    caps = (tuple(semantics.clock_cap(g, model0) for g in gammas)
+            + (max(1, card),))
     ncaps = len(caps)
     game = EvalGame(union, union.states[0], sent, max(caps),
                     max_positions=max_positions)
@@ -539,8 +543,11 @@ def _pool_map(worker, jobs, workers):
     return tallies
 
 
+SWEEP_MAX_POSITIONS = 1_000_000  # position cap of one main-sweep game
+
+
 def run_main_sweep(sentences, max_states=2, gammas=(1, 2, 3, 4, OMEGA),
-                   workers=None, max_positions=1_000_000, seed=0,
+                   workers=None, max_positions=SWEEP_MAX_POSITIONS, seed=0,
                    samples_per_size=60):
     """Main-sweep tallies over the given sentence corpus."""
     trees = [s.tree() for s in sentences]
@@ -559,13 +566,8 @@ def _start_winners(graph, starts):
     a sweep asserts termination of every game it explores."""
     graph.topo_order()
     ids = [graph.pos_id[p] for p in starts]
-    win = graph.winners(ids)
+    win = graph.solve(ids)[0]
     return [win[i] for i in ids]
-
-
-def _root_winner(graph):
-    """Winner code at the root of a one-state exploration, position 0."""
-    return _start_winners(graph, graph.pos_list[:1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -574,34 +576,38 @@ def _root_winner(graph):
 def _ar_worker(args):
     codes, check_decrements = args
     tallies = _new_tallies(AR_PROPERTIES)
-    chi_sent = reduction.chi()
-    for n, edge_bits, val_bits in codes:
-        model = corpus.model_from_code(n, edge_bits, val_bits,
-                                       corpus.AR_PROPS)
-        ar_set = reduction.ar_winning_set(model)
-        chi_set = semantics.eval_standard(model, chi_sent)
-        key = (n, edge_bits, val_bits)
-        tallies["ar-chi"].add(
-            model.card, ar_set == chi_set, key,
-            (model, chi_sent, None, None, "ar-chi"))
-        # Counters start at f for every state, so one graph per clock
-        # policy holds every start state's game.
-        fb = variants.FBoundedGame(model, model.states[0], chi_sent, 1)
-        starts = [fb._root(si) for si in range(model.card)]
-        unit_win = _start_winners(fb._explore(model.states, True, True),
-                                  starts)
-        if check_decrements:
-            full_win = _start_winners(fb._explore(model.states), starts)
-        for si, state in enumerate(model.states):
-            verdict_e = unit_win[si] == _E
-            tallies["fbounded-chi"].add(
-                1, verdict_e == (state in ar_set), key,
-                (model, chi_sent, None, state, "fbounded-chi"))
-            if check_decrements:
-                tallies["fbounded-decrements"].add(
-                    1, (full_win[si] == _E) == verdict_e, key,
-                    (model, chi_sent, None, state, "fbounded-decrements"))
+    for code in codes:
+        _check_ar(corpus.model_from_code(*code, corpus.AR_PROPS), code,
+                  check_decrements, tallies)
     return tallies
+
+
+def _check_ar(model, key, check_decrements, tallies):
+    """The AR properties of one AR model: chi against the AR winning set,
+    and the two-counter game on chi with unit decrements against AR and,
+    when ``check_decrements``, against arbitrary decrements."""
+    chi_sent = reduction.chi()
+    ar_set = reduction.ar_winning_set(model)
+    chi_set = semantics.eval_standard(model, chi_sent)
+    tallies["ar-chi"].add(
+        model.card, ar_set == chi_set, key,
+        (model, chi_sent, None, None, "ar-chi"))
+    # Counters start at f for every state, so one graph per clock policy
+    # holds every start state's game.
+    fb = variants.FBoundedGame(model, model.states[0], chi_sent, 1)
+    starts = [fb._root(si) for si in range(model.card)]
+    unit_win = _start_winners(fb._explore(model.states, True, True), starts)
+    if check_decrements:
+        full_win = _start_winners(fb._explore(model.states), starts)
+    for si, state in enumerate(model.states):
+        verdict_e = unit_win[si] == _E
+        tallies["fbounded-chi"].add(
+            1, verdict_e == (state in ar_set), key,
+            (model, chi_sent, None, state, "fbounded-chi"))
+        if check_decrements:
+            tallies["fbounded-decrements"].add(
+                1, (full_win[si] == _E) == verdict_e, key,
+                (model, chi_sent, None, state, "fbounded-decrements"))
 
 
 AR_SAMPLES_PER_SIZE = 200  # seeded AR models per size above three states
@@ -707,13 +713,6 @@ class _FullMapGame(EvalGame):
         return ("set-clock", dst[2][self._slot[binder]])
 
 
-def fullmap_winner(model, state, sentence, bound,
-                   max_positions=FULLMAP_MAX_POSITIONS):
-    """Winner computed with explicit clock maps over every binder."""
-    game = _FullMapGame(model, state, sentence, bound, max_positions)
-    return ELOISE if _root_winner(game._explore([state])) == _E else ABELARD
-
-
 def _mode_worker(args):
     trees, start_idx, max_states, extra, gammas = args
     groups_by_vocab = {v: _card_groups(_model_classes(max_states, v,
@@ -736,7 +735,7 @@ def _check_policies(sent, sent_idx, union, members, gi, g, tallies):
     trips its position cap or has a cycle, the group runs again one
     member at a time, where the error propagates as it always has."""
     model0 = members[0][1]
-    cap = _cap_for(g, model0)  # an OMEGA bound means the member's card
+    cap = semantics.clock_cap(g, model0)  # OMEGA means the member's card
     game = EvalGame(union, union.states[0], sent, cap)
     fm = _FullMapGame(union, union.states[0], sent, cap,
                       FULLMAP_MAX_POSITIONS)
@@ -800,13 +799,15 @@ def run_normalize_checks(sentences, models, gammas=(2,)):
             ok = (semantics.eval_standard(model, shadowed)
                   == semantics.eval_standard(model, norm))
             for g in gammas:
-                ok = ok and (semantics.eval_bounded(model, shadowed, g)
-                             == semantics.eval_bounded(model, norm, g))
-                game = EvalGame(model, model.states[0], shadowed, g)
                 bset = semantics.eval_bounded(model, norm, g)
-                for state in model.states:
-                    ok = ok and ((_root_winner(game._explore([state])) == _E)
-                                 == (state in bset))
+                ok = ok and semantics.eval_bounded(model, shadowed, g) == bset
+                if ok:
+                    game = EvalGame(model, model.states[0], shadowed, g)
+                    win = _start_winners(
+                        game._explore(model.states),
+                        [game._root(si) for si in range(model.card)])
+                    ok = all((w == _E) == (state in bset)
+                             for w, state in zip(win, model.states))
             tallies["normalize-soundness"].add(
                 1, ok, (sent_idx, model_idx),
                 (model, shadowed, None, None, "normalize-soundness"))
@@ -821,21 +822,12 @@ def _shadow_binders(sent):
 # ---------------------------------------------------------------------------
 # Counterexample minimization.
 
-def _policy_winners(game, w):
-    """Winner codes at ``w`` when both players make only the largest clock
-    or counter choice, and when they make every choice: the comparison the
-    sweeps run, without the solver's own consistency check."""
-    greedy = _root_winner(game._explore([w], True, True))
-    full = _root_winner(game._explore([w]))
-    return greedy, full
+def _rerun(cex):
+    """Run the sweep's own check of a counterexample dict's property on
+    its one model, sentence and bound; returns that property's _Tally.
 
-
-def _recheck(cex):
-    """Re-run the failed property on a counterexample dict; True = holds.
-
-    Only a property's own failure signal reads as False (a strategy that
-    loses a playout raises StrategyError); any other exception is a crash
-    and propagates.
+    Main properties run with the bound as their only gamma, or none when
+    the counterexample names no bound.  Any exception propagates.
     """
     model = KripkeModel(cex["model"]["states"],
                         [tuple(e) for e in cex["model"]["edges"]],
@@ -843,83 +835,39 @@ def _recheck(cex):
     sent = F.parse(cex["formula"])
     prop = cex["property"]
     gamma = cex["gamma"]
-    if gamma is not None:
-        gamma = semantics.parse_bound(gamma)
-    state = cex["state"]
-    states = [state] if state else list(model.states)
-    if prop == "card-collapse":
-        return (semantics.eval_bounded(model, sent, max(1, model.card))
-                == semantics.eval_standard(model, sent))
-    if prop == "omega-standard":
-        return (semantics.eval_bounded(model, sent, OMEGA)
-                == semantics.eval_standard(model, sent))
-    if prop == "duality":
-        return (semantics.eval_standard(model, F.dual(sent))
-                == frozenset(model.states)
-                - semantics.eval_standard(model, sent))
-    if prop == "normalize-soundness":
-        norm = F.normalize(sent)
-        return (semantics.eval_standard(model, sent)
-                == semantics.eval_standard(model, norm))
-    if prop == "ar-chi":
-        return (reduction.ar_winning_set(model)
-                == semantics.eval_standard(model, reduction.chi()))
-    for w in states:
-        if prop == "game-vs-bounded":
-            game = EvalGame(model, w, sent, gamma)
-            winner, _ = game.solve("exhaustive")
-            bset = semantics.eval_bounded(model, sent, gamma)
-            if (winner == ELOISE) != (w in bset):
-                return False
-        elif prop == "strategy-playouts":
-            game = EvalGame(model, w, sent, gamma)
-            winner, strat = game.solve("exhaustive")
-            try:
-                game.validate_strategy(winner, strat)
-            except StrategyError:
-                return False
-        elif prop == "reduction-J":
-            game = EvalGame(model, w, sent, gamma)
-            winner, _ = game.solve("exhaustive")
-            reduced = reduction.build_position_model(model, w, sent, gamma)
-            if reduction.solve_ar(reduced.model, reduced.root) \
-                    != (winner == ELOISE):
-                return False
-        elif prop == "reduction-I":
-            reduced = reduction.reduce_mc(model, w, sent)
-            std = semantics.eval_standard(model, sent)
-            if reduction.solve_ar(reduced.model, reduced.root) \
-                    != (w in std):
-                return False
-        elif prop == "greedy-exhaustive":
-            greedy, full = _policy_winners(EvalGame(model, w, sent, gamma), w)
-            if greedy != full:
-                return False
-        elif prop == "canonical-fullmap":
-            game = EvalGame(model, w, sent, gamma)
-            if game.solve("exhaustive")[0] != fullmap_winner(
-                    model, w, sent, gamma):
-                return False
-        elif prop == "fbounded-chi":
-            verdict, _ = variants.solve_fbounded(model, w,
-                                                 reduction.chi(), 1)
-            if (verdict == ELOISE) != reduction.solve_ar(model, w):
-                return False
-        elif prop == "fbounded-decrements":
-            unit, full = _policy_winners(
-                variants.FBoundedGame(model, w, reduction.chi(), 1), w)
-            if unit != full:
-                return False
-    return True
+    bound = None if gamma is None else semantics.parse_bound(gamma)
+    groups = _card_groups([(model, 1)])
+    if prop in dict(MAIN_PROPERTIES):
+        tallies = _new_tallies(MAIN_PROPERTIES)
+        _check_sentence(sent, 0, {_sentence_vocab(sent): groups},
+                        () if bound is None else (bound,),
+                        SWEEP_MAX_POSITIONS, tallies)
+    elif prop in dict(MODE_PROPERTIES):
+        tallies = _new_tallies(MODE_PROPERTIES)
+        _check_policies(sent, 0, *groups[0], 0, bound, tallies)
+    elif prop in dict(AR_PROPERTIES):
+        tallies = _new_tallies(AR_PROPERTIES)
+        _check_ar(model, 0, model.card <= DECREMENT_MAX_STATES, tallies)
+    else:
+        tallies = run_normalize_checks([sent], [model])
+    return tallies[prop]
 
 
-def _fails(cex):
-    """True when the property fails on ``cex`` by its own verdict.  A crash
-    is a different fault, so it never counts as reproducing this one."""
+def _recheck(cex):
+    """True when the sweep's own check finds no failure on ``cex``; a
+    crash propagates."""
+    return _rerun(cex).failures == 0
+
+
+def _failing(cex):
+    """The rerun's own counterexample when the property fails on ``cex``
+    by its own verdict, else None.  A crash is a different fault, so it
+    never counts as reproducing this one."""
     try:
-        return not _recheck(cex)
+        tally = _rerun(cex)
     except Exception:
-        return False
+        return None
+    return tally.cex if tally.failures else None
 
 
 MINIMIZE_ROUNDS = 50  # shrink steps tried on one counterexample
@@ -950,12 +898,15 @@ def _shrinks(cex):
 def minimize_counterexample(cex):
     """Greedy shrink of a failing instance: drop edges, shrink valuations,
     move to closed subsentences, and lower finite bounds while the
-    property keeps failing.  A trial that crashes is not accepted."""
-    if not _fails(cex):
+    sweep's own check keeps failing.  Each step keeps the rerun's own
+    counterexample, so the state and bound reported are ones at which
+    that check fails.  A trial that crashes is not accepted."""
+    current = _failing(cex)
+    if current is None:
         return cex  # not reproducible in isolation; report as-is
-    current = dict(cex)
     for _ in range(MINIMIZE_ROUNDS):
-        smaller = next((t for t in _shrinks(current) if _fails(t)), None)
+        smaller = next((f for f in map(_failing, _shrinks(current))
+                        if f is not None and f != current), None)
         if smaller is None:
             break
         current = smaller
@@ -968,8 +919,7 @@ def minimize_counterexample(cex):
 def run_compare(max_states=2, max_binders=1, gammas=(1, 2, 3, 4, OMEGA),
                 seed=0, max_nodes=5, random_count=200, workers=None,
                 ar_max_states=3, mode_max_nodes=3, mode_random=60,
-                mode_extra_models=12, max_positions=1_000_000,
-                minimize=True, budget=None):
+                mode_extra_models=12, minimize=True, budget=None):
     """Run every agreement property; returns a CompareReport.
 
     Models up to ``max_states`` states are enumerated exhaustively; from
@@ -993,7 +943,7 @@ def run_compare(max_states=2, max_binders=1, gammas=(1, 2, 3, 4, OMEGA),
         sentences += corpus.random_sentences(random_count, seed, 9,
                                              max_binders)
         tallies.update(run_main_sweep(sentences, max_states, gammas, workers,
-                                      max_positions, seed=seed))
+                                      seed=seed))
         if over_budget():
             raise _BudgetExceeded
         tallies.update(run_ar_sweep(ar_max_states, workers, seed=seed))

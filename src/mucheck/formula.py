@@ -92,21 +92,22 @@ class Sentence:
 
     def __init__(self, tree):
         kinds, names, childlists, parents = [], [], [], []
-
-        def walk(node, parent_id):
-            kind, name, kids = node
+        # Pre-order with an explicit stack: a node's first child is
+        # numbered next, its second after the first child's subtree.
+        stack = [(tree, None)]
+        while stack:
+            (kind, name, kids), parent_id = stack.pop()
             nid = len(kinds)
             kinds.append(kind)
             names.append(name)
-            childlists.append(None)
+            childlists.append([])
             parents.append(parent_id)
-            childlists[nid] = tuple(walk(kid, nid) for kid in kids)
-            return nid
-
-        walk(tree, None)
+            if parent_id is not None:
+                childlists[parent_id].append(nid)
+            stack.extend([(kid, nid) for kid in reversed(kids)])
         self.kind = tuple(kinds)
         self.name = tuple(names)
-        self.children = tuple(childlists)
+        self.children = tuple(map(tuple, childlists))
         self.parent = tuple(parents)
         self._tree = tree
         self._hash = None
@@ -302,38 +303,40 @@ def parse(text, allow_free=False):
 # Rendering.  Atoms print bare; every compound subformula is parenthesized
 # except at the top level, so output is unambiguous and round-trips.
 
-def _render(tree):
-    kind, name, kids = tree
-    if kind == PROP:
-        return name
-    if kind == NEGPROP:
-        return "! " + name
-    if kind == LABEL:
-        return name
-    if kind == OR:
-        return _wrap(kids[0]) + " | " + _wrap(kids[1])
-    if kind == AND:
-        return _wrap(kids[0]) + " & " + _wrap(kids[1])
-    if kind == DIAMOND:
-        return "<> " + _wrap(kids[0])
-    if kind == BOX:
-        return "[] " + _wrap(kids[0])
-    if kind == MU:
-        return "mu " + name + ". " + _wrap(kids[0])
-    if kind == NU:
-        return "nu " + name + ". " + _wrap(kids[0])
-    raise ValueError(f"unknown node kind {kind!r}")
-
-
-def _wrap(tree):
-    if tree[0] in ATOM_KINDS:
-        return _render(tree)
-    return "(" + _render(tree) + ")"
+_PREFIX = {DIAMOND: "<> ", BOX: "[] ", MU: "mu ", NU: "nu "}
+_INFIX = {OR: " | ", AND: " & "}
 
 
 def render(s, node=0):
     """Canonical text for ``s`` (or for the subformula at ``node``)."""
-    return _render(s.tree(node))
+    kind, name, children = s.kind, s.name, s.children
+    out = []
+    stack = [node]  # node ids still to render, and text to emit as is
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        k = kind[item]
+        if k == PROP or k == LABEL:
+            out.append(name[item])
+            continue
+        if k == NEGPROP:
+            out.append("! " + name[item])
+            continue
+        kids = children[item]
+        if k in _INFIX:
+            parts = [kids[1], _INFIX[k], kids[0]]
+        elif k == MU or k == NU:
+            parts = [kids[0], _PREFIX[k] + name[item] + ". "]
+        elif k in _PREFIX:
+            parts = [kids[0], _PREFIX[k]]
+        else:
+            raise ValueError(f"unknown node kind {k!r}")
+        if item != node:
+            parts = [")", *parts, "("]
+        stack.extend(parts)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ attractor, for the free game and alternating reachability.
 from typing import NamedTuple
 
 from . import formula as F
-from .semantics import OMEGA, check_bound
+from .semantics import check_bound, clock_cap
 
 ELOISE = "Eloise"
 ABELARD = "Abelard"
@@ -445,8 +445,7 @@ class EvalGame(GameCore):
         super().__init__(model, state, sentence, max_positions)
         self.bound = bound
         # Clock values a binder may announce, largest first.
-        cap = model.card + 1 if bound is OMEGA else bound
-        self.clock_cap = cap
+        self.clock_cap = cap = clock_cap(bound, model)
         self._clock_choices = tuple(range(cap - 1, -1, -1))
         self._rf_slot = self.index.rf_slot
 
@@ -671,14 +670,11 @@ class _Graph:
                 i, row, k, mover = stack.pop()
         return win, pick
 
-    def winners(self, roots=None):
-        """Winner codes (0 Eloise, 1 Abelard) of the positions solving
-        from ``roots`` needs, ``_UNSET`` elsewhere; without ``roots``, of
-        every position, after checking the whole graph for a cycle."""
-        if roots is None:
-            self.topo_order()
-            roots = range(len(self.status))
-        return self.solve(roots)[0]
+    def winners(self):
+        """Winner codes (0 Eloise, 1 Abelard) of every position, after
+        checking the whole graph for a cycle."""
+        self.topo_order()
+        return self.solve(range(len(self.status)))[0]
 
 
 def _attractor(status, succs, player_code):

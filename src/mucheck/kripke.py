@@ -311,10 +311,8 @@ def generate_family(name, n):
         states = [f"w_{i}" for i in range(n + 1)]
         edges = [("w_0", f"w_{i}") for i in range(1, n + 1)]
         edges += [(f"w_{i + 1}", f"w_{i}") for i in range(n)]
-        seen = set()
-        uniq = [e for e in edges if not (e in seen or seen.add(e))]
         val = {"p": ["w_0"] if name == "starN" else ["w_1"]}
-        return KripkeModel(states, uniq, val)
+        return KripkeModel(states, edges, val)
     if name == "chain":
         states = [f"w_{i}" for i in range(n + 1)]
         edges = [(f"w_{i}", f"w_{i + 1}") for i in range(n)]

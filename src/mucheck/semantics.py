@@ -61,6 +61,12 @@ def bound_iterations(bound, model):
     return bound
 
 
+def clock_cap(bound, model):
+    """One above the largest clock value a binder may announce under the
+    bound: ``card(M) + 1`` for OMEGA, else the bound itself."""
+    return model.card + 1 if bound is OMEGA else bound
+
+
 def parse_bound(text):
     """Read a bound from CLI text: a positive integer or 'omega' / 'w'."""
     if text in ("omega", "w"):

@@ -1,9 +1,9 @@
-"""The benchmark harness runs its eval-game and reduce-export workloads
-end to end.
+"""The benchmark harness runs each of its four workloads end to end.
 
 ``bench/run.py`` checks every operation's output against its expected
-verdict and position counts, and every export against its stored sha256
-fingerprint; this runs the smallest configuration of each once.
+verdict and position counts, every export against its stored sha256
+fingerprint and every sweep slice against its exact instance counts;
+this runs the smallest configuration of each once.
 """
 
 import json
@@ -33,3 +33,11 @@ def test_eval_game_smoke_run_is_correct():
 
 def test_reduce_export_smoke_run_is_correct():
     smoke_run("reduce-export")
+
+
+def test_eval_standard_smoke_run_is_correct():
+    smoke_run("eval-standard")
+
+
+def test_sweep_smoke_run_is_correct():
+    smoke_run("sweep")

@@ -206,13 +206,24 @@ def test_eval_deeply_nested_model_json_is_an_input_error(tmp_path, capsys):
 
 
 def test_eval_deep_formula_is_internal_error(m1_path, tmp_path, capsys):
-    """A crash (here the recursion limit on 500 nested diamonds) exits with
-    the internal-error code, never with a verdict code."""
+    """500 nested diamonds get a verdict, in text and JSON alike.  A crash
+    (here the recursion limit of the parser on 400 nested parentheses)
+    exits with the internal-error code, never with a verdict code."""
     from mucheck.cli import EXIT_INTERNAL
     path = tmp_path / "deep.mu"
     path.write_text("<>" * 500 + "p")
-    code, out, err = run(["eval", "--model", m1_path, "--formula-file",
-                          str(path), "--state", "a"], capsys)
+    argv = ["eval", "--model", m1_path, "--formula-file", str(path),
+            "--state", "a"]
+    code, out, err = run(argv, capsys)
+    assert code in (0, 1) and out.strip() == ("true", "false")[code]
+    assert err == ""
+    code_json, out, err = run(argv + ["--json"], capsys)
+    assert code_json == code and err == ""
+    payload = json.loads(out)
+    assert payload["verdict"] == ("true", "false")[code]
+    assert payload["formula"] == "<> (" * 499 + "<> p" + ")" * 499
+    path.write_text("(" * 400 + "p" + ")" * 400)
+    code, out, err = run(argv, capsys)
     assert code == EXIT_INTERNAL
     assert code not in (0, 1, 2, 3, 10, 11, 12, 13)
     assert out == ""
@@ -226,6 +237,33 @@ def test_eval_position_cap(m1_path, capsys):
                         "--semantics", "bounded:3", "--max-positions", "5"],
                        capsys)
     assert code == 11
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["play", "--gamma", "3", "--max-positions", "5"], "while exploring"),
+    (["eval", "--semantics", "fbounded:1", "--max-positions", "5"],
+     "while exploring"),
+    # The DAG has 63 positions and the tree 3,213: only the unfolding
+    # trips this cap.
+    (["reduce", "--tree", "--gamma", "3", "--max-positions", "100"],
+     "position cap 100 exceeded while unfolding"),
+])
+def test_position_cap_exits_with_the_cap_code(m1_path, capsys, monkeypatch,
+                                              argv, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code, out, err = run(argv + ["--model", m1_path, "--formula",
+                                 "nu X. [] mu Y. (<>Y | (p & X))",
+                                 "--state", "a"], capsys)
+    assert code == 11
+    assert err.startswith("error: position cap") and message in err
+
+
+def test_compare_budget_exits_with_the_partial_code(capsys):
+    code, out, _ = run(["compare", "--max-states", "1", "--max-nodes", "1",
+                        "--random-count", "1", "--ar-max-states", "1",
+                        "--workers", "1", "--budget", "0"], capsys)
+    assert code == 12
+    assert "partial report" in out
 
 
 def test_play_as_abelard_machine_wins(star3_path, capsys, monkeypatch):

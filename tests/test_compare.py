@@ -91,18 +91,28 @@ def test_mode_sweep_small():
     assert tallies["canonical-fullmap"].failures == 0
 
 
+def _fullmap_winner(model, w, sent, gamma,
+                    max_positions=compare.FULLMAP_MAX_POSITIONS):
+    """Winner code at ``w`` of the full-clock-map game, solved as the
+    clock-policy sweep solves it."""
+    game = compare._FullMapGame(model, w, sent, gamma, max_positions)
+    root = game._root(model.state_index(w))
+    return compare._start_winners(game._explore([w]), [root])[0]
+
+
 def test_fullmap_winner_matches_solver(m1, afp):
-    from mucheck.game import EvalGame
+    from mucheck.game import ELOISE, EvalGame, _E
     for gamma in (1, 2, 3):
         for w in m1.states:
-            assert compare.fullmap_winner(m1, w, afp, gamma) \
-                == EvalGame(m1, w, afp, gamma).solve("exhaustive")[0]
+            winner, _ = EvalGame(m1, w, afp, gamma).solve("exhaustive")
+            assert (_fullmap_winner(m1, w, afp, gamma) == _E) \
+                == (winner == ELOISE)
 
 
 def test_fullmap_winner_respects_its_position_cap(m1, afp):
     from mucheck.game import GameLimitError
     with pytest.raises(GameLimitError):
-        compare.fullmap_winner(m1, "a", afp, 3, max_positions=5)
+        _fullmap_winner(m1, "a", afp, 3, max_positions=5)
 
 
 def test_fullmap_oracle_owns_its_clock_rule(monkeypatch):
@@ -225,7 +235,7 @@ def _kernel(model, sent, gammas):
     from mucheck import reduction
     from mucheck.game import EvalGame
     bounds = list(gammas) + [max(1, model.card)]
-    caps = [compare._cap_for(g, model) for g in bounds]
+    caps = [semantics.clock_cap(g, model) for g in bounds]
     game = EvalGame(model, model.states[0], sent, max(caps))
     graph = game._explore(model.states)
     tags = compare._edge_tags(game, graph)
@@ -368,16 +378,85 @@ def test_recheck_propagates_crashes_and_minimizer_rejects_them(m1,
     assert compare._recheck(smaller) is False
 
 
-def test_recheck_reads_a_losing_strategy_as_failure(m1, monkeypatch):
-    from mucheck.game import EvalGame, StrategyError
+def _cex_on(model, prop, gamma="2", state="a", formula="mu X. (p | [] X)"):
+    return {"property": prop, "model": model.to_json_dict(),
+            "formula": formula, "gamma": gamma, "state": state}
 
-    def losing(self, winner, strategy):
-        raise StrategyError("strategy reached a position lost")
 
-    monkeypatch.setattr(EvalGame, "validate_strategy", losing)
-    cex = {"property": "strategy-playouts", "model": m1.to_json_dict(),
-           "formula": "mu X. (p | [] X)", "gamma": "2", "state": "a"}
+def test_recheck_runs_the_sweeps_own_playouts(m1, monkeypatch):
+    """A wrong winner fails the sweep's playout pass; the recheck runs
+    that pass, so it sees the failure and the minimizer can shrink."""
+    _wrong_first_winner(monkeypatch)
+    cex = _cex_on(m1, "strategy-playouts")
     assert compare._recheck(cex) is False
+    smaller = compare.minimize_counterexample(cex)
+    assert smaller["model"]["edges"] == [] and smaller["formula"] == "p"
+    assert smaller["gamma"] == "1" and smaller["state"] == "a"
+
+
+def _cyclic_graphs(monkeypatch):
+    from mucheck.game import _CYCLE, _Graph
+
+    def cyclic(self):
+        raise RuntimeError(_CYCLE)
+
+    monkeypatch.setattr(_Graph, "topo_order", cyclic)
+
+
+def test_termination_counterexample_reruns_as_failing(monkeypatch):
+    _cyclic_graphs(monkeypatch)
+    tallies = compare.run_main_sweep(small_sentences()[:4], max_states=1,
+                                     gammas=(1,), workers=1)
+    tally = tallies["termination"]
+    assert tally.failures == tally.instances > 0
+    assert tally.cex["property"] == "termination"
+    assert compare._recheck(tally.cex) is False
+
+
+@pytest.mark.parametrize("fault", ["winner", "cycle"])
+def test_minimized_counterexamples_fail_where_they_say(m1, monkeypatch,
+                                                       fault):
+    """Started from a state and bound where nothing fails, every minimized
+    counterexample names a state and bound at which the sweep's own
+    check fails."""
+    if fault == "winner":
+        _wrong_first_winner(monkeypatch)
+        starts = [_cex_on(m1, prop, state="b")
+                  for prop in ("game-vs-bounded", "reduction-J",
+                               "strategy-playouts")]
+    else:
+        _cyclic_graphs(monkeypatch)
+        starts = [_cex_on(m1, "termination", gamma=None, state=None)]
+    for cex in starts:
+        smaller = compare.minimize_counterexample(cex)
+        assert smaller != cex
+        rerun = compare._rerun(smaller)
+        assert rerun.failures > 0
+        assert (rerun.cex["state"], rerun.cex["gamma"]) \
+            == (smaller["state"], smaller["gamma"])
+        if fault == "winner":
+            assert smaller["state"] == "a"
+
+
+def test_every_property_rechecks_as_holding_on_a_sound_build(m1):
+    from mucheck import formula as F, reduction
+    ar_model = corpus.model_from_code(2, 0b1011, 0b0110, corpus.AR_PROPS)
+    chi = F.render(reduction.chi())
+    gammas = {"card-collapse": "2", "omega-standard": "omega",
+              "termination": None, "reduction-I": None, "duality": None}
+    props = (compare.MAIN_PROPERTIES + compare.AR_PROPERTIES
+             + compare.MODE_PROPERTIES + compare.EXTRA_PROPERTIES)
+    assert len(props) == 14
+    for prop, _ in props:
+        if prop in dict(compare.AR_PROPERTIES):
+            cex = _cex_on(ar_model, prop, None, None, chi)
+        elif prop == "normalize-soundness":
+            cex = _cex_on(m1, prop, None, None,
+                          "nu X. ((mu X. (p | <> X)) & [] X)")
+        else:
+            cex = _cex_on(m1, prop, gammas.get(prop, "2"))
+        tally = compare._rerun(cex)
+        assert tally.instances > 0 and tally.failures == 0, prop
 
 
 # ---------------------------------------------------------------------------
