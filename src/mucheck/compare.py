@@ -33,6 +33,7 @@ ones at which it fails there.
 """
 
 import functools
+import json
 import multiprocessing
 import os
 import random
@@ -345,14 +346,14 @@ def _disjoint_union(models):
     states.  A model on its own is its own union."""
     if len(models) == 1:
         return models[0]
-    states, edges, val = [], [], {}
+    states, rows, val = [], [], {}
     for k, model in enumerate(models):
-        name = {w: f"{k}:{w}" for w in model.states}
-        states.extend(name[w] for w in model.states)
-        edges.extend((name[a], name[b]) for a, b in model.relation)
-        for p, ws in model.valuation.items():
-            val.setdefault(p, []).extend(name[w] for w in ws)
-    return KripkeModel(states, edges, val)
+        offset = k * model.card
+        states += [f"{k}:{w}" for w in model.states]
+        rows += [[j + offset for j in row] for row in model._succ]
+        for p, mask in model._val_mask.items():
+            val[p] = val.get(p, 0) | mask << offset
+    return KripkeModel._from_rows(states, rows, val)
 
 
 def _card_groups(pairs):
@@ -412,7 +413,8 @@ def _check_games(sent, sent_idx, union, rows, gammas, max_positions,
     ``rows`` holds per member ``(model_idx, model, mult, std, bounded)``:
     its standard and bounded truth sets.  When the union's game trips the
     position cap or has a cycle, the group runs again one member at a
-    time, so termination and the cap stay per (sentence, model).
+    time, so termination and the cap stay per (sentence, model): there a
+    cycle fails termination, and a cap hit propagates.
     """
     nb = len(gammas)
     gbits = (1 << nb) - 1
@@ -430,7 +432,11 @@ def _check_games(sent, sent_idx, union, rows, gammas, max_positions,
         graph = game._explore(union.states)
         graph.topo_order()
         acyclic = True
-    except (RuntimeError, GameLimitError):
+    except (RuntimeError, GameLimitError) as exc:
+        if len(rows) == 1 and isinstance(exc, GameLimitError):
+            raise GameLimitError(
+                f"{exc}: {F.render(sent)} on the model "
+                f"{json.dumps(model0.to_json_dict())}") from None
         acyclic = False
     if not acyclic and len(rows) > 1:
         for row in rows:

@@ -27,15 +27,11 @@ def model_from_code(n, edge_bits, val_bits, props):
     Edge bit i*n+j encodes s_i -> s_j; valuation bits pack one state set
     per proposition, in order.
     """
-    states = state_names(n)
-    edges = [(states[i], states[j])
-             for i in range(n) for j in range(n)
-             if edge_bits >> (i * n + j) & 1]
-    val = {}
-    for k, p in enumerate(props):
-        chunk = val_bits >> (k * n) & ((1 << n) - 1)
-        val[p] = [states[i] for i in range(n) if chunk >> i & 1]
-    return KripkeModel(states, edges, val)
+    full = (1 << n) - 1
+    rows = [[j for j in range(n) if edge_bits >> (i * n + j) & 1]
+            for i in range(n)]
+    val = {p: val_bits >> (k * n) & full for k, p in enumerate(props)}
+    return KripkeModel._from_rows(state_names(n), rows, val)
 
 
 def all_model_codes(n, props):
@@ -154,10 +150,6 @@ def random_sentences(count, seed, max_nodes, max_binders, props=("p", "q")):
 # AR models (vocabulary p_B / q_B).
 
 AR_PROPS = ("p_B", "q_B")
-
-
-def all_ar_models(max_states):
-    yield from all_models(max_states, AR_PROPS)
 
 
 def random_ar_model(rng, n):

@@ -1,9 +1,9 @@
 """Finite pointed Kripke models: validation, JSON I/O, example families."""
 
 import json
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
+from operator import add, mul
 
 
 class ModelError(Exception):
@@ -49,16 +49,24 @@ def _json_edges(srcs, dsts, count):
     return "".join(parts)
 
 
+def _ids(mask):
+    """The indices of the bits set in ``mask``, lowest first."""
+    return compress(count(), map("1".__eq__, bin(mask)[:1:-1]))
+
+
 class KripkeModel:
     """A finite Kripke model (states, transition relation, valuation).
 
     States keep the order they were declared in; that order is the "model
     order" used for deterministic successor enumeration.  Instances are
-    immutable after construction.
+    immutable after construction.  Integer rows and masks are the model:
+    sorted successor ids per state (``_succ``), a state bitmask per
+    proposition (``_val_mask``) and each distinct edge's ids in first-seen
+    order (``_edges``); ``relation`` and ``valuation`` build names on read.
     """
 
-    __slots__ = ("states", "relation", "valuation", "_index", "_succ",
-                 "_masks", "_val_mask", "_full_mask")
+    __slots__ = ("states", "_index", "_edges", "_succ", "_masks",
+                 "_val_mask", "_full_mask")
 
     def __init__(self, states, edges, valuation):
         states = tuple(states)
@@ -68,68 +76,52 @@ class KripkeModel:
         index = dict(zip(states, range(n)))
         if len(index) != n:
             raise ModelError("duplicate state identifiers")
-        get = index.get
 
-        seen = set()  # edge keys i * n + j
-        relation = []
+        names = list(chain.from_iterable(edges))  # src, dst, src, ...
+        ids = list(map(index.get, names))
+        if None in ids:
+            w = names[ids.index(None)]
+            raise ModelError(f"edge references unknown state {w!r}")
+        src, dst = ids[0::2], ids[1::2]
+        keys = dict.fromkeys(map(add, map(mul, src, repeat(n)), dst))
+        if len(keys) < len(src):  # keep the first of repeated edges
+            src, dst = zip(*map(divmod, keys, repeat(n)))
         succ = [[] for _ in states]
-        for edge in edges:
-            src, dst = edge
-            i = get(src)
-            if i is None:
-                raise ModelError(f"edge references unknown state {src!r}")
-            j = get(dst)
-            if j is None:
-                raise ModelError(f"edge references unknown state {dst!r}")
-            key = i * n + j
-            if key not in seen:
-                seen.add(key)
-                relation.append((src, dst))
-                succ[i].append(j)
+        for i, j in zip(src, dst):
+            succ[i].append(j)
 
-        val = {}
         val_mask = {}
         for p, ws in dict(valuation).items():
             ws = tuple(ws)
-            mask = 0
-            for w in ws:
-                i = get(w)
-                if i is None:
-                    raise ModelError(
-                        f"valuation of {p!r} references unknown state {w!r}")
-                mask |= 1 << i
-            val[p] = frozenset(ws)
-            val_mask[p] = mask
-        self._fill(states, index, tuple(relation), succ, val, val_mask)
+            ids = list(map(index.get, ws))
+            if None in ids:
+                w = ws[ids.index(None)]
+                raise ModelError(
+                    f"valuation of {p!r} references unknown state {w!r}")
+            val_mask[p] = sum(map((1).__lshift__, set(ids)))
+        self._fill(states, index, (tuple(src), tuple(dst)), succ, val_mask)
 
     @classmethod
-    def _from_rows(cls, states, rows, valuation):
-        """The model ``KripkeModel(states, edges, val)`` where ``edges``
-        lists ``(states[i], states[j])`` for each ``j`` in ``rows[i]``,
-        row by row, and ``val`` maps each proposition to
-        ``[states[i] for i in ids]``; built from the integers without
-        looking up a single name.  ``states`` must be unique, every index
-        in range, and no row may repeat an index (a game position's moves
-        lead to distinct positions)."""
+    def _from_rows(cls, states, rows, val_mask):
+        """The model whose edges are ``(states[i], states[j])`` for each
+        ``j`` in ``rows[i]``, row by row, and whose proposition p holds
+        where ``val_mask[p]`` sets a bit, built without looking up a name.
+        ``states`` must be unique, every index in range, and no row may
+        repeat an index."""
         self = cls.__new__(cls)
         states = tuple(states)
         n = len(states)
-        name = states.__getitem__
-        relation = tuple(zip(
-            map(name, chain.from_iterable(map(repeat, range(n),
-                                              map(len, rows)))),
-            map(name, chain.from_iterable(rows))))
-        val = {p: frozenset(map(name, ids)) for p, ids in valuation.items()}
-        val_mask = {p: sum(1 << i for i in ids) for p, ids in valuation.items()}
-        self._fill(states, dict(zip(states, range(n))), relation, rows, val,
-                   val_mask)
+        edges = (tuple(chain.from_iterable(map(repeat, range(n),
+                                               map(len, rows)))),
+                 tuple(chain.from_iterable(rows)))
+        self._fill(states, dict(zip(states, range(n))), edges, rows,
+                   dict(val_mask))
         return self
 
-    def _fill(self, states, index, relation, succ, val, val_mask):
+    def _fill(self, states, index, edges, succ, val_mask):
         self.states = states
-        self.relation = relation
-        self.valuation = val
         self._index = index
+        self._edges = edges
         self._succ = tuple(map(tuple, map(sorted, succ)))
         self._masks = None
         self._val_mask = val_mask
@@ -138,6 +130,18 @@ class KripkeModel:
     @property
     def card(self):
         return len(self.states)
+
+    @property
+    def relation(self):
+        """The distinct edges as name pairs in first-seen order."""
+        name = self.states.__getitem__
+        src, dst = self._edges
+        return tuple(zip(map(name, src), map(name, dst)))
+
+    @property
+    def valuation(self):
+        """Each proposition's states as a frozenset of names."""
+        return {p: self.mask_to_states(m) for p, m in self._val_mask.items()}
 
     def succ_pred_masks(self):
         """Successor and predecessor bitmasks, one int per state.
@@ -166,7 +170,7 @@ class KripkeModel:
         return tuple(self.states[i] for i in self._succ[self.state_index(w)])
 
     def states_true(self, p):
-        return self.valuation.get(p, frozenset())
+        return self.mask_to_states(self._val_mask.get(p, 0))
 
     def mask_to_states(self, mask):
         return frozenset(w for i, w in enumerate(self.states) if mask >> i & 1)
@@ -175,11 +179,12 @@ class KripkeModel:
         return sum(1 << self.state_index(w) for w in set(ws))
 
     def to_json_dict(self):
+        name = self.states.__getitem__
         return {
             "states": list(self.states),
-            "edges": [list(e) for e in self.relation],
-            "val": {p: sorted(ws, key=self.state_index)
-                    for p, ws in sorted(self.valuation.items())},
+            "edges": list(map(list, self.relation)),
+            "val": {p: list(map(name, _ids(mask)))
+                    for p, mask in sorted(self._val_mask.items())},
         }
 
     def json_text(self):
@@ -193,31 +198,25 @@ class KripkeModel:
         when the caller has them already."""
         if quoted is None:
             quoted = list(map(_quote, self.states))
-        index = self._index.__getitem__
-        name = dict(zip(self.states, quoted)).__getitem__
+        name = quoted.__getitem__
+        src, dst = self._edges
         yield _json_block('"states": ', "[]", quoted, 1)
-        relation = self.relation
-        yield _json_edges(map(name, map(itemgetter(0), relation)),
-                          map(name, map(itemgetter(1), relation)),
-                          len(relation))
+        yield _json_edges(map(name, src), map(name, dst), len(src))
         yield _json_block('"val": ', "{}", (
-            _json_block(_quote(p) + ": ", "[]", map(
-                quoted.__getitem__, sorted(map(index, self.valuation[p]))), 2)
-            for p in sorted(self.valuation)), 1)
+            _json_block(_quote(p) + ": ", "[]", map(name, _ids(mask)), 2)
+            for p, mask in sorted(self._val_mask.items())), 1)
 
     def __eq__(self, other):
         if not isinstance(other, KripkeModel):
             return NotImplemented
-        return (self.states == other.states
-                and set(self.relation) == set(other.relation)
-                and self.valuation == other.valuation)
+        return (self.states == other.states and self._succ == other._succ
+                and self._val_mask == other._val_mask)
 
     def __hash__(self):
-        return hash((self.states, frozenset(self.relation)))
+        return hash((self.states, self._succ))
 
     def __repr__(self):
-        return (f"KripkeModel(states={len(self.states)}, "
-                f"edges={len(self.relation)})")
+        return f"KripkeModel(states={self.card}, edges={len(self._edges[0])})"
 
 
 def load_model(data):

@@ -11,7 +11,7 @@ makes the AR game on the export play out exactly like the evaluation
 game.
 """
 
-from itertools import compress
+from itertools import compress, count
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add
 
@@ -41,7 +41,7 @@ def chi():
 
 
 def check_ar_vocabulary(model):
-    extra = set(model.valuation) - {P_B, Q_B}
+    extra = set(model._val_mask) - {P_B, Q_B}
     if extra:
         raise VocabularyError(
             f"AR models only carry p_B and q_B, found {sorted(extra)}")
@@ -209,9 +209,9 @@ def build_position_model(model, state, sentence, bound, tree=False,
                  for si, node, clocks in graph.pos_list]
         pos_of = range(len(names))
         rows = graph.succs
-    ids = range(len(names))
-    val = {P_B: list(compress(ids, map(p_flags.__getitem__, pos_of))),
-           Q_B: list(compress(ids, map(q_flags.__getitem__, pos_of)))}
+    val = {prop: sum(1 << i for i in compress(
+               count(), map(flags.__getitem__, pos_of)))
+           for prop, flags in ((P_B, p_flags), (Q_B, q_flags))}
     reduced = KripkeModel._from_rows(names, rows, val)
     return ReducedModel(reduced, names[0], game, graph.pos_list, pos_of)
 

@@ -8,6 +8,7 @@ graph sharing.  Only usable on tiny instances.
 from mucheck import formula as F
 from mucheck.formula import BINDER_KINDS
 from mucheck.game import ABELARD, ELOISE
+from mucheck.kripke import KripkeModel
 from mucheck.variants import UNDETERMINED
 
 TOP = "top"
@@ -255,3 +256,18 @@ def naive_box(model, target):
     """States whose successors all lie in ``target``, by scanning."""
     return sum(1 << i for i, succs in enumerate(model._succ)
                if all(target >> v & 1 for v in succs))
+
+
+def union_by_names(models):
+    """The disjoint union of same-card models built through state names:
+    state ``w`` of the k-th model is named ``k:w``."""
+    if len(models) == 1:
+        return models[0]
+    states, edges, val = [], [], {}
+    for k, model in enumerate(models):
+        name = {w: f"{k}:{w}" for w in model.states}
+        states.extend(name[w] for w in model.states)
+        edges.extend((name[a], name[b]) for a, b in model.relation)
+        for p, ws in model.valuation.items():
+            val.setdefault(p, []).extend(name[w] for w in ws)
+    return KripkeModel(states, edges, val)

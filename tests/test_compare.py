@@ -1,9 +1,14 @@
 """The agreement harness itself: self-tests and counterexample machinery."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mucheck import compare, corpus, semantics
 from mucheck.semantics import OMEGA
+from naive_oracles import union_by_names
 
 
 def small_sentences():
@@ -626,6 +631,12 @@ def test_union_over_the_position_cap_runs_one_model_at_a_time(monkeypatch):
     assert capped == uncapped
     assert capped["termination"][1] == 0
     assert sum(len(args[3]) == 1 for args in calls) > len(calls) // 2
+    # A cap that one model's own game exceeds still stops the sweep.
+    from mucheck.game import GameLimitError
+    with pytest.raises(GameLimitError):
+        compare.run_main_sweep(small_sentences(), max_states=2,
+                               gammas=(1, 2, OMEGA), workers=1,
+                               max_positions=20)
 
 
 def test_mode_union_over_the_fullmap_cap_runs_one_model_at_a_time(
@@ -645,6 +656,18 @@ def test_mode_union_over_the_fullmap_cap_runs_one_model_at_a_time(
     with pytest.raises(GameLimitError):
         compare.run_mode_sweep(sents, max_states=2, gammas=(1, 2),
                                workers=1)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 5))
+def test_union_from_rows_matches_the_union_by_names(seed, card, count):
+    rng = random.Random(seed)
+    models = [corpus.random_model(rng, card) for _ in range(count)]
+    got = compare._disjoint_union(models)
+    ref = union_by_names(models)
+    assert got.states == ref.states
+    assert got._succ == ref._succ
+    assert got._val_mask == ref._val_mask
 
 
 def test_start_winners_check_the_whole_graph():

@@ -2,8 +2,11 @@
 
 import json
 import pickle
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mucheck.formula import parse
 from mucheck.game import EvalGame
@@ -100,6 +103,61 @@ def test_load_model_error_messages(text, message):
     with pytest.raises(ModelError) as err:
         load_model(text)
     assert str(err.value) == message
+
+
+# Every message load_model documents for a model file object that holds
+# "states", "edges" and "val".
+MESSAGES = re.compile("|".join([
+    "'states' must be an array of strings",
+    "'edges' must be an array",
+    "every edge must be a 2-array of state names",
+    "'val' must be an object",
+    "valuation of .* must be an array of states",
+    "a Kripke model needs at least one state",
+    "duplicate state identifiers",
+    "edge references unknown state .*",
+    "valuation of .* references unknown state .*",
+]), re.DOTALL)
+
+NAME = st.sampled_from(["a", "b", "c"])
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | NAME | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(NAME, inner, max_size=3), max_leaves=8)
+
+
+@st.composite
+def model_files(draw):
+    """The "states", "edges" and "val" of a model file.  At most one of
+    them is an arbitrary JSON value or a wrongly shaped array; the others
+    hold names, some unknown or repeated, so that many files are models."""
+    bad = draw(st.sampled_from([None, None, "states", "edges", "val"]))
+    states = draw(JSON if bad == "states" else
+                  st.lists(NAME, min_size=1, max_size=3))
+    known = states if type(states) is list and states else ["a"]
+    name = st.sampled_from(known) | st.sampled_from(known + ["z"])
+    edges = draw(st.lists(st.lists(name, min_size=2, max_size=2),
+                          max_size=6) if bad != "edges" else
+                 JSON | st.lists(st.lists(name, max_size=3), max_size=3))
+    val = draw(JSON if bad == "val" else st.dictionaries(
+        st.text(max_size=2), st.lists(name, max_size=4), max_size=3))
+    return states, edges, val
+
+
+@settings(max_examples=400)
+@given(model_files())
+def test_malformed_model_files_fail_with_a_documented_message(drawn):
+    states, edges, val = drawn
+    try:
+        model = load_model(json.dumps({"states": states, "edges": edges,
+                                       "val": val}))
+    except ModelError as err:
+        assert MESSAGES.fullmatch(str(err)), str(err)
+    else:
+        ref = KripkeModel(states, edges, val)
+        assert model == ref
+        assert model.relation == ref.relation
 
 
 def test_load_model_invalid_json_message():

@@ -2,10 +2,10 @@
 
 ``KripkeModel.json_text`` and ``ReducedModel.json_text`` lay the file out
 themselves, so their text is compared here with what ``json.dumps`` makes
-of ``to_json_dict()``: on arbitrary text names (quotes, backslashes,
-control characters, non-ASCII text, lone surrogates), on empty edge
-lists and valuations, and on the exports of random small instances,
-DAG and tree.
+of a dict built from the drawn names, or of ``to_json_dict()`` for
+reduced models: on arbitrary text names (quotes, backslashes, control
+characters, non-ASCII text, lone surrogates), on empty edge lists and
+valuations, and on the exports of random small instances, DAG and tree.
 """
 
 import json
@@ -29,22 +29,35 @@ def dumps(model):
 
 
 @st.composite
-def models(draw):
+def drawn_models(draw):
+    """States, edges and valuation by name, as ``KripkeModel`` takes them."""
     states = draw(st.lists(NAMES, min_size=1, max_size=8, unique=True))
     n = len(states)
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                     st.integers(0, n - 1)), max_size=20))
     val = draw(st.dictionaries(
         NAMES, st.lists(st.integers(0, n - 1), max_size=2 * n), max_size=4))
-    return KripkeModel(states, [(states[i], states[j]) for i, j in pairs],
-                       {p: [states[i] for i in ids] for p, ids in val.items()})
+    return (states, [(states[i], states[j]) for i, j in pairs],
+            {p: [states[i] for i in ids] for p, ids in val.items()})
 
 
 @settings(max_examples=300)
-@given(models())
-def test_model_text_is_json_dumps(model):
+@given(drawn_models())
+def test_model_text_is_json_dumps(drawn):
+    """The file is that of a dict built here from the drawn names: each
+    edge once, where it first appears, and each proposition's states
+    once, in state order."""
+    states, edges, val = drawn
+    model = KripkeModel(states, edges, val)
+    relation = tuple(dict.fromkeys(edges))
+    expected = {"states": states, "edges": [list(e) for e in relation],
+                "val": {p: sorted(set(ws), key=states.index)
+                        for p, ws in sorted(val.items())}}
     text = model.json_text()
-    assert text == dumps(model)
+    assert text == json.dumps(expected, indent=2) + "\n"
+    assert model.to_json_dict() == expected
+    assert model.relation == relation
+    assert model.valuation == {p: frozenset(ws) for p, ws in val.items()}
     again = load_model(text)
     assert again == model
     assert again.relation == model.relation

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from mucheck import formula as F
-from mucheck.corpus import (all_ar_models, all_sentences, random_model,
-                            random_sentences)
+from mucheck.corpus import (AR_PROPS, all_models, all_sentences,
+                            random_model, random_sentences)
 from mucheck.formula import dual, parse, render
 from mucheck.game import ELOISE, EvalGame, GameLimitError
 from mucheck.kripke import KripkeModel, generate_family, load_model
@@ -26,12 +26,12 @@ def test_chi_round_trip():
 
 
 def test_chi_defines_ar_on_two_state_models():
-    for m in all_ar_models(2):
+    for m in all_models(2, AR_PROPS):
         assert ar_winning_set(m) == eval_standard(m, chi())
 
 
 def test_dual_chi_complements_winning_set():
-    for m in list(all_ar_models(2))[::3]:
+    for m in list(all_models(2, AR_PROPS))[::3]:
         full = frozenset(m.states)
         assert eval_standard(m, dual(chi())) == full - ar_winning_set(m)
 
