@@ -12,7 +12,10 @@ The main and clock-policy sweeps group the models by card and play one
 game per (sentence, card group), on the disjoint union of the group's
 models.  Play follows the model's edges and never leaves a component, so
 that game is the disjoint union of the models' games, and its results
-map back to each model; the compositional engines still run per model.
+map back to each model.  The main sweep runs the compositional engines
+on that union too, once per bound, and keeps their results as state
+bitmasks: each model reads its own slice, and states get names only in
+a counterexample.
 The main sweep builds its position graph at the largest clock bound and
 replays it under every bound at once: each position carries a bitmask
 with one bit per bound, so one backward pass yields the winners and AR
@@ -377,30 +380,41 @@ def _card_groups(pairs):
 
 def _check_sentence(sent, sent_idx, groups_by_vocab, gammas, max_positions,
                     tallies):
-    """All main-sweep properties for one sentence across its model classes:
-    the compositional ones per model, the game ones per card group."""
+    """All main-sweep properties for one sentence across its model classes,
+    per card group: the compositional engines run once on the group's
+    union model (semantics.eval_group), one call per distinct bound, and
+    each member reads its own slice of the resulting state bitmasks."""
     dual_sent = F.dual(sent)
     for union, members in groups_by_vocab[_sentence_vocab(sent)]:
+        model0 = members[0][1]
+        card = model0.card
+        full = model0._full_mask
+        cap0 = max(1, card)  # the collapse bound
+        std = semantics.eval_group(union, model0, sent)
+        dual = semantics.eval_group(union, model0, dual_sent)
+        # Keyed by bound, not by iteration count: the standard result is
+        # never derived from a bounded one, nor one bound's from another's.
+        bounded = {}
+        for g in (cap0, OMEGA) + gammas:
+            if g not in bounded:
+                bounded[g] = semantics.eval_group(union, model0, sent, g)
         rows = []
-        for model_idx, model, mult in members:
+        for k, (model_idx, model, mult) in enumerate(members):
+            shift = k * card
+            std_k = std >> shift & full
+            bounded_k = {g: mask >> shift & full
+                         for g, mask in bounded.items()}
             key0 = (sent_idx, model_idx)
-            cap0 = max(1, model.card)  # the collapse bound
-            std = semantics.eval_standard(model, sent)
-            bounded = {}
-            for g in (cap0, OMEGA) + gammas:
-                if g not in bounded:
-                    bounded[g] = semantics.eval_bounded(model, sent, g)
             tallies["card-collapse"].add(
-                mult, bounded[cap0] == std, key0,
+                mult, bounded_k[cap0] == std_k, key0,
                 (model, sent, cap0, None, "card-collapse"))
             tallies["omega-standard"].add(
-                mult, bounded[OMEGA] == std, key0,
+                mult, bounded_k[OMEGA] == std_k, key0,
                 (model, sent, OMEGA, None, "omega-standard"))
-            dual_set = semantics.eval_standard(model, dual_sent)
             tallies["duality"].add(
-                mult, dual_set == frozenset(model.states) - std, key0,
+                mult, dual >> shift & full == full & ~std_k, key0,
                 (model, sent, None, None, "duality"))
-            rows.append((model_idx, model, mult, std, bounded))
+            rows.append((model_idx, model, mult, std_k, bounded_k))
         _check_games(sent, sent_idx, union, rows, gammas, max_positions,
                      tallies)
 
@@ -411,10 +425,11 @@ def _check_games(sent, sent_idx, union, rows, gammas, max_positions,
     game on the group's union model.
 
     ``rows`` holds per member ``(model_idx, model, mult, std, bounded)``:
-    its standard and bounded truth sets.  When the union's game trips the
-    position cap or has a cycle, the group runs again one member at a
-    time, so termination and the cap stay per (sentence, model): there a
-    cycle fails termination, and a cap hit propagates.
+    its standard truth mask and its truth mask per bound, over the
+    member's own states (bit si for state index si).  When the union's
+    game trips the position cap or has a cycle, the group runs again one
+    member at a time, so termination and the cap stay per (sentence,
+    model): there a cycle fails termination, and a cap hit propagates.
     """
     nb = len(gammas)
     gbits = (1 << nb) - 1
@@ -458,13 +473,13 @@ def _check_games(sent, sent_idx, union, rows, gammas, max_positions,
     # Per start state, bit gi of each mask marks a failure at gammas[gi].
     for k, (model_idx, model, mult, std, bounded) in enumerate(rows):
         model_diff = diff >> (k * ncaps)
-        for si, state in enumerate(model.states):
+        truths = [bounded[g] for g in gammas]
+        for si in range(card):
             u = k * card + si
             init = inits[u]
             truth = 0
-            for gi, g in enumerate(gammas):
-                if state in bounded[g]:
-                    truth |= 1 << gi
+            for gi, mask in enumerate(truths):
+                truth |= (mask >> si & 1) << gi
             w = win[init]
             for name, fail in (
                     ("game-vs-bounded", w ^ truth),
@@ -476,11 +491,12 @@ def _check_games(sent, sent_idx, union, rows, gammas, max_positions,
                     for gi, g in enumerate(gammas):
                         if fail >> gi & 1:
                             tally.fail(mult, (sent_idx, model_idx, gi, si),
-                                       (model, sent, g, state, name))
+                                       (model, sent, g, model.states[si],
+                                        name))
             tallies["reduction-I"].add(
-                mult, bool(ar[init] >> nb & 1) == (state in std),
+                mult, ar[init] >> nb & 1 == std >> si & 1,
                 (sent_idx, model_idx, si),
-                (model, sent, None, state, "reduction-I"))
+                (model, sent, None, model.states[si], "reduction-I"))
 
 
 def _materialize(cex):

@@ -135,7 +135,10 @@ class Sentence:
     def __eq__(self, other):
         if not isinstance(other, Sentence):
             return NotImplemented
-        return self._tree == other._tree
+        # The flat per-node tuples fix the tree and compare without
+        # recursing into it, so deep sentences compare too.
+        return (self.kind == other.kind and self.name == other.name
+                and self.children == other.children)
 
     def __hash__(self):
         if self._hash is None:
@@ -171,7 +174,7 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive-descent parser.
+    """Descent parser whose rules run on an explicit stack.
 
     Grammar (binder scope extends maximally to the right)::
 
@@ -181,6 +184,11 @@ class _Parser:
         unary := "<>" unary | "[]" unary | "!" PROP
                | PROP | LABEL | "(" expr ")"
                | ("mu" | "nu") LABEL "." expr
+
+    Each rule is a generator that yields the rule it needs parsed next
+    and receives that rule's tree back; ``parse`` keeps the suspended
+    rules on a list, so nesting depth is bounded by memory, not by
+    Python's recursion limit.
     """
 
     def __init__(self, text):
@@ -210,24 +218,34 @@ class _Parser:
         return tok
 
     def parse(self):
-        tree = self.expr()
+        stack = [self.expr()]
+        value = None
+        while stack:
+            try:
+                rule = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+            else:
+                stack.append(rule())
+                value = None
         if self.peek() is not None:
             raise ParseError(f"unexpected token {self.peek()!r} after formula",
                              self.pos())
-        return tree
+        return value
 
     def expr(self):
-        left = self.conj()
+        left = yield self.conj
         while self.peek() == "|":
             self.take()
-            left = lor(left, self.conj())
+            left = lor(left, (yield self.conj))
         return left
 
     def conj(self):
-        left = self.unary()
+        left = yield self.unary
         while self.peek() == "&":
             self.take()
-            left = land(left, self.unary())
+            left = land(left, (yield self.unary))
         return left
 
     def unary(self):
@@ -236,10 +254,10 @@ class _Parser:
             raise ParseError("unexpected end of input", self.pos())
         if tok == "<>":
             self.take()
-            return dia(self.unary())
+            return dia((yield self.unary))
         if tok == "[]":
             self.take()
-            return box(self.unary())
+            return box((yield self.unary))
         if tok == "!":
             self.take()
             name = self.take()
@@ -249,7 +267,7 @@ class _Parser:
             return negprop(name)
         if tok == "(":
             self.take()
-            inner = self.expr()
+            inner = yield self.expr
             self.take(")")
             return inner
         if tok in _KEYWORDS:
@@ -260,7 +278,7 @@ class _Parser:
                                  self.tokens[self.i - 1][1])
             self.take(".")
             self.scope.append(name)
-            body = self.expr()
+            body = yield self.expr
             self.scope.pop()
             return (MU if tok == "mu" else NU, name, (body,))
         if _is_prop_name(tok):

@@ -195,6 +195,23 @@ def eval_bounded(model, sent, bound, node=0, assignment=None):
     return model.mask_to_states(_eval_mask(model, sent, node, env, iters, {}))
 
 
+def eval_group(union, member, sent, bound=None):
+    """Bitmask of the states of ``union`` that satisfy the sentence, under
+    the standard semantics (``bound`` None) or under a clock bound.
+
+    ``union`` is a disjoint union of models with the same card, and
+    ``member`` is one of them; the mask's bits ``k * card`` to
+    ``(k + 1) * card - 1`` are the k-th model's states.  Every operator
+    works component by component, so each slice is that model's own
+    result: a fixpoint run for n iterations computes each component's
+    n-th iterate, and the union is stable only once every component is.
+    The iteration count comes from ``member``, never from the union,
+    since OMEGA depends on the card.
+    """
+    iters = None if bound is None else bound_iterations(bound, member)
+    return _eval_mask(union, sent, 0, {}, iters, {})
+
+
 def approximant(model, sent, binder, bound, steps, assignment=None):
     """The ``steps``-th iterate of the bounded operator at a Mu/Nu node.
 

@@ -205,10 +205,13 @@ def test_eval_deeply_nested_model_json_is_an_input_error(tmp_path, capsys):
     assert out == "" and err.startswith("error: invalid JSON")
 
 
-def test_eval_deep_formula_is_internal_error(m1_path, tmp_path, capsys):
-    """500 nested diamonds get a verdict, in text and JSON alike.  A crash
-    (here the recursion limit of the parser on 400 nested parentheses)
-    exits with the internal-error code, never with a verdict code."""
+def test_eval_deep_formula_is_internal_error(m1_path, tmp_path, capsys,
+                                            monkeypatch):
+    """500 nested diamonds and 400 nested parentheses get a verdict, in
+    text and JSON alike.  A crash (here an injected recursion error in the
+    parser) exits with the internal-error code, never with a verdict
+    code."""
+    from mucheck import formula as F
     from mucheck.cli import EXIT_INTERNAL
     path = tmp_path / "deep.mu"
     path.write_text("<>" * 500 + "p")
@@ -223,6 +226,13 @@ def test_eval_deep_formula_is_internal_error(m1_path, tmp_path, capsys):
     assert payload["verdict"] == ("true", "false")[code]
     assert payload["formula"] == "<> (" * 499 + "<> p" + ")" * 499
     path.write_text("(" * 400 + "p" + ")" * 400)
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (1, "false\n", "")
+
+    def crash(self):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(F._Parser, "parse", crash)
     code, out, err = run(argv, capsys)
     assert code == EXIT_INTERNAL
     assert code not in (0, 1, 2, 3, 10, 11, 12, 13)

@@ -26,16 +26,7 @@ def test_main_sweep_all_pass():
 def test_broken_bounded_engine_is_caught(monkeypatch):
     """Harness self-test: a deliberately wrong engine must produce failures
     and a counterexample."""
-    real = semantics.eval_bounded
-
-    def broken(model, sent, bound, node=0, assignment=None):
-        out = real(model, sent, bound, node, assignment)
-        if bound == 2:  # flip one state's verdict
-            first = model.states[0]
-            return out ^ frozenset({first})
-        return out
-
-    monkeypatch.setattr(semantics, "eval_bounded", broken)
+    _flip_bound_two(monkeypatch)
     tallies = compare.run_main_sweep(small_sentences()[:10], max_states=1,
                                      gammas=(2,), workers=1)
     tally = tallies["game-vs-bounded"]
@@ -62,15 +53,7 @@ def test_broken_game_rule_is_caught(monkeypatch):
 
 
 def test_minimizer_shrinks_counterexample(monkeypatch):
-    real = semantics.eval_bounded
-
-    def broken(model, sent, bound, node=0, assignment=None):
-        out = real(model, sent, bound, node, assignment)
-        if bound == 2:
-            return out ^ frozenset({model.states[0]})
-        return out
-
-    monkeypatch.setattr(semantics, "eval_bounded", broken)
+    _flip_bound_two(monkeypatch)
     tallies = compare.run_main_sweep(small_sentences()[:10], max_states=2,
                                      gammas=(2,), workers=1)
     cex = tallies["game-vs-bounded"].cex
@@ -179,15 +162,7 @@ def test_sampled_larger_models_deterministic():
 
 def test_broken_engine_fails_compare_cli(monkeypatch, capsys):
     from mucheck.cli import main
-    real = semantics.eval_bounded
-
-    def broken(model, sent, bound, node=0, assignment=None):
-        out = real(model, sent, bound, node, assignment)
-        if bound == 2:
-            return out ^ frozenset({model.states[0]})
-        return out
-
-    monkeypatch.setattr(semantics, "eval_bounded", broken)
+    _flip_bound_two(monkeypatch)
     code = main(["compare", "--max-states", "1", "--max-nodes", "2",
                  "--random-count", "2", "--gammas", "2",
                  "--ar-max-states", "1", "--workers", "1"])
@@ -347,7 +322,13 @@ def test_fbounded_shared_graph_matches_per_state_solves():
 # Rechecks: a crash is not the property failing.
 
 def _flip_bound_two(monkeypatch):
+    """A bounded engine that flips each model's first state at bound 2,
+    at both seams: the per-model ``eval_bounded`` (read by the
+    normalize-soundness check) and the per-card-group ``eval_group`` (read
+    by the main sweep), where it flips the first state of every member of
+    the union.  Returns the broken ``eval_group``."""
     real = semantics.eval_bounded
+    real_group = semantics.eval_group
 
     def broken(model, sent, bound, node=0, assignment=None):
         out = real(model, sent, bound, node, assignment)
@@ -355,8 +336,16 @@ def _flip_bound_two(monkeypatch):
             return out ^ frozenset({model.states[0]})
         return out
 
+    def broken_group(union, member, sent, bound=None):
+        out = real_group(union, member, sent, bound)
+        if bound == 2:
+            for k in range(union.card // member.card):
+                out ^= 1 << k * member.card
+        return out
+
     monkeypatch.setattr(semantics, "eval_bounded", broken)
-    return broken
+    monkeypatch.setattr(semantics, "eval_group", broken_group)
+    return broken_group
 
 
 def test_recheck_propagates_crashes_and_minimizer_rejects_them(m1,
@@ -364,12 +353,13 @@ def test_recheck_propagates_crashes_and_minimizer_rejects_them(m1,
     import pytest
     broken = _flip_bound_two(monkeypatch)
 
-    def crashing(model, sent, bound, node=0, assignment=None):
-        if len(model.relation) < len(m1.relation):
+    def crashing(union, member, sent, bound=None):
+        # A counterexample reruns on its one model, its own union.
+        if len(union.relation) < len(m1.relation):
             raise RuntimeError("engine crash on a smaller model")
-        return broken(model, sent, bound, node, assignment)
+        return broken(union, member, sent, bound)
 
-    monkeypatch.setattr(semantics, "eval_bounded", crashing)
+    monkeypatch.setattr(semantics, "eval_group", crashing)
     cex = {"property": "game-vs-bounded", "model": m1.to_json_dict(),
            "formula": "mu X. (p | [] X)", "gamma": "2", "state": "a"}
     assert compare._recheck(cex) is False
@@ -606,16 +596,42 @@ def test_omega_off_by_one_is_caught(monkeypatch):
     assert (t.instances, t.failures) == (8976, 75)
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, owner=compare):
     calls = []
-    real = getattr(compare, name)
+    real = getattr(owner, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(compare, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def test_main_sweep_evaluates_once_per_card_group(monkeypatch):
+    """The compositional engines run on each card group's union model:
+    no per-model call, and per (sentence, card group) one call for the
+    sentence, one for its dual and one per distinct bound."""
+    gammas = (1, 2, OMEGA)
+    per_model = [_count_calls(monkeypatch, name, semantics)
+                 for name in ("eval_standard", "eval_bounded")]
+    sentences = _count_calls(monkeypatch, "_check_sentence")
+    per_group = {}
+    real = semantics.eval_group
+
+    def counted(union, member, sent, bound=None):
+        key = (len(sentences), id(union), member.card)
+        per_group[key] = per_group.get(key, 0) + 1
+        return real(union, member, sent, bound)
+
+    monkeypatch.setattr(semantics, "eval_group", counted)
+    compare.run_main_sweep(small_sentences()[:10], max_states=2,
+                           gammas=gammas, workers=1)
+    assert per_model == [[], []]
+    assert len(sentences) == 10
+    assert len(per_group) == 10 * 2  # cards 1 and 2
+    for (_, _, card), calls in per_group.items():
+        assert 0 < calls <= 2 + len({max(1, card), OMEGA, *gammas})
 
 
 def test_union_over_the_position_cap_runs_one_model_at_a_time(monkeypatch):

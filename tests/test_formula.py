@@ -1,9 +1,13 @@
 """Formula layer: parsing, rendering, normalization, duality, indexing."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mucheck import formula as F
-from mucheck.corpus import all_sentences, random_sentences
+from mucheck.corpus import all_sentences, random_sentence, random_sentences
 from mucheck.formula import (FreeLabelError, ParseError, alpha_equal,
                              build_index, dual, is_normal, normalize,
                              parse, render)
@@ -74,6 +78,48 @@ def test_roundtrip_exhaustive_corpus():
 def test_roundtrip_random():
     for s in random_sentences(120, 11, 10, 2):
         assert parse(render(s)) == s
+
+
+def _deepen(tree, rng, depth):
+    """``tree`` under ``depth`` random operators, each nesting it once
+    more: modalities, either side of a connective, and binders whose
+    label is used next to it."""
+    for i in range(depth):
+        op = rng.randrange(6)
+        other = F.prop(rng.choice("pq"))
+        if op == 0:
+            tree = F.dia(tree)
+        elif op == 1:
+            tree = F.box(tree)
+        elif op in (2, 3):
+            join = F.lor if op == 2 else F.land
+            tree = join(tree, other) if rng.random() < 0.5 \
+                else join(other, tree)
+        else:
+            name = f"Z{i}"
+            use = F.dia(F.label(name)) if op == 4 else F.box(F.label(name))
+            tree = (F.mu if op == 4 else F.nu)(name, F.lor(use, tree))
+    return tree
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 1000))
+@example(seed=0, depth=1000)
+def test_parse_inverts_render(seed, depth):
+    """Random sentences round-trip, also when nested 1,000 deep."""
+    rng = random.Random(seed)
+    s = F.Sentence(_deepen(random_sentence(rng, 9, 2).tree(), rng, depth))
+    assert parse(render(s)) == s
+
+
+def test_parse_deep_binders_and_parentheses():
+    text = "p"
+    for i in range(300):
+        text = f"mu X{i}. (<>X{i} | {text})"
+    s = parse(text)
+    assert s.size == 1 + 4 * 300
+    assert sum(kind == F.MU for kind in s.kind) == 300
+    assert parse("(" * 400 + "p" + ")" * 400) == parse("p")
 
 
 def test_normalize_already_normal(afp):

@@ -1,9 +1,15 @@
 """Compositional engines against hand-rolled fixpoint iteration oracles."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mucheck import compare, semantics
 from mucheck import formula as F
-from mucheck.corpus import all_models, all_sentences, random_sentences
+from mucheck.corpus import (all_models, all_sentences, random_model,
+                            random_sentences)
 from mucheck.formula import dual, parse
 from mucheck.kripke import KripkeModel
 from mucheck.semantics import (OMEGA, BoundError, UnboundLabelError,
@@ -162,3 +168,25 @@ def test_shadowing_handled_by_assignment_scoping():
     m = KripkeModel(["a", "b"], [("a", "b")], {"p": ["b"]})
     s = parse("nu X. mu X. (p | <>X)")  # inner binder shadows the outer
     assert eval_standard(m, s) == eval_standard(m, F.normalize(s))
+
+
+@settings(max_examples=300)
+@given(card=st.integers(1, 4), count=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_group_evaluation_slices_are_each_members_own(card, count, seed):
+    """On a disjoint union of same-card models, each member's slice of
+    eval_group's mask is that model's own result, under the standard
+    semantics and every bound, for a sentence and its dual."""
+    rng = random.Random(seed)
+    models = [random_model(rng, card) for _ in range(count)]
+    union = compare._disjoint_union(models)
+    member = models[seed % count]
+    full = (1 << card) - 1
+    sent = random_sentences(1, seed, 9, 2)[0]
+    for s in (sent, dual(sent)):
+        for bound in (None, 1, 2, 3, 4, OMEGA):
+            mask = semantics.eval_group(union, member, s, bound)
+            for k, model in enumerate(models):
+                want = (eval_standard(model, s) if bound is None
+                        else eval_bounded(model, s, bound))
+                assert mask >> k * card & full == model.states_to_mask(want)
