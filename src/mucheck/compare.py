@@ -47,8 +47,8 @@ from . import formula as F
 from . import reduction
 from . import semantics
 from . import variants
-from .game import (EvalGame, GameCore, GameLimitError, _E, _TURN_A, _TURN_E,
-                   _WON_A, _WON_E)
+from .game import (EvalGame, GameCore, GameLimitError, Position, _E, _TURN_A,
+                   _TURN_E, _WON_A, _WON_E)
 from .kripke import KripkeModel
 from .semantics import OMEGA
 
@@ -170,16 +170,21 @@ def _admit_masks(caps):
 
 def _edge_tags(game, graph):
     """Per position, the clock value each out-edge announces: a binder
-    edge carries the value it writes, every other edge -1."""
-    kind = game._kind
-    pos_list = graph.pos_list
-    tags = []
-    for (_, node, _), row in zip(pos_list, graph.succs):
-        if kind[node] in F.BINDER_KINDS:
-            tags.append(tuple(pos_list[j][2][-1] for j in row))
-        else:
-            tags.append((-1,) * len(row))
-    return tags
+    edge carries the value it writes, every other edge -1.
+
+    A binder's row is the game's clock choices in order (its first one
+    under a greedy policy), so the tags come from one table over
+    ``p % (S * N)``."""
+    S = game._S
+    SN = game._SN
+    choices = game._clock_choices
+    by_key = [choices if kind in F.BINDER_KINDS else None
+              for kind in game._kind for _ in range(S)]
+    untagged = [(-1,) * k for k in range(max(map(len, graph.succs),
+                                             default=0) + 1)]
+    return [t or untagged[len(row)] for t, row in zip(
+        map(by_key.__getitem__, map(SN.__rmod__, graph.pos_list)),
+        graph.succs)]
 
 
 def _replay(graph, tags, caps, p_flags, q_flags, card=None):
@@ -191,8 +196,9 @@ def _replay(graph, tags, caps, p_flags, q_flags, card=None):
     under which the position is in the AR winning set of the position
     model, plus the mask of caps under which the two differ anywhere.
     When the model is a disjoint union of components of ``card`` states
-    each (state index si lies in component si // card), bit
-    ``c * len(caps) + b`` of that last mask marks cap b in component c.
+    each (position p at state index ``p % graph.states`` lies in component
+    ``p % graph.states // card``), bit ``c * len(caps) + b`` of that last
+    mask marks cap b in component c.
     """
     full = (1 << len(caps)) - 1
     admit = _admit_masks(tuple(caps))
@@ -231,7 +237,7 @@ def _replay(graph, tags, caps, p_flags, q_flags, card=None):
         win[i] = w
         ar[i] = a
         if w != a:
-            c = graph.pos_list[i][0] // card if card else 0
+            c = graph.pos_list[i] % graph.states // card if card else 0
             diff |= (w ^ a) << (c * len(caps))
     return win, ar, diff
 
@@ -264,6 +270,7 @@ def _playouts(graph, tags, caps, win, inits, card=None):
     status = graph.status
     succs = graph.succs
     pos_list = graph.pos_list
+    S = graph.states
     # Reaching playouts, split by the player each is played for.
     reach_e = [0] * len(status)
     reach_a = [0] * len(status)
@@ -299,7 +306,7 @@ def _playouts(graph, tags, caps, win, inits, card=None):
                 mine_a ^= take
             lost = mine_a
         if lost:
-            bad |= lost << (pos_list[i][0] // period * period * nb)
+            bad |= lost << (pos_list[i] % S // period * period * nb)
     return bad
 
 
@@ -671,68 +678,73 @@ class _FullMapGame(EvalGame):
     """The evaluation game over explicit clock maps of every binder.
 
     A position keeps one clock slot per Mu/Nu node, in pre-order, and an
-    untouched slot holds the clock cap.  A binder writes its own slot; a
-    label jump writes its binder's slot and resets the slots of every
-    binder inside the binder's body.  This is the literal clock
+    untouched slot holds the clock cap: its codec keeps every slot in
+    ``rest``, slot k with weight ``(cap + 1)**k``.  A binder writes its
+    own slot; a label jump writes its binder's slot and resets the slots
+    of every binder inside the binder's body.  This is the literal clock
     bookkeeping that the canonical truncated tuples compress, kept as an
     oracle for them: it owns its label rules and shares only the
-    clock-free rules of GameCore.  Only winners are read from it, so it
-    always offers every clock choice.
+    clock-free rules of GameCore, so binder and label rows both come from
+    its ``_decision_row``.  Only winners are read from it, so it always
+    offers every clock choice.
     """
 
     def __init__(self, model, state, sentence, bound, max_positions):
         super().__init__(model, state, sentence, bound, max_positions)
         binders = self.index.mu_nu_nodes
         anc = self.index.active_ancestors
-        self._slot = {b: k for k, b in enumerate(binders)}
-        self._resets = {b: tuple(self._slot[x] for x in binders
+        # The position unit of each binder's slot.
+        self._unit = {b: self._SN * self._R ** k
+                      for k, b in enumerate(binders)}
+        self._resets = {b: tuple(self._unit[x] for x in binders
                                  if b in anc[x])
                         for b in binders}
+        self._top = sum(self.clock_cap * u for u in self._unit.values())
 
     def _root(self, si):
-        return (si, 0, (self.clock_cap,) * len(self._slot))
+        return si + self._top
+
+    def _public(self, p):
+        q, si = divmod(p, self._S)
+        return Position(self.model.states[si], q % self._N,
+                        tuple(p // u % self._R for u in self._unit.values()))
 
     # The shared clock-free rules with this class's own label rule, so
-    # that nothing done to EvalGame's label rule reaches this oracle.
-    _status = GameCore._status
+    # that nothing done to EvalGame's rules reaches this oracle.
+    _status_row = GameCore._status_row
 
-    def _label_status(self, ipos):
-        node = ipos[1]
-        gamma = ipos[2][self._slot[self._rf[node]]]
+    def _label_status(self, p, node):
+        gamma = p // self._unit[self._rf[node]] % self._R
         if self._rf_is_mu[node]:
             return _TURN_E if gamma else _WON_A
         return _TURN_A if gamma else _WON_E
 
-    def _moves(self, ipos, eloise_greedy=False, abelard_greedy=False):
-        si, node, clocks = ipos
-        kind = self._kind[node]
-        cap = self.clock_cap
-        if kind == F.MU or kind == F.NU:
-            slot = self._slot[node]
-            body = self._children[node][0]
-            top = cap
-            resets = ()
-        elif kind == F.LABEL:
-            binder = self._rf[node]
-            slot = self._slot[binder]
-            body = self._rf_body[node]
-            top = clocks[slot]
-            resets = self._resets[binder]
-        else:
-            return EvalGame._moves(self, ipos, eloise_greedy, abelard_greedy)
-        out = []
-        for g in range(top - 1, -1, -1):
-            c2 = list(clocks)
-            c2[slot] = g
-            for r in resets:
-                c2[r] = cap
-            out.append((si, body, tuple(c2)))
-        return out
+    def _fixed_row(self, node, eloise_greedy, abelard_greedy):
+        return None
 
-    def _decision_label(self, ipos, dst):
-        node = ipos[1]
+    def _decision_row(self, p, node, eloise_greedy=False,
+                      abelard_greedy=False):
+        R = self._R
+        cap = self.clock_cap
+        if self._kind[node] == F.LABEL:
+            binder = self._rf[node]
+            unit = self._unit[binder]
+            top = p // unit % R
+            base = self._S * (self._rf_body[node] - node)
+            for u in self._resets[binder]:
+                base += (cap - p // u % R) * u
+        else:
+            binder = node
+            unit = self._unit[binder]
+            top = cap
+            base = self._S * (self._children[node][0] - node)
+        base -= p // unit % R * unit  # the slot is overwritten
+        return [base + g * unit for g in range(top - 1, -1, -1)]
+
+    def _decision_label(self, p, dst):
+        node = p // self._S % self._N
         binder = self._rf[node] if self._kind[node] == F.LABEL else node
-        return ("set-clock", dst[2][self._slot[binder]])
+        return ("set-clock", dst // self._unit[binder] % self._R)
 
 
 def _mode_worker(args):

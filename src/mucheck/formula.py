@@ -126,8 +126,12 @@ class Sentence:
         """Nested-tuple view of the subtree rooted at ``node``."""
         if node == 0:
             return self._tree
-        return (self.kind[node], self.name[node],
-                tuple(self.tree(c) for c in self.children[node]))
+        # The subtree is the pre-order id range up to its last descendant,
+        # which following last children reaches.
+        last = node
+        while self.children[last]:
+            last = self.children[last][-1]
+        return _trees(self, self.kind, range(last, node - 1, -1))[node]
 
     def subsentence(self, node):
         return Sentence(self.tree(node))
@@ -360,21 +364,45 @@ def render(s, node=0):
 # ---------------------------------------------------------------------------
 # Transformations.
 
-def _binder_of(s, nid):
-    """The nearest Mu/Nu ancestor of label ``nid`` with its name, or None
-    when the label is free in ``s``."""
-    name = s.name[nid]
-    b = s.parent[nid]
-    while b is not None and not (s.kind[b] in BINDER_KINDS
-                                 and s.name[b] == name):
-        b = s.parent[b]
-    return b
+def _trees(s, kinds, nodes, names=None):
+    """Nested-tuple trees of ``nodes``, given children before parents,
+    with each node's kind from ``kinds`` and name from ``names`` (the
+    sentence's by default): a dict from node id to its tree."""
+    names = s.name if names is None else names
+    children = s.children
+    trees = {}
+    for nid in nodes:
+        trees[nid] = (kinds[nid], names[nid],
+                      tuple([trees[c] for c in children[nid]]))
+    return trees
+
+
+def _label_binders(s):
+    """The binder of every label node: the nearest Mu/Nu ancestor with
+    the label's name, or None when the label is free in ``s``.  One
+    pre-order pass that keeps the binders in scope per name."""
+    end = [0] * s.size  # one past each node's last descendant
+    for nid in range(s.size - 1, -1, -1):
+        kids = s.children[nid]
+        end[nid] = end[kids[-1]] if kids else nid + 1
+    scope = {}
+    open_binders = []
+    out = {}
+    for nid, kind in enumerate(s.kind):
+        while open_binders and end[open_binders[-1]] <= nid:
+            scope[s.name[open_binders.pop()]].pop()
+        if kind in BINDER_KINDS:
+            scope.setdefault(s.name[nid], []).append(nid)
+            open_binders.append(nid)
+        elif kind == LABEL:
+            inner = scope.get(s.name[nid])
+            out[nid] = inner[-1] if inner else None
+    return out
 
 
 def free_labels(s):
     """Names of label occurrences not bound inside ``s``."""
-    return {s.name[nid] for nid, kind in enumerate(s.kind)
-            if kind == LABEL and _binder_of(s, nid) is None}
+    return {s.name[nid] for nid, b in _label_binders(s).items() if b is None}
 
 
 def is_normal(s):
@@ -393,18 +421,13 @@ def _rename_binders(s, rename):
     and every label it binds renamed alike; free labels keep their
     names."""
     names = list(s.name)
+    binder = _label_binders(s)
     for nid, kind in enumerate(s.kind):
         if kind in BINDER_KINDS:
             names[nid] = rename(s.name[nid])
-        elif kind == LABEL:
-            b = _binder_of(s, nid)
-            if b is not None:
-                names[nid] = names[b]
-    trees = [None] * s.size
-    for nid in range(s.size - 1, -1, -1):
-        trees[nid] = (s.kind[nid], names[nid],
-                      tuple(trees[c] for c in s.children[nid]))
-    return Sentence(trees[0])
+        elif kind == LABEL and binder[nid] is not None:
+            names[nid] = names[binder[nid]]
+    return Sentence(_trees(s, s.kind, range(s.size - 1, -1, -1), names)[0])
 
 
 def normalize(s):
@@ -417,13 +440,17 @@ def normalize(s):
     taken = {s.name[nid] for nid, kind in enumerate(s.kind)
              if kind == LABEL or kind in BINDER_KINDS}
     assigned = set()
+    # Suffixes below a name's cursor are taken or assigned for good, so
+    # each search resumes where the last one for that name stopped.
+    cursor = {}
 
     def rename(name):
         new = name
         if name in assigned:
-            i = 1
+            i = cursor.get(name, 1)
             while name + str(i) in taken or name + str(i) in assigned:
                 i += 1
+            cursor[name] = i + 1
             new = name + str(i)
         assigned.add(new)
         return new
@@ -443,37 +470,28 @@ def dual(s):
     standard semantics.
     """
 
-    def walk(tree):
-        kind, name, kids = tree
-        return (_DUAL_KIND[kind], name, tuple(walk(kid) for kid in kids))
-
-    return Sentence(walk(s.tree()))
+    kinds = [_DUAL_KIND[kind] for kind in s.kind]
+    return Sentence(_trees(s, kinds, range(s.size - 1, -1, -1))[0])
 
 
 def alpha_equal(a, b):
-    """Structural equality up to consistent renaming of bound labels."""
+    """Structural equality up to consistent renaming of bound labels.
 
-    def walk(ta, tb, stack):
-        ka, na, kidsa = ta
-        kb, nb, kidsb = tb
-        if ka != kb or len(kidsa) != len(kidsb):
+    Each kind has a fixed arity, so equal pre-order kinds mean equal
+    shapes, with node ids matching.  Then literals must carry the same
+    names, and each label the same binder, or the same name when free."""
+    if a.kind != b.kind:
+        return False
+    binder_a = _label_binders(a)
+    binder_b = _label_binders(b)
+    for nid, kind in enumerate(a.kind):
+        if kind == LABEL:
+            if binder_a[nid] != binder_b[nid] or (
+                    binder_a[nid] is None and a.name[nid] != b.name[nid]):
+                return False
+        elif kind in (PROP, NEGPROP) and a.name[nid] != b.name[nid]:
             return False
-        if ka == LABEL:
-            for i in range(len(stack) - 1, -1, -1):
-                xa, xb = stack[i]
-                if xa == na or xb == nb:
-                    return xa == na and xb == nb
-            return na == nb  # both free
-        if ka in (PROP, NEGPROP):
-            return na == nb
-        if ka in BINDER_KINDS:
-            stack.append((na, nb))
-            ok = walk(kidsa[0], kidsb[0], stack)
-            stack.pop()
-            return ok
-        return all(walk(x, y, stack) for x, y in zip(kidsa, kidsb))
-
-    return walk(a.tree(), b.tree(), [])
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,18 @@ Rules in brief:
   binder's body, resetting every clock introduced below the binder.
 
 ``GameCore`` is the one game kernel (explorer, solver, play); every game
-variant supplies only a position codec to it.  ``_attractor`` is the one
-attractor, for the free game and alternating reachability.
+variant supplies only a position codec to it.  Internally a position is
+one int ``si + S * (node + N * rest)``: S is the model's card, N the
+sentence's size, and ``rest`` the part the codec owns (here the clock
+prefix in mixed radix ``clock_cap + 1``).  The explorer reads statuses and
+successor deltas from per-node tables built once per game and clock
+policy, and calls the codec only at the nodes whose status or moves
+depend on ``rest``.  Public positions are decoded from the ints, so
+output is unchanged.  ``_attractor`` is the one attractor, for the free
+game and alternating reachability.
 """
 
+from collections import Counter
 from typing import NamedTuple
 
 from . import formula as F
@@ -94,8 +102,8 @@ class Strategy:
         if self._moves is None:
             public = self._game._public
             label = self._game._move_label
-            self._moves = {public(ipos): label(ipos, dst, k)
-                           for ipos, k, dst in self._walk}
+            self._moves = {public(p): label(p, dst, k)
+                           for p, k, dst in self._walk}
             self._game = self._walk = None
         return self._moves
 
@@ -168,15 +176,31 @@ def _strategy_move_index(strategy, pos, moves):
 class GameCore:
     """Exploration, solving, play and validation shared by every game.
 
-    A game supplies only its position codec over internal positions
-    ``(state index, node, ...)``: ``_root(si)``, the start position at
-    state index ``si``; ``_internal``/``_public`` between public and
-    internal positions; ``_label_status``, the status at labels (the
-    clock-free rules are shared); ``_moves``, the successor positions in
-    move order, unnamed; ``_decision_label``, the name of a binder or
-    label move (``_move_label`` names every move); ``_decision_kinds``,
-    the node kinds whose moves depend on the clock or counter policy;
-    and ``describe_position``/``position_json`` for output.
+    An internal position is one int ``si + S * (node + N * rest)``, where
+    S is the model's card, N the sentence's size and ``rest`` the part
+    that the game's codec owns (clocks or counters).  ``p % (S * N)`` is
+    then the (state, node) pair, and the explorer reads every position's
+    status and successors from flat tables indexed by it, built once per
+    game: ``_status_row(node)`` gives the status over every state index
+    of each non-label node, and the row tables, built once per clock
+    policy, give each position's successors as deltas to add to it.  The
+    clock-free rules (literals, or/and, modal moves, stuck movers) are
+    shared here.  A game supplies only its codec:
+
+    * ``_root(si)``, the start position at state index ``si``, and
+      ``_internal``/``_public`` between public and internal positions;
+    * ``_fixed_row(node, eloise_greedy, abelard_greedy)``, the deltas of
+      a binder or label node when they do not depend on ``rest``, or None;
+    * ``_decision_row(p, node, eloise_greedy, abelard_greedy)``, the
+      deltas at the nodes where ``_fixed_row`` gives None;
+    * ``_label_status(p, node)``, the status at a label position;
+    * ``_decision_label``, the name of a binder or label move
+      (``_move_label`` names every move), and ``_decision_kinds``, the
+      node kinds whose moves depend on the clock or counter policy;
+    * ``describe_position``/``position_json`` for output.
+
+    So the codec is called only at the positions whose status or row
+    depends on ``rest``.
     """
 
     last_explored = 0  # size of the last position graph explored
@@ -201,6 +225,80 @@ class GameCore:
                      for p in set(s.name[n] for n in range(s.size)
                                   if s.kind[n] in (F.PROP, F.NEGPROP))}
         self._succ = model._succ
+        self._S = S = model.card
+        self._N = s.size
+        self._SN = S * s.size
+        stat = []
+        for node in range(s.size):
+            row = self._status_row(node)
+            stat += [None] * S if row is None else row
+        self._stat = stat
+        self._row_tables = {}
+
+    def _status_row(self, node):
+        """Status code at ``node`` per state index, or None at a label,
+        whose status the codec's ``_label_status`` gives."""
+        kind = self._kind[node]
+        S = self._S
+        if kind == F.PROP or kind == F.NEGPROP:
+            true, false = (_WON_E, _WON_A) if kind == F.PROP \
+                else (_WON_A, _WON_E)
+            bits = bin(self._val[self._name[node]])[:1:-1].ljust(S, "0")
+            return tuple(true if b == "1" else false for b in bits[:S])
+        if kind == F.OR or kind == F.MU:
+            return (_TURN_E,) * S
+        if kind == F.AND or kind == F.NU:
+            return (_TURN_A,) * S
+        if kind == F.DIAMOND:
+            return tuple(_TURN_E if row else _WON_A for row in self._succ)
+        if kind == F.BOX:
+            return tuple(_TURN_A if row else _WON_E for row in self._succ)
+        return None
+
+    def _rows(self, eloise_greedy, abelard_greedy):
+        """The row table of a clock policy, indexed by ``p % (S * N)``:
+        the deltas from a position to its successors in move order, or
+        None where the codec's ``_decision_row`` gives them."""
+        key = (eloise_greedy, abelard_greedy)
+        rows = self._row_tables.get(key)
+        if rows is not None:
+            return rows
+        S = self._S
+        rows = []
+        for node, kind in enumerate(self._kind):
+            if kind == F.OR or kind == F.AND:
+                left, right = self._children[node]
+                rows += [(S * (left - node), S * (right - node))] * S
+            elif kind == F.DIAMOND or kind == F.BOX:
+                base = S * (self._children[node][0] - node)
+                rows += [tuple([v - si + base for v in row])
+                         for si, row in enumerate(self._succ)]
+            elif kind == F.PROP or kind == F.NEGPROP:
+                rows += [()] * S  # literals end the game
+            else:
+                rows += [self._fixed_row(node, eloise_greedy,
+                                         abelard_greedy)] * S
+        self._row_tables[key] = rows
+        return rows
+
+    def _status(self, p):
+        st = self._stat[p % self._SN]
+        if st is None:
+            return self._label_status(p, p // self._S % self._N)
+        return st
+
+    def _successors(self, p, eloise_greedy=False, abelard_greedy=False):
+        """Successor positions of ``p`` in move order."""
+        deltas = self._rows(eloise_greedy, abelard_greedy)[p % self._SN]
+        if deltas is None:
+            deltas = self._decision_row(p, p // self._S % self._N,
+                                        eloise_greedy, abelard_greedy)
+        return [p + d for d in deltas]
+
+    def _decision_row(self, p, node, eloise_greedy=False,
+                      abelard_greedy=False):
+        raise NotImplementedError(
+            f"{type(self).__name__} gives every row in its tables")
 
     def status(self, pos):
         code = self._status(self._internal(pos))
@@ -210,47 +308,27 @@ class GameCore:
             return GameStatus("won", ABELARD)
         return GameStatus("turn", ELOISE if code == _TURN_E else ABELARD)
 
-    def _status(self, ipos):
-        """Status code of an internal position: the clock-free rules here,
-        the codec's ``_label_status`` at labels."""
-        si = ipos[0]
-        node = ipos[1]
-        kind = self._kind[node]
-        if kind == F.PROP:
-            return _WON_E if self._val[self._name[node]] >> si & 1 else _WON_A
-        if kind == F.NEGPROP:
-            return _WON_A if self._val[self._name[node]] >> si & 1 else _WON_E
-        if kind == F.OR or kind == F.MU:
-            return _TURN_E
-        if kind == F.AND or kind == F.NU:
-            return _TURN_A
-        if kind == F.DIAMOND:
-            return _TURN_E if self._succ[si] else _WON_A
-        if kind == F.BOX:
-            return _TURN_A if self._succ[si] else _WON_E
-        return self._label_status(ipos)
-
     def legal_moves(self, pos, mode="exhaustive"):
         """All (move, position) pairs available at ``pos``, in move order:
         left before right, successor states in model order, larger clock
         or counter values first.  In greedy mode clock and counter
         decisions keep only the largest legal value."""
-        ipos = self._internal(pos)
-        if self._status(ipos) in (_WON_E, _WON_A):
+        p = self._internal(pos)
+        if self._status(p) in (_WON_E, _WON_A):
             return []
         greedy = mode == "greedy"
-        return [(self._move_label(ipos, dst, k), self._public(dst))
-                for k, dst in enumerate(self._moves(ipos, greedy, greedy))]
+        return [(self._move_label(p, dst, k), self._public(dst))
+                for k, dst in enumerate(self._successors(p, greedy, greedy))]
 
-    def _move_label(self, ipos, dst, edge_index):
-        """The name of the move from ``ipos`` along its ``edge_index``-th
+    def _move_label(self, p, dst, edge_index):
+        """The name of the move from ``p`` along its ``edge_index``-th
         edge, to ``dst``."""
-        kind = self._kind[ipos[1]]
+        kind = self._kind[p // self._S % self._N]
         if kind == F.OR or kind == F.AND:
             return ("pick-left",) if edge_index == 0 else ("pick-right",)
         if kind == F.DIAMOND or kind == F.BOX:
-            return ("go-to-state", self.model.states[dst[0]])
-        return self._decision_label(ipos, dst)
+            return ("go-to-state", self.model.states[dst % self._S])
+        return self._decision_label(p, dst)
 
     def _explore(self, start_states, eloise_greedy=False, abelard_greedy=False):
         """Breadth-first reachable position graph from the given states.
@@ -267,9 +345,9 @@ class GameCore:
         """The reachable position graph from internal root positions,
         numbered in discovery order from the distinct roots on."""
         roots = list(dict.fromkeys(roots))
-        status = [self._status(ip) for ip in roots]
-        graph = _Graph(roots, {ip: i for i, ip in enumerate(roots)}, status,
-                       [()] * len(roots))
+        status = [self._status(p) for p in roots]
+        graph = _Graph(roots, {p: i for i, p in enumerate(roots)}, status,
+                       [()] * len(roots), self._S)
         self._expand(graph, [i for i, st in enumerate(status)
                              if st >= _TURN_E], eloise_greedy, abelard_greedy)
         return graph
@@ -281,23 +359,36 @@ class GameCore:
         breadth-first.  Positions that end the game keep an empty row."""
         pos_list = graph.pos_list
         pos_id = graph.pos_id
+        get = pos_id.get
         status = graph.status
         succs = graph.succs
         cap = self.max_positions
-        moves = self._moves
-        position_status = self._status
+        S = self._S
+        N = self._N
+        SN = self._SN
+        stat = self._stat
+        rows = self._rows(eloise_greedy, abelard_greedy)
+        decision_row = self._decision_row
+        label_status = self._label_status
         for i in frontier:  # grows while it is walked
+            p = pos_list[i]
+            deltas = rows[p % SN]
+            if deltas is None:
+                deltas = decision_row(p, p // S % N, eloise_greedy,
+                                      abelard_greedy)
             row = []
-            for dst in moves(pos_list[i], eloise_greedy, abelard_greedy):
-                di = pos_id.get(dst)
+            for d in deltas:
+                dst = p + d
+                di = get(dst)
                 if di is None:
                     di = len(pos_list)
                     if di >= cap:
-                        raise GameLimitError(
-                            f"position cap {cap} exceeded while exploring")
+                        raise self._cap_error(pos_list)
                     pos_id[dst] = di
                     pos_list.append(dst)
-                    st = position_status(dst)
+                    st = stat[dst % SN]
+                    if st is None:
+                        st = label_status(dst, dst // S % N)
                     status.append(st)
                     succs.append(())
                     if st >= _TURN_E:
@@ -307,15 +398,26 @@ class GameCore:
         graph._topo = None
         self.last_explored = len(pos_list)
 
+    def _cap_error(self, pos_list):
+        """The position-cap error, naming the node with the most explored
+        positions."""
+        S, N = self._S, self._N
+        node, count = Counter(p // S % N for p in pos_list).most_common(1)[0]
+        return GameLimitError(
+            f"position cap {self.max_positions} exceeded while exploring; "
+            f"the busiest node is {self.index.node_path[node]} "
+            f"({F.render(self.sentence, node)}) with {count} positions")
+
     def _refine(self, graph, win_code):
         """Extend a greedy graph in place into its one-sided refinement:
         re-expand the loser's clock and counter decisions with every
         choice, and explore on from the positions that adds."""
         loser_turn = _TURN_A if win_code == _E else _TURN_E
-        decides = self._decision_kinds
-        kind = self._kind
-        redo = [i for i, ip in enumerate(graph.pos_list)
-                if graph.status[i] == loser_turn and kind[ip[1]] in decides]
+        decides = [kind in self._decision_kinds for kind in self._kind]
+        S, N = self._S, self._N
+        redo = [i for i, (p, st) in enumerate(zip(graph.pos_list,
+                                                  graph.status))
+                if st == loser_turn and decides[p // S % N]]
         self._expand(graph, redo, win_code == _E, win_code == _A)
 
     def _solve(self, mode):
@@ -437,6 +539,13 @@ class EvalGame(GameCore):
 
     The sentence is normalized on entry when binder names repeat; the
     normalized form is available as ``.sentence``.
+
+    Its codec keeps the clock prefix in ``rest``, in mixed radix
+    ``R = clock_cap + 1``: slot k, counted from the root, has weight
+    ``R**k``, and the digit ``clock_cap`` stands for None, the untouched
+    bound.  Moves never write that digit, so a position decodes without
+    ambiguity.  Binder rows are tables; label rows and statuses read the
+    binder's slot.
     """
 
     def __init__(self, model, state, sentence, bound,
@@ -448,6 +557,10 @@ class EvalGame(GameCore):
         self.clock_cap = cap = clock_cap(bound, model)
         self._clock_choices = tuple(range(cap - 1, -1, -1))
         self._rf_slot = self.index.rf_slot
+        self._R = cap + 1
+        # A position's clock in slot k is p // _slot_unit[k] % R.
+        depth = max(map(len, self.index.active_ancestors))
+        self._slot_unit = [self._SN * self._R ** k for k in range(depth + 1)]
 
     # -- public views -----------------------------------------------------
 
@@ -501,7 +614,7 @@ class EvalGame(GameCore):
     # -- internal position mechanics --------------------------------------
 
     def _root(self, si):
-        return (si, 0, ())
+        return si
 
     def _internal(self, pos):
         si = self.model.state_index(pos.state)
@@ -514,54 +627,64 @@ class EvalGame(GameCore):
             raise ValueError(
                 f"position at node {node} needs {len(anc)} clock values, "
                 f"got {len(clocks)}")
-        if any(v is not None and (not isinstance(v, int) or v < 0)
+        cap = self.clock_cap
+        if any(v is not None and (not isinstance(v, int) or not 0 <= v < cap)
                for v in clocks):
             raise ValueError(
-                "clock values must be nonnegative integers or None")
-        return (si, node, clocks)
+                f"clock values must be None or integers from 0 to {cap - 1}")
+        rest = 0
+        for v in reversed(clocks):
+            rest = rest * self._R + (cap if v is None else v)
+        return si + self._S * (node + self._N * rest)
 
-    def _public(self, ipos):
-        si, node, clocks = ipos
-        return Position(self.model.states[si], node, clocks)
+    def _clocks(self, q, node):
+        """The clock tuple of ``q = p // S`` at ``node``."""
+        cap = self.clock_cap
+        R = self._R
+        rest = q // self._N
+        clocks = []
+        for _ in self.index.active_ancestors[node]:
+            rest, v = divmod(rest, R)
+            clocks.append(None if v == cap else v)
+        return tuple(clocks)
+
+    def _public(self, p):
+        q, si = divmod(p, self._S)
+        node = q % self._N
+        return Position(self.model.states[si], node, self._clocks(q, node))
 
     _decision_kinds = (F.MU, F.NU, F.LABEL)
 
-    def _label_status(self, ipos):
-        # The clock of the label's binder decides; None means the
-        # untouched bound, which cannot be zero.
-        node = ipos[1]
-        gamma = ipos[2][self._rf_slot[node]]
+    def _label_status(self, p, node):
+        # The clock of the label's binder decides; the digit for None,
+        # the untouched bound, is nonzero.
+        clock = p // self._slot_unit[self._rf_slot[node]] % self._R
         if self._rf_is_mu[node]:
-            return _TURN_E if gamma is None or gamma else _WON_A
-        return _TURN_A if gamma is None or gamma else _WON_E
+            return _TURN_E if clock else _WON_A
+        return _TURN_A if clock else _WON_E
 
-    def _moves(self, ipos, eloise_greedy=False, abelard_greedy=False):
-        """Successor internal positions in deterministic move order."""
-        si, node, clocks = ipos
-        kind = self._kind[node]
-        if kind == F.OR or kind == F.AND:
-            left, right = self._children[node]
-            return (si, left, clocks), (si, right, clocks)
-        if kind == F.DIAMOND or kind == F.BOX:
-            child = self._children[node][0]
-            return [(v, child, clocks) for v in self._succ[si]]
-        if kind == F.MU or kind == F.NU:
-            body = self._children[node][0]
-            greedy = eloise_greedy if kind == F.MU else abelard_greedy
-            choices = self._clock_choices[:1] if greedy else self._clock_choices
-            return [(si, body, clocks + (g,)) for g in choices]
-        # Label: lower the binder's clock and return to its body.
-        slot = self._rf_slot[node]
-        gamma = clocks[slot]
-        body = self._rf_body[node]
-        prefix = clocks[:slot]
+    def _fixed_row(self, node, eloise_greedy, abelard_greedy):
+        if self._kind[node] == F.LABEL:
+            return None
+        # A binder writes the next slot, which is 0 in ``rest``.
+        unit = self._slot_unit[len(self.index.active_ancestors[node])]
+        base = self._S * (self._children[node][0] - node)
+        greedy = eloise_greedy if self._kind[node] == F.MU \
+            else abelard_greedy
+        choices = self._clock_choices[:1] if greedy else self._clock_choices
+        return tuple(base + g * unit for g in choices)
+
+    def _decision_row(self, p, node, eloise_greedy=False,
+                      abelard_greedy=False):
+        # Label: lower the binder's clock and return to its body, which
+        # truncates the prefix after the binder's slot.
+        unit = self._slot_unit[self._rf_slot[node]]
+        top = p // unit % self._R  # the cap digit for None: every choice
+        base = p % unit - p + self._S * (self._rf_body[node] - node)
         greedy = eloise_greedy if self._rf_is_mu[node] else abelard_greedy
-        if gamma is None:
-            choices = self._clock_choices[:1] if greedy \
-                else self._clock_choices
-        else:
-            choices = (gamma - 1,) if greedy else range(gamma - 1, -1, -1)
-        return [(si, body, prefix + (g,)) for g in choices]
+        if greedy:
+            return (base + (top - 1) * unit,)
+        return [base + g * unit for g in range(top - 1, -1, -1)]
 
     def solve(self, mode="greedy"):
         """Winner of the game plus a winning strategy for that player.
@@ -574,20 +697,25 @@ class EvalGame(GameCore):
         """
         return self._solve(mode)
 
-    def _decision_label(self, ipos, dst):
-        return ("set-clock", dst[2][-1])
+    def _decision_label(self, p, dst):
+        return ("set-clock", self._public(dst).clocks[-1])
 
 
 class _Graph:
-    """Explored position graph with status codes and successor rows."""
+    """Explored position graph with status codes and successor rows.
 
-    __slots__ = ("pos_list", "pos_id", "status", "succs", "_topo")
+    ``states`` is the model's card S when the positions are a game's ints:
+    position ``p`` then lies at state index ``p % states``.
+    """
 
-    def __init__(self, pos_list, pos_id, status, succs):
+    __slots__ = ("pos_list", "pos_id", "status", "succs", "states", "_topo")
+
+    def __init__(self, pos_list, pos_id, status, succs, states=None):
         self.pos_list = pos_list
         self.pos_id = pos_id
         self.status = status
         self.succs = succs
+        self.states = states
         self._topo = None
 
     def __len__(self):

@@ -81,7 +81,7 @@ class ReducedModel:
     """An AR model over evaluation-game positions, plus the root position
     and a back-map from exported state names to position data.
 
-    The back-map is built from the explored positions when it is first
+    The back-map is built from the decoded positions when it is first
     read; ``json_text`` writes it straight from them.
     """
 
@@ -89,7 +89,8 @@ class ReducedModel:
                  "_backmap")
 
     def __init__(self, model, root, game, positions, pos_of):
-        # Exported state k is the internal position positions[pos_of[k]].
+        # Exported state k is explored position i = pos_of[k], decoded in
+        # ``positions`` (see _decode).
         self.model = model
         self.root = root
         self._game = game
@@ -109,12 +110,14 @@ class ReducedModel:
             paths = game.index.node_path
             anc = game.index.active_ancestors
             name = game.sentence.name
-            pos = self._positions
-            self._backmap = {
-                nm: {"state": states[si], "node": paths[node],
-                     "clocks": {name[b]: v for b, v in zip(anc[node], clocks)}}
-                for nm, (si, node, clocks) in zip(
-                    self.model.states, map(pos.__getitem__, self._pos_of))}
+            sis, qs, prefix = self._positions
+            backmap = {}
+            for nm, i in zip(self.model.states, self._pos_of):
+                node, clocks = prefix[qs[i]]
+                backmap[nm] = {
+                    "state": states[sis[i]], "node": paths[node],
+                    "clocks": {name[b]: v for b, v in zip(anc[node], clocks)}}
+            self._backmap = backmap
         return self._backmap
 
     def to_json_dict(self):
@@ -146,43 +149,56 @@ class ReducedModel:
 
 def _backmap_entries(game, positions):
     """The encoded back-map value of every explored position, after the
-    ": " that follows its key, from one %-template per syntax node: the
-    node path and clock names are encoded once per node, not once per
-    position."""
+    ": " that follows its key: the state part per state, and the rest
+    once per node and clock prefix, from one %-template per syntax node."""
     paths = game.index.node_path
     name = game.sentence.name
     # Node paths and binder names hold no "%".  A game's binder names are
     # pairwise distinct (GameCore normalizes the sentence otherwise), so
     # every clock value has a key of its own.
     templates = [
-        ': {\n      "state": %s,\n      "node": ' + _quote(paths[node])
-        + ',\n      "clocks": '
+        ',\n      "node": ' + _quote(paths[node]) + ',\n      "clocks": '
         + _json_block("", "{}", (_quote(name[b]) + ": %d" for b in anc), 3)
         + "\n    }"
         for node, anc in enumerate(game.index.active_ancestors)]
-    state = list(map(_quote, game.model.states))
-    return [templates[node] % (state[si], *clocks)
-            for si, node, clocks in positions]
+    sis, qs, prefix = positions
+    tail = {q: templates[node] % clocks
+            for q, (node, clocks) in prefix.items()}
+    state = [': {\n      "state": ' + _quote(w) for w in game.model.states]
+    return list(map(add, map(state.__getitem__, sis),
+                    map(tail.__getitem__, qs)))
 
 
 def _position_valuation(game, graph):
-    """p_B / q_B flags per explored position."""
-    kind = game.sentence.kind
-    p_flags = []
-    q_flags = []
-    for si, node, _clocks in graph.pos_list:
-        k = kind[node]
+    """p_B / q_B flags per explored position, read from one table per node
+    over the state indices."""
+    S = game._S
+    p_table = []
+    q_table = []
+    for node, k in enumerate(game._kind):
         if k == F.PROP or k == F.NEGPROP:
-            true_here = game._val[game.sentence.name[node]] >> si & 1
-            if k == F.NEGPROP:
-                true_here = not true_here
-            p_flags.append(bool(true_here))
-            q_flags.append(not true_here)
+            bits = bin(game._val[game._name[node]])[:1:-1].ljust(S, "0")
+            true_here = [(b == "1") != (k == F.NEGPROP) for b in bits[:S]]
+            p_table += true_here
+            q_table += [not t for t in true_here]
         else:
-            p_flags.append(False)
-            q_flags.append(k == F.OR or k == F.DIAMOND or k == F.MU
-                           or (k == F.LABEL and game._rf_is_mu[node]))
-    return p_flags, q_flags
+            p_table += [False] * S
+            q_table += [k == F.OR or k == F.DIAMOND or k == F.MU
+                        or (k == F.LABEL and game._rf_is_mu[node])] * S
+    keys = list(map(game._SN.__rmod__, graph.pos_list))
+    return (list(map(p_table.__getitem__, keys)),
+            list(map(q_table.__getitem__, keys)))
+
+
+def _decode(game, pos_list):
+    """Every position split once into its state index and ``q = p // S``,
+    and each distinct ``q`` decoded once into its node and clocks: the
+    ``(sis, qs, prefix)`` that the state names and the back-map share."""
+    S = game._S
+    N = game._N
+    qs = list(map(S.__rfloordiv__, pos_list))
+    prefix = {q: (q % N, game._clocks(q, q % N)) for q in dict.fromkeys(qs)}
+    return list(map(S.__rmod__, pos_list)), qs, prefix
 
 
 def build_position_model(model, state, sentence, bound, tree=False,
@@ -199,21 +215,24 @@ def build_position_model(model, state, sentence, bound, tree=False,
     graph = game._explore([state])
     graph.topo_order()  # rejects cyclic graphs
     p_flags, q_flags = _position_valuation(game, graph)
+    positions = _decode(game, graph.pos_list)
 
     if tree:
         names, pos_of, rows = _unfold(graph, max_positions)
     else:
         paths = game.index.node_path
-        names = [f"{model.states[si]}|{paths[node]}|"
-                 + ",".join(map(str, clocks))
-                 for si, node, clocks in graph.pos_list]
+        sis, qs, prefix = positions
+        suffix = {q: f"|{paths[node]}|" + ",".join(map(str, clocks))
+                  for q, (node, clocks) in prefix.items()}
+        names = list(map(add, map(model.states.__getitem__, sis),
+                         map(suffix.__getitem__, qs)))
         pos_of = range(len(names))
         rows = graph.succs
     val = {prop: sum(1 << i for i in compress(
                count(), map(flags.__getitem__, pos_of)))
            for prop, flags in ((P_B, p_flags), (Q_B, q_flags))}
     reduced = KripkeModel._from_rows(names, rows, val)
-    return ReducedModel(reduced, names[0], game, graph.pos_list, pos_of)
+    return ReducedModel(reduced, names[0], game, positions, pos_of)
 
 
 def _unfold(graph, max_positions):

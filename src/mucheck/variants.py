@@ -44,13 +44,21 @@ def f_value(model, sentence, k=1):
 
 
 class FBoundedGame(GameCore):
-    """Two-counter evaluation game for (model, state, sentence, k)."""
+    """Two-counter evaluation game for (model, state, sentence, k).
+
+    Its codec keeps ``rest = ge * (f + 1) + ga``.  Binder rows, and label
+    rows under a greedy policy, are tables; the counters decide label
+    statuses and every-choice label rows.
+    """
 
     def __init__(self, model, state, sentence, k=1,
                  max_positions=DEFAULT_MAX_POSITIONS):
         super().__init__(model, state, sentence, max_positions)
         self.k = k
         self.f = f_value(model, self.sentence, k)
+        # Position units of one step of each counter.
+        self._ga_unit = self._SN
+        self._ge_unit = self._SN * (self.f + 1)
 
     def initial_position(self):
         return FPosition(self.start, 0, self.f, self.f)
@@ -69,45 +77,50 @@ class FBoundedGame(GameCore):
         }
 
     def _root(self, si):
-        return (si, 0, self.f, self.f)
+        return si + self.f * (self._ge_unit + self._ga_unit)
 
     def _internal(self, pos):
         si = self.model.state_index(pos.state)
         if not 0 <= pos.node < self.sentence.size:
             raise ValueError(f"node {pos.node} is not in the sentence")
-        if pos.gamma_e < 0 or pos.gamma_a < 0:
-            raise ValueError("counters must be nonnegative")
-        return (si, pos.node, pos.gamma_e, pos.gamma_a)
+        if not (0 <= pos.gamma_e <= self.f and 0 <= pos.gamma_a <= self.f):
+            raise ValueError(f"counters must be integers from 0 to {self.f}")
+        return (si + self._S * pos.node + pos.gamma_e * self._ge_unit
+                + pos.gamma_a * self._ga_unit)
 
-    def _public(self, ipos):
-        si, node, ge, ga = ipos
-        return FPosition(self.model.states[si], node, ge, ga)
+    def _public(self, p):
+        q, si = divmod(p, self._S)
+        ge, ga = divmod(q // self._N, self.f + 1)
+        return FPosition(self.model.states[si], q % self._N, ge, ga)
 
     _decision_kinds = (F.LABEL,)
 
-    def _label_status(self, ipos):
-        if self._rf_is_mu[ipos[1]]:
-            return _TURN_E if ipos[2] else _WON_A
-        return _TURN_A if ipos[3] else _WON_E
-
-    def _moves(self, ipos, eloise_greedy=False, abelard_greedy=False):
-        si, node, ge, ga = ipos
-        kind = self._kind[node]
-        if kind == F.OR or kind == F.AND:
-            left, right = self._children[node]
-            return (si, left, ge, ga), (si, right, ge, ga)
-        if kind == F.DIAMOND or kind == F.BOX:
-            child = self._children[node][0]
-            return [(v, child, ge, ga) for v in self._succ[si]]
-        if kind == F.MU or kind == F.NU:
-            # No announcement: step into the body with counters unchanged.
-            return ((si, self._children[node][0], ge, ga),)
-        body = self._rf_body[node]
+    def _label_status(self, p, node):
         if self._rf_is_mu[node]:
-            choices = (ge - 1,) if eloise_greedy else range(ge - 1, -1, -1)
-            return [(si, body, g, ga) for g in choices]
-        choices = (ga - 1,) if abelard_greedy else range(ga - 1, -1, -1)
-        return [(si, body, ge, g) for g in choices]
+            return _TURN_E if p // self._ge_unit else _WON_A
+        return _TURN_A if p // self._ga_unit % (self.f + 1) else _WON_E
+
+    def _fixed_row(self, node, eloise_greedy, abelard_greedy):
+        if self._kind[node] != F.LABEL:
+            # No announcement: step into the body with counters unchanged.
+            return (self._S * (self._children[node][0] - node),)
+        base = self._S * (self._rf_body[node] - node)
+        if self._rf_is_mu[node]:
+            return (base - self._ge_unit,) if eloise_greedy else None
+        return (base - self._ga_unit,) if abelard_greedy else None
+
+    def _decision_row(self, p, node, eloise_greedy=False,
+                      abelard_greedy=False):
+        # A label under every choice: lower its owner's counter by any
+        # amount, largest remaining value first.
+        base = self._S * (self._rf_body[node] - node)
+        if self._rf_is_mu[node]:
+            unit = self._ge_unit
+            top = p // unit
+        else:
+            unit = self._ga_unit
+            top = p // unit % (self.f + 1)
+        return [base - k * unit for k in range(1, top + 1)]
 
     def solve(self, mode="greedy"):
         """Winner plus a winning strategy, as in the clock-bounded game.
@@ -126,11 +139,13 @@ class FBoundedGame(GameCore):
                 f"card*size*(f+1)^2 bound {limit}")
         return result
 
-    def _decision_label(self, ipos, dst):
-        node = ipos[1]
+    def _decision_label(self, p, dst):
+        node = p // self._S % self._N
         if self._kind[node] != F.LABEL:
             return ("enter",)
-        return ("set-counter", dst[2] if self._rf_is_mu[node] else dst[3])
+        pos = self._public(dst)
+        return ("set-counter",
+                pos.gamma_e if self._rf_is_mu[node] else pos.gamma_a)
 
 
 def solve_fbounded(model, state, sentence, k=1, mode="greedy",
@@ -146,27 +161,23 @@ def solve_fbounded(model, state, sentence, k=1, mode="greedy",
 class _FreeGame(GameCore):
     """The clock-free game over ``(state index, node)`` positions: a label
     is its binder's owner's turn, and play jumps back to the binder's
-    body with nothing else changed.  It is only explored, and the
-    attractor solves it."""
+    body with nothing else changed.  Its codec keeps ``rest = 0``, so
+    every row is a table.  It is only explored, and the attractor solves
+    it."""
 
     def _root(self, si):
-        return (si, 0)
+        return si
 
-    def _label_status(self, ipos):
-        return _TURN_E if self._rf_is_mu[ipos[1]] else _TURN_A
+    def _public(self, p):
+        return FreePosition(self.model.states[p % self._S], p // self._S)
 
-    def _moves(self, ipos, eloise_greedy=False, abelard_greedy=False):
-        si, node = ipos
-        kind = self._kind[node]
-        if kind == F.OR or kind == F.AND:
-            left, right = self._children[node]
-            return (si, left), (si, right)
-        if kind == F.DIAMOND or kind == F.BOX:
-            child = self._children[node][0]
-            return [(v, child) for v in self._succ[si]]
-        if kind == F.MU or kind == F.NU:
-            return ((si, self._children[node][0]),)
-        return ((si, self._rf_body[node]),)
+    def _label_status(self, p, node):
+        return _TURN_E if self._rf_is_mu[node] else _TURN_A
+
+    def _fixed_row(self, node, eloise_greedy, abelard_greedy):
+        if self._kind[node] == F.LABEL:
+            return (self._S * (self._rf_body[node] - node),)
+        return (self._S * (self._children[node][0] - node),)
 
 
 def _free_game(model, state, sentence):
@@ -181,18 +192,19 @@ def free_regions(model, sentence):
     The graph holds every (state index, node) pair as a root, numbered
     ``si * size + node``, so exploring discovers nothing."""
     game = _free_game(model, model.states[0], sentence)
-    graph = game._explore_roots([(si, node) for si in range(model.card)
+    S = model.card
+    graph = game._explore_roots([si + S * node for si in range(S)
                                  for node in range(game.sentence.size)])
     win_e = _attractor(graph.status, graph.succs, _E)
     win_a = _attractor(graph.status, graph.succs, _A)
     eloise, abelard, neither = set(), set(), set()
-    for i, (si, node) in enumerate(graph.pos_list):
-        pos = FreePosition(model.states[si], node)
-        if win_e[i]:
+    for p, e, a in zip(graph.pos_list, win_e, win_a):
+        pos = game._public(p)
+        if e:
             eloise.add(pos)
-        if win_a[i]:
+        if a:
             abelard.add(pos)
-        if not win_e[i] and not win_a[i]:
+        if not e and not a:
             neither.add(pos)
     return eloise, abelard, neither
 

@@ -271,3 +271,225 @@ def union_by_names(models):
         for p, ws in model.valuation.items():
             val.setdefault(p, []).extend(name[w] for w in ws)
     return KripkeModel(states, edges, val)
+
+
+# ---------------------------------------------------------------------------
+# Reference explorer: the games' rules over tuple positions, one position
+# at a time, as the explorer ran before positions became ints.
+
+_WON_E, _WON_A, _TURN_E, _TURN_A = 0, 1, 2, 3
+
+
+class _TupleCodec:
+    """Tuple positions ``(state index, node, ...)`` of one game.  Reads
+    only the game's sentence, index, model and bound."""
+
+    def __init__(self, game):
+        s = game.sentence
+        self.kind = s.kind
+        self.children = s.children
+        self.rf = game.index.rf
+        self.rf_slot = game.index.rf_slot
+        self.rf_is_mu = {lab: s.kind[b] == F.MU for lab, b in self.rf.items()}
+        self.rf_body = {lab: s.children[b][0] for lab, b in self.rf.items()}
+        self.name = s.name
+        self.val = game.model._val_mask
+        self.succ = game.model._succ
+
+    def status(self, ipos):
+        si, node = ipos[0], ipos[1]
+        kind = self.kind[node]
+        if kind in (F.PROP, F.NEGPROP):
+            true = self.val.get(self.name[node], 0) >> si & 1
+            return _WON_E if bool(true) == (kind == F.PROP) else _WON_A
+        if kind in (F.OR, F.MU):
+            return _TURN_E
+        if kind in (F.AND, F.NU):
+            return _TURN_A
+        if kind == F.DIAMOND:
+            return _TURN_E if self.succ[si] else _WON_A
+        if kind == F.BOX:
+            return _TURN_A if self.succ[si] else _WON_E
+        return self.label_status(ipos)
+
+    def moves(self, ipos, eloise_greedy, abelard_greedy):
+        """The clock-free moves; binders and labels go to ``decide``."""
+        si, node, rest = ipos[0], ipos[1], ipos[2:]
+        kind = self.kind[node]
+        if kind in (F.OR, F.AND):
+            return [(si, c) + rest for c in self.children[node]]
+        if kind in (F.DIAMOND, F.BOX):
+            return [(v, self.children[node][0]) + rest
+                    for v in self.succ[si]]
+        mu = self.rf_is_mu[node] if kind == F.LABEL else kind == F.MU
+        return self.decide(ipos, eloise_greedy if mu else abelard_greedy)
+
+
+class EvalTuples(_TupleCodec):
+    """``(si, node, clocks)`` with canonical truncated clock tuples."""
+
+    def __init__(self, game):
+        super().__init__(game)
+        self.choices = tuple(range(game.clock_cap - 1, -1, -1))
+
+    def root(self, si):
+        return (si, 0, ())
+
+    def label_status(self, ipos):
+        node = ipos[1]
+        gamma = ipos[2][self.rf_slot[node]]
+        turn = gamma is None or gamma > 0
+        if self.rf_is_mu[node]:
+            return _TURN_E if turn else _WON_A
+        return _TURN_A if turn else _WON_E
+
+    def decide(self, ipos, greedy):
+        si, node, clocks = ipos
+        if self.kind[node] in (F.MU, F.NU):
+            choices = self.choices[:1] if greedy else self.choices
+            return [(si, self.children[node][0], clocks + (g,))
+                    for g in choices]
+        slot = self.rf_slot[node]
+        gamma = clocks[slot]
+        if gamma is None:
+            choices = self.choices[:1] if greedy else self.choices
+        else:
+            choices = (gamma - 1,) if greedy else range(gamma - 1, -1, -1)
+        return [(si, self.rf_body[node], clocks[:slot] + (g,))
+                for g in choices]
+
+
+class FBoundedTuples(_TupleCodec):
+    """``(si, node, gamma_e, gamma_a)``."""
+
+    def __init__(self, game):
+        super().__init__(game)
+        self.f = game.f
+
+    def root(self, si):
+        return (si, 0, self.f, self.f)
+
+    def label_status(self, ipos):
+        if self.rf_is_mu[ipos[1]]:
+            return _TURN_E if ipos[2] else _WON_A
+        return _TURN_A if ipos[3] else _WON_E
+
+    def decide(self, ipos, greedy):
+        si, node, ge, ga = ipos
+        if self.kind[node] in (F.MU, F.NU):
+            return [(si, self.children[node][0], ge, ga)]
+        body = self.rf_body[node]
+        if self.rf_is_mu[node]:
+            choices = (ge - 1,) if greedy else range(ge - 1, -1, -1)
+            return [(si, body, g, ga) for g in choices]
+        choices = (ga - 1,) if greedy else range(ga - 1, -1, -1)
+        return [(si, body, ge, g) for g in choices]
+
+
+class FreeTuples(_TupleCodec):
+    """``(si, node)``."""
+
+    def root(self, si):
+        return (si, 0)
+
+    def label_status(self, ipos):
+        return _TURN_E if self.rf_is_mu[ipos[1]] else _TURN_A
+
+    def decide(self, ipos, greedy):
+        si, node = ipos
+        if self.kind[node] in (F.MU, F.NU):
+            return [(si, self.children[node][0])]
+        return [(si, self.rf_body[node])]
+
+
+class FullMapTuples(_TupleCodec):
+    """``(si, node, clocks)`` with one clock per binder in pre-order, the
+    cap standing for an untouched one."""
+
+    def __init__(self, game):
+        super().__init__(game)
+        self.cap = game.clock_cap
+        binders = game.index.mu_nu_nodes
+        anc = game.index.active_ancestors
+        self.slot = {b: k for k, b in enumerate(binders)}
+        self.resets = {b: [self.slot[x] for x in binders if b in anc[x]]
+                       for b in binders}
+
+    def root(self, si):
+        return (si, 0, (self.cap,) * len(self.slot))
+
+    def label_status(self, ipos):
+        node = ipos[1]
+        gamma = ipos[2][self.slot[self.rf[node]]]
+        if self.rf_is_mu[node]:
+            return _TURN_E if gamma else _WON_A
+        return _TURN_A if gamma else _WON_E
+
+    def decide(self, ipos, greedy):
+        si, node, clocks = ipos
+        if self.kind[node] == F.LABEL:
+            binder = self.rf[node]
+            body = self.rf_body[node]
+            top = clocks[self.slot[binder]]
+            resets = self.resets[binder]
+        else:
+            binder = node
+            body = self.children[node][0]
+            top = self.cap
+            resets = ()
+        out = []
+        for g in range(top - 1, -1, -1):
+            c2 = list(clocks)
+            c2[self.slot[binder]] = g
+            for r in resets:
+                c2[r] = self.cap
+            out.append((si, body, tuple(c2)))
+        return out
+
+
+class ReferenceGraph:
+    """An explored graph of tuple positions, in discovery order."""
+
+    def __init__(self, codec, roots):
+        self.codec = codec
+        self.pos_list = list(dict.fromkeys(roots))
+        self.pos_id = {ip: i for i, ip in enumerate(self.pos_list)}
+        self.status = [codec.status(ip) for ip in self.pos_list]
+        self.succs = [()] * len(self.pos_list)
+
+    def expand(self, frontier, eloise_greedy, abelard_greedy):
+        """Rebuild the row of every frontier position, appending each newly
+        discovered turn position to the frontier."""
+        for i in frontier:
+            row = []
+            for dst in self.codec.moves(self.pos_list[i], eloise_greedy,
+                                        abelard_greedy):
+                di = self.pos_id.get(dst)
+                if di is None:
+                    di = self.pos_id[dst] = len(self.pos_list)
+                    self.pos_list.append(dst)
+                    st = self.codec.status(dst)
+                    self.status.append(st)
+                    self.succs.append(())
+                    if st >= _TURN_E:
+                        frontier.append(di)
+                row.append(di)
+            self.succs[i] = tuple(row)
+
+
+def reference_explore(codec, roots, eloise_greedy=False,
+                      abelard_greedy=False):
+    graph = ReferenceGraph(codec, roots)
+    graph.expand([i for i, st in enumerate(graph.status) if st >= _TURN_E],
+                 eloise_greedy, abelard_greedy)
+    return graph
+
+
+def reference_refine(graph, win_code, decision_kinds):
+    """Re-expand the loser's decisions with every choice (win_code 0 is
+    Eloise)."""
+    loser = _TURN_A if win_code == 0 else _TURN_E
+    kind = graph.codec.kind
+    graph.expand([i for i, ip in enumerate(graph.pos_list)
+                  if graph.status[i] == loser and kind[ip[1]] in decision_kinds],
+                 win_code == 0, win_code == 1)

@@ -36,17 +36,7 @@ def test_broken_bounded_engine_is_caught(monkeypatch):
 
 
 def test_broken_game_rule_is_caught(monkeypatch):
-    from mucheck.game import EvalGame, _WON_A, _WON_E
-    from mucheck import formula as F
-    real = EvalGame._status
-
-    def broken(self, ipos):
-        st = real(self, ipos)
-        if self._kind[ipos[1]] == F.NEGPROP:  # negated literals lie
-            return _WON_E if st == _WON_A else _WON_A if st == _WON_E else st
-        return st
-
-    monkeypatch.setattr(EvalGame, "_status", broken)
+    _lying_literals(monkeypatch)
     tallies = compare.run_main_sweep(small_sentences()[:12], max_states=1,
                                      gammas=(1, 2), workers=1)
     assert tallies["game-vs-bounded"].failures > 0
@@ -108,16 +98,15 @@ def test_fullmap_oracle_owns_its_clock_rule(monkeypatch):
     full-map oracle, which checks that rule."""
     from mucheck import formula as F
     from mucheck.game import EvalGame, _WON_A
-    real = EvalGame._status
+    real = EvalGame._label_status
 
-    def broken(self, ipos):
-        node, clocks = ipos[1], ipos[2]
-        if (self._kind[node] == F.LABEL and self._rf_is_mu[node]
-                and clocks[self._rf_slot[node]] == 1):
+    def broken(self, p, node):
+        if (self._rf_is_mu[node]
+                and self._public(p).clocks[self._rf_slot[node]] == 1):
             return _WON_A  # a mu-label with clock 1 is lost by Eloise
-        return real(self, ipos)
+        return real(self, p, node)
 
-    monkeypatch.setattr(EvalGame, "_status", broken)
+    monkeypatch.setattr(EvalGame, "_label_status", broken)
     tallies = compare.run_mode_sweep([F.parse("mu X. (p | <>X)")],
                                      max_states=2, gammas=(2,), workers=1)
     tally = tallies["canonical-fullmap"]
@@ -220,7 +209,7 @@ def _kernel(model, sent, gammas):
     graph = game._explore(model.states)
     tags = compare._edge_tags(game, graph)
     p_flags, q_flags = reduction._position_valuation(game, graph)
-    inits = [graph.pos_id[(si, 0, ())] for si in range(model.card)]
+    inits = [graph.pos_id[game._root(si)] for si in range(model.card)]
     return bounds, caps, graph, tags, p_flags, q_flags, inits
 
 
@@ -240,7 +229,7 @@ def test_kernel_agrees_with_per_bound_solving():
                 w = model.states[si]
                 game = EvalGame(model, w, sent, bound)
                 alone = game._explore([w])
-                eloise = alone.winners()[alone.pos_id[(si, 0, ())]] == _E
+                eloise = alone.winners()[alone.pos_id[game._root(si)]] == _E
                 assert bool(win[init] >> b & 1) == eloise
                 reduced = reduction.build_position_model(model, w, sent,
                                                          bound)
@@ -309,7 +298,7 @@ def test_fbounded_shared_graph_matches_per_state_solves():
         full = game._explore(model.states)
         unit_win, full_win = unit.winners(), full.winners()
         for si, w in enumerate(model.states):
-            start = (si, 0, game.f, game.f)
+            start = game._root(si)
             for graph, win, mode in ((unit, unit_win, "greedy"),
                                      (full, full_win, "exhaustive")):
                 verdict, _ = variants.solve_fbounded(model, w, chi, 1,
@@ -503,17 +492,19 @@ def _one_model_groups(pairs):
 
 
 def _lying_literals(monkeypatch):
+    """A canonical game whose negated literals are won by the player who
+    should lose them: the status table flips at every negated literal."""
     from mucheck import formula as F
     from mucheck.game import EvalGame, _WON_A, _WON_E
-    real = EvalGame._status
+    real = EvalGame._status_row
 
-    def broken(self, ipos):
-        st = real(self, ipos)
-        if self._kind[ipos[1]] == F.NEGPROP:
-            return _WON_E if st == _WON_A else _WON_A if st == _WON_E else st
-        return st
+    def broken(self, node):
+        row = real(self, node)
+        if self._kind[node] == F.NEGPROP:
+            return tuple(_WON_E if st == _WON_A else _WON_A for st in row)
+        return row
 
-    monkeypatch.setattr(EvalGame, "_status", broken)
+    monkeypatch.setattr(EvalGame, "_status_row", broken)
 
 
 def _wrong_first_winner(monkeypatch):
@@ -523,8 +514,9 @@ def _wrong_first_winner(monkeypatch):
 
     def broken(graph, tags, caps, p_flags, q_flags, card=None):
         win, ar, diff = real(graph, tags, caps, p_flags, q_flags, card)
-        for i, (si, node, clocks) in enumerate(graph.pos_list):
-            if node == 0 and not clocks and si % card == 0:
+        # A position below S is a root: state index p, node 0, no clocks.
+        for i, p in enumerate(graph.pos_list):
+            if p < graph.states and p % card == 0:
                 win[i] ^= 1
         return win, ar, diff
 

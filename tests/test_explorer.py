@@ -1,0 +1,167 @@
+"""The one position explorer over integer positions.
+
+Every game's positions are ints ``si + S * (node + N * rest)``, and the
+explorer reads statuses and rows from per-node tables.  These tests hold
+it to the tuple codecs in ``naive_oracles`` position by position, check
+that the codecs invert, that the codec is called only where a position's
+``rest`` matters, and that a position-cap hit says where the positions
+went.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from naive_oracles import (EvalTuples, FBoundedTuples, FreeTuples,
+                           FullMapTuples, reference_explore,
+                           reference_refine)
+
+from mucheck import formula as F
+from mucheck.compare import _FullMapGame
+from mucheck.corpus import random_model, random_sentence
+from mucheck.formula import parse
+from mucheck.game import EvalGame, GameLimitError, Position
+from mucheck.kripke import generate_family
+from mucheck.semantics import OMEGA, clock_cap
+from mucheck.variants import FBoundedGame, FPosition, _FreeGame
+
+BOUNDS = (1, 2, 3, 4, OMEGA)
+
+
+def _games(model, sent, bound):
+    """One game of each codec with its tuple reference."""
+    start = model.states[0]
+    cap = clock_cap(bound, model)
+    games = [EvalGame(model, start, sent, bound),
+             FBoundedGame(model, start, sent, 1),
+             _FreeGame(model, start, sent, 10 ** 6),
+             _FullMapGame(model, start, sent, cap, 10 ** 6)]
+    refs = (EvalTuples, FBoundedTuples, FreeTuples, FullMapTuples)
+    return [(game, ref(game)) for game, ref in zip(games, refs)]
+
+
+def _decoded(game, graph):
+    """The graph's positions as the tuple codecs write them."""
+    out = []
+    for p in graph.pos_list:
+        pos = game._public(p)
+        out.append((game.model.state_index(pos[0]),) + tuple(pos[1:]))
+    return out
+
+
+def _assert_same(game, graph, ref):
+    assert _decoded(game, graph) == ref.pos_list
+    assert graph.status == ref.status
+    assert graph.succs == ref.succs
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.sampled_from(BOUNDS))
+def test_int_explorer_matches_the_tuple_explorer(seed, card, bound):
+    rng = random.Random(seed)
+    model = random_model(rng, card)
+    sent = F.normalize(random_sentence(rng, 9, 2))
+    for game, codec in _games(model, sent, bound):
+        if isinstance(game, FBoundedGame) and game.f > 27:
+            continue  # keep the two-counter graphs small
+        roots = [codec.root(si) for si in range(card)]
+        for greedy in (True, False):
+            graph = game._explore(model.states, greedy, greedy)
+            _assert_same(game, graph,
+                         reference_explore(codec, roots, greedy, greedy))
+        if isinstance(game, _FreeGame):
+            continue  # no decisions to refine
+        graph = game._explore(model.states, True, True)
+        ref = reference_explore(codec, roots, True, True)
+        win = graph.solve((0,))[0][0]
+        game._refine(graph, win)
+        reference_refine(ref, win, game._decision_kinds)
+        _assert_same(game, graph, ref)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2 ** 32), st.sampled_from(BOUNDS))
+def test_codecs_invert(seed, bound):
+    rng = random.Random(seed)
+    model = random_model(rng, rng.randint(1, 3))
+    sent = F.normalize(random_sentence(rng, 9, 3))
+    game = EvalGame(model, model.states[0], sent, bound)
+    cap = game.clock_cap
+    anc = game.index.active_ancestors
+    for _ in range(20):
+        node = rng.randrange(sent.size)
+        clocks = tuple(rng.choice([None] + list(range(cap)))
+                       for _ in anc[node])
+        pos = Position(rng.choice(model.states), node, clocks)
+        assert game._public(game._internal(pos)) == pos
+        if clocks:
+            k = rng.randrange(len(clocks))
+            for bad in (cap, -1):
+                wrong = clocks[:k] + (bad,) + clocks[k + 1:]
+                with pytest.raises(ValueError):
+                    game._internal(pos._replace(clocks=wrong))
+    fb = FBoundedGame(model, model.states[0], sent, 1)
+    for _ in range(20):
+        pos = FPosition(rng.choice(model.states), rng.randrange(sent.size),
+                        rng.randint(0, fb.f), rng.randint(0, fb.f))
+        assert fb._public(fb._internal(pos)) == pos
+        for wrong in (pos._replace(gamma_e=fb.f + 1),
+                      pos._replace(gamma_a=-1)):
+            with pytest.raises(ValueError):
+                fb._internal(wrong)
+
+
+def test_explorer_calls_the_codec_only_at_labels(monkeypatch):
+    """Statuses and rows come from the tables: exploring starN(3) at omega
+    calls the codec's hooks only at label positions, once per new label
+    position for its status, and never per position for a status or a
+    row."""
+    game = EvalGame(generate_family("starN", 3), "w_0",
+                    parse("nu X. [] mu Y. (<>Y | (p & X))"), OMEGA)
+    calls = Counter()
+    hook_kinds = set()
+
+    def counting(name, record_node):
+        real = getattr(EvalGame, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            if record_node:
+                hook_kinds.add(self._kind[args[1]])
+            return real(self, *args)
+        monkeypatch.setattr(EvalGame, name, wrapper)
+
+    counting("_status", False)
+    counting("_successors", False)
+    counting("_label_status", True)
+    counting("_decision_row", True)
+    S, N = game._S, game._N
+    new_labels = 0
+    for greedy in (True, False):
+        graph = game._explore(["w_0"], greedy, greedy)
+        if greedy:
+            game._refine(graph, graph.solve((0,))[0][0])
+        new_labels += sum(game._kind[p // S % N] == F.LABEL
+                          for p in graph.pos_list[1:])
+    assert calls["_status"] == 2  # the two roots
+    assert calls["_successors"] == 0
+    assert hook_kinds == {F.LABEL}
+    assert calls["_label_status"] == new_labels > 0
+    assert 0 < calls["_decision_row"] <= 2 * new_labels
+
+
+def test_cap_hit_names_the_busiest_node(m1, phi_star):
+    game = EvalGame(m1, "a", phi_star, 3)
+    first = game._explore(["a"]).pos_list[:5]
+    counts = Counter(game._public(p).node for p in first)
+    node = max(counts, key=counts.get)
+    with pytest.raises(GameLimitError) as err:
+        EvalGame(m1, "a", phi_star, 3, max_positions=5).solve("exhaustive")
+    message = str(err.value)
+    assert message.startswith("position cap 5 exceeded while exploring")
+    assert (f"the busiest node is {game.index.node_path[node]} "
+            f"({F.render(phi_star, node)}) with {counts[node]} positions"
+            in message)

@@ -178,6 +178,52 @@ def test_dual_involution():
         assert dual(dual(s)) == s
 
 
+def _deep_shadowed(rng, depth):
+    """A random sentence wrapped ``depth`` times in modalities,
+    connectives and binders that reuse two names, so that normalizing
+    renames most of them."""
+    tree = random_sentence(rng, 9, 2).tree()
+    for _ in range(depth):
+        op = rng.randrange(5)
+        if op == 0:
+            tree = F.dia(tree)
+        elif op == 1:
+            tree = F.box(tree)
+        elif op == 2:
+            tree = F.lor(tree, F.negprop(rng.choice("pq")))
+        else:
+            name = rng.choice("XY")
+            tree = (F.mu if op == 3 else F.nu)(
+                name, F.land(F.dia(F.label(name)), tree))
+    return F.Sentence(tree)
+
+
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 10_000))
+@example(seed=0, depth=10_000)
+def test_dual_and_normalize_on_deep_sentences(seed, depth):
+    """dual is an involution and normalize idempotent and alpha-equal to
+    its input, on sentences nested up to 10,000 deep."""
+    s = _deep_shadowed(random.Random(seed), depth)
+    assert dual(dual(s)) == s
+    assert dual(s) != s
+    n = normalize(s)
+    assert is_normal(n)
+    assert normalize(n) == n
+    assert alpha_equal(s, n)
+    assert alpha_equal(dual(dual(n)), s)
+
+
+def test_deep_sentences_do_not_recurse():
+    """dual, alpha_equal and the subtree views walk explicit stacks."""
+    s = parse("<> " * 20_000 + "mu X. (p | <>X)")
+    assert dual(s) == parse("[] " * 20_000 + "nu X. (!p & []X)")
+    assert alpha_equal(s, parse("<> " * 20_000 + "mu Y. (p | <>Y)"))
+    assert not alpha_equal(s, parse("<> " * 20_000 + "mu Y. (q | <>Y)"))
+    assert s.subsentence(1) == parse("<> " * 19_999 + "mu X. (p | <>X)")
+    assert F.Sentence(s.tree(20_000)) == parse("mu X. (p | <>X)")
+
+
 def test_alpha_equal_basics():
     assert alpha_equal(parse("mu X. X"), parse("mu Y. Y"))
     assert not alpha_equal(parse("mu X. X"), parse("nu Y. Y"))

@@ -189,9 +189,9 @@ def _by_names(model, state, sentence, bound, tree):
                 edges.append((name, f"{name}.{k}"))
                 stack.append((j, f"{name}.{k}"))
     else:
-        names = [f"{model.states[si]}|{paths[node]}|"
-                 + ",".join(map(str, clocks))
-                 for si, node, clocks in graph.pos_list]
+        names = [f"{pos.state}|{paths[pos.node]}|"
+                 + ",".join(map(str, pos.clocks))
+                 for pos in map(game._public, graph.pos_list)]
         tree_pos = range(len(names))
         edges = [(names[i], names[j])
                  for i, row in enumerate(graph.succs) for j in row]
@@ -199,11 +199,12 @@ def _by_names(model, state, sentence, bound, tree):
            Q_B: [nm for nm, i in zip(names, tree_pos) if q_flags[i]]}
     backmap = {}
     for nm, i in zip(names, tree_pos):
-        si, node, clocks = graph.pos_list[i]
+        pos = game._public(graph.pos_list[i])
         backmap[nm] = {
-            "state": model.states[si], "node": paths[node],
+            "state": pos.state, "node": paths[pos.node],
             "clocks": {game.sentence.name[b]: v for b, v in
-                       zip(game.index.active_ancestors[node], clocks)}}
+                       zip(game.index.active_ancestors[pos.node],
+                           pos.clocks)}}
     return KripkeModel(names, edges, val), names[0], backmap
 
 

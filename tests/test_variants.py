@@ -131,10 +131,13 @@ def test_free_graph_numbers_every_state_node_pair():
     rng = random.Random(71)
     m = random_model(rng, 3)
     s = random_sentences(1, 5, 9, 2)[0]
-    roots = [(si, node) for si in range(m.card) for node in range(s.size)]
-    graph = _FreeGame(m, m.states[0], s, 1)._explore_roots(roots)
-    assert graph.pos_list == roots
-    assert graph.pos_id == {ip: i for i, ip in enumerate(roots)}
+    game = _FreeGame(m, m.states[0], s, 1)
+    pairs = [(w, node) for w in m.states for node in range(s.size)]
+    roots = [game._root(m.state_index(w)) + m.card * node
+             for w, node in pairs]
+    graph = game._explore_roots(roots)
+    assert [game._public(p) for p in graph.pos_list] == pairs
+    assert graph.pos_id == {p: i for i, p in enumerate(roots)}
 
 
 def test_free_undetermined_region_contains_mu_self_loop(m1):
