@@ -146,7 +146,7 @@ class Sentence:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._tree)
+            self._hash = hash((self.kind, self.name, self.children))
         return self._hash
 
     def __repr__(self):

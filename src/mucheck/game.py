@@ -183,9 +183,10 @@ class GameCore:
     status and successors from flat tables indexed by it, built once per
     game: ``_status_row(node)`` gives the status over every state index
     of each non-label node, and the row tables, built once per clock
-    policy, give each position's successors as deltas to add to it.  The
-    clock-free rules (literals, or/and, modal moves, stuck movers) are
-    shared here.  A game supplies only its codec:
+    policy, give each position's successors as deltas to add to it (a
+    modal row when play first reaches its state).  The clock-free rules
+    (literals, or/and, modal moves, stuck movers) are shared here.  A game
+    supplies only its codec:
 
     * ``_root(si)``, the start position at state index ``si``, and
       ``_internal``/``_public`` between public and internal positions;
@@ -229,10 +230,21 @@ class GameCore:
         self._N = s.size
         self._SN = S * s.size
         stat = []
-        for node in range(s.size):
+        rows = []
+        for node, kind in enumerate(s.kind):
             row = self._status_row(node)
             stat += [None] * S if row is None else row
+            # The rows no clock policy changes; binder and label rows are
+            # filled in per policy by _rows.
+            if kind == F.OR or kind == F.AND:
+                left, right = s.children[node]
+                rows += [(S * (left - node), S * (right - node))] * S
+            elif kind == F.DIAMOND or kind == F.BOX:
+                rows += [None] * S  # built on first use by _missing_row
+            else:
+                rows += [()] * S  # literals end the game
         self._stat = stat
+        self._shared_rows = rows
         self._row_tables = {}
 
     def _status_row(self, node):
@@ -241,45 +253,52 @@ class GameCore:
         kind = self._kind[node]
         S = self._S
         if kind == F.PROP or kind == F.NEGPROP:
-            true, false = (_WON_E, _WON_A) if kind == F.PROP \
-                else (_WON_A, _WON_E)
+            code = {"1": _WON_E, "0": _WON_A} if kind == F.PROP \
+                else {"1": _WON_A, "0": _WON_E}
             bits = bin(self._val[self._name[node]])[:1:-1].ljust(S, "0")
-            return tuple(true if b == "1" else false for b in bits[:S])
+            return tuple(map(code.__getitem__, bits[:S]))
         if kind == F.OR or kind == F.MU:
             return (_TURN_E,) * S
         if kind == F.AND or kind == F.NU:
             return (_TURN_A,) * S
         if kind == F.DIAMOND:
-            return tuple(_TURN_E if row else _WON_A for row in self._succ)
+            return tuple(map((_WON_A, _TURN_E).__getitem__,
+                             map(bool, self._succ)))
         if kind == F.BOX:
-            return tuple(_TURN_A if row else _WON_E for row in self._succ)
+            return tuple(map((_WON_E, _TURN_A).__getitem__,
+                             map(bool, self._succ)))
         return None
 
     def _rows(self, eloise_greedy, abelard_greedy):
         """The row table of a clock policy, indexed by ``p % (S * N)``:
         the deltas from a position to its successors in move order, or
-        None where the codec's ``_decision_row`` gives them."""
+        None where ``_missing_row`` gives them."""
         key = (eloise_greedy, abelard_greedy)
         rows = self._row_tables.get(key)
-        if rows is not None:
-            return rows
-        S = self._S
-        rows = []
-        for node, kind in enumerate(self._kind):
-            if kind == F.OR or kind == F.AND:
-                left, right = self._children[node]
-                rows += [(S * (left - node), S * (right - node))] * S
-            elif kind == F.DIAMOND or kind == F.BOX:
-                base = S * (self._children[node][0] - node)
-                rows += [tuple([v - si + base for v in row])
-                         for si, row in enumerate(self._succ)]
-            elif kind == F.PROP or kind == F.NEGPROP:
-                rows += [()] * S  # literals end the game
-            else:
-                rows += [self._fixed_row(node, eloise_greedy,
-                                         abelard_greedy)] * S
-        self._row_tables[key] = rows
+        if rows is None:
+            S = self._S
+            rows = self._row_tables[key] = list(self._shared_rows)
+            for node, kind in enumerate(self._kind):
+                if kind == F.MU or kind == F.NU or kind == F.LABEL:
+                    rows[node * S:(node + 1) * S] = [self._fixed_row(
+                        node, eloise_greedy, abelard_greedy)] * S
         return rows
+
+    def _missing_row(self, rows, p, eloise_greedy, abelard_greedy):
+        """The deltas of ``p`` where its entry in ``rows`` is None: the
+        codec's decision row, or a modal row, which is built when play
+        first reaches its state and kept, so that a large model costs
+        only the states a game reaches."""
+        node = p // self._S % self._N
+        kind = self._kind[node]
+        if kind != F.DIAMOND and kind != F.BOX:
+            return self._decision_row(p, node, eloise_greedy, abelard_greedy)
+        S = self._S
+        si = p % S
+        base = S * (self._children[node][0] - node) - si
+        rows[p % self._SN] = self._shared_rows[p % self._SN] = row = tuple(
+            [v + base for v in self._succ[si]])
+        return row
 
     def _status(self, p):
         st = self._stat[p % self._SN]
@@ -289,10 +308,10 @@ class GameCore:
 
     def _successors(self, p, eloise_greedy=False, abelard_greedy=False):
         """Successor positions of ``p`` in move order."""
-        deltas = self._rows(eloise_greedy, abelard_greedy)[p % self._SN]
+        rows = self._rows(eloise_greedy, abelard_greedy)
+        deltas = rows[p % self._SN]
         if deltas is None:
-            deltas = self._decision_row(p, p // self._S % self._N,
-                                        eloise_greedy, abelard_greedy)
+            deltas = self._missing_row(rows, p, eloise_greedy, abelard_greedy)
         return [p + d for d in deltas]
 
     def _decision_row(self, p, node, eloise_greedy=False,
@@ -368,14 +387,13 @@ class GameCore:
         SN = self._SN
         stat = self._stat
         rows = self._rows(eloise_greedy, abelard_greedy)
-        decision_row = self._decision_row
+        missing_row = self._missing_row
         label_status = self._label_status
         for i in frontier:  # grows while it is walked
             p = pos_list[i]
             deltas = rows[p % SN]
             if deltas is None:
-                deltas = decision_row(p, p // S % N, eloise_greedy,
-                                      abelard_greedy)
+                deltas = missing_row(rows, p, eloise_greedy, abelard_greedy)
             row = []
             for d in deltas:
                 dst = p + d

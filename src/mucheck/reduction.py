@@ -171,7 +171,9 @@ def _backmap_entries(game, positions):
 
 def _position_valuation(game, graph):
     """p_B / q_B flags per explored position, read from one table per node
-    over the state indices."""
+    over the state indices.  Literals read the model's valuation, not the
+    game's status rows, so that a wrong status rule shows up as a
+    disagreement between the game and the AR export."""
     S = game._S
     p_table = []
     q_table = []

@@ -215,13 +215,19 @@ def test_dual_and_normalize_on_deep_sentences(seed, depth):
 
 
 def test_deep_sentences_do_not_recurse():
-    """dual, alpha_equal and the subtree views walk explicit stacks."""
+    """dual, alpha_equal, the subtree views and the hash walk no nested
+    tree."""
     s = parse("<> " * 20_000 + "mu X. (p | <>X)")
     assert dual(s) == parse("[] " * 20_000 + "nu X. (!p & []X)")
     assert alpha_equal(s, parse("<> " * 20_000 + "mu Y. (p | <>Y)"))
     assert not alpha_equal(s, parse("<> " * 20_000 + "mu Y. (q | <>Y)"))
     assert s.subsentence(1) == parse("<> " * 19_999 + "mu X. (p | <>X)")
     assert F.Sentence(s.tree(20_000)) == parse("mu X. (p | <>X)")
+    # Deep enough that hashing the nested tree would overflow the C stack.
+    deep = F.prop("p")
+    for _ in range(200_000):
+        deep = F.dia(deep)
+    assert isinstance(hash(F.Sentence(deep)), int)
 
 
 def test_alpha_equal_basics():
