@@ -59,8 +59,8 @@ print("positions checked by exhaustive playout:",
       game.validate_strategy(winner, strategy))
 
 # ---------------------------------------------------------------------------
-# Greedy and exhaustive clock policies agree on the winner; greedy just
-# explores far fewer positions.
+# Greedy and exhaustive clock policies agree on the winner.  The solver
+# explores only the positions its search enters, and greedy a few fewer.
 
 for mode in ("greedy", "exhaustive"):
     game = EvalGame(star, "w_0", phi, OMEGA)

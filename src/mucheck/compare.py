@@ -686,7 +686,10 @@ class _FullMapGame(EvalGame):
     oracle for them: it owns its label rules and shares only the
     clock-free rules of GameCore, so binder and label rows both come from
     its ``_decision_row``.  Only winners are read from it, so it always
-    offers every clock choice.
+    offers every clock choice.  Its public positions carry every slot,
+    the untouched ones at the clock cap, so ``play``, ``status`` and
+    ``validate_strategy`` start from its own root, and its descriptions
+    name each touched slot's binder.
     """
 
     def __init__(self, model, state, sentence, bound, max_positions):
@@ -704,10 +707,32 @@ class _FullMapGame(EvalGame):
     def _root(self, si):
         return si + self._top
 
+    def initial_position(self):
+        return self._public(self._root(self.model.state_index(self.start)))
+
+    def _internal(self, pos):
+        si = self.model.state_index(pos.state)
+        if not 0 <= pos.node < self._N:
+            raise ValueError(f"node {pos.node} is not in the sentence")
+        clocks = tuple(pos.clocks)
+        if len(clocks) != len(self._unit):
+            raise ValueError(f"a full-map position needs {len(self._unit)} "
+                             f"clock values, got {len(clocks)}")
+        cap = self.clock_cap
+        if any(not isinstance(v, int) or not 0 <= v <= cap for v in clocks):
+            raise ValueError(f"full-map clock values must be integers from "
+                             f"0 to {cap}, the untouched bound")
+        return si + self._S * pos.node + sum(
+            v * u for v, u in zip(clocks, self._unit.values()))
+
     def _public(self, p):
         q, si = divmod(p, self._S)
         return Position(self.model.states[si], q % self._N,
                         tuple(p // u % self._R for u in self._unit.values()))
+
+    def clock_dict(self, pos):
+        return {self._name[b]: v for b, v in zip(self._unit, pos.clocks)
+                if v != self.clock_cap}
 
     # The shared clock-free rules with this class's own label rule, so
     # that nothing done to EvalGame's rules reaches this oracle.

@@ -8,10 +8,13 @@ on that ancestor path implicitly carry the untouched bound, so resets on
 a label jump amount to truncating the tuple.  This canonical form keeps
 the reachable position set a finite DAG, so every play is finite and a
 position's value follows from its successors.  The solver is one
-short-circuit depth-first search from the start: each turn position's
-successors are tried in move order until its mover finds one that mover
-wins, which is also the position's first winning move, so the strategy
-is read off the search and its public form is built only when it is read.
+short-circuit depth-first search from the start that explores on demand:
+it builds a position's successors the first time it enters it, and tries
+them in move order until its mover finds one that mover wins, which is
+also the position's first winning move, so the strategy is read off the
+search and its public form is built only when it is read.  The sweeps
+and the position-model export explore whole graphs breadth-first with
+the same row builder, since they need every position.
 
 Rules in brief:
 
@@ -24,7 +27,7 @@ Rules in brief:
   otherwise that player must lower the clock and play returns to the
   binder's body, resetting every clock introduced below the binder.
 
-``GameCore`` is the one game kernel (explorer, solver, play); every game
+``GameCore`` is the one game kernel (row builder, solver, play); every game
 variant supplies only a position codec to it.  Internally a position is
 one int ``si + S * (node + N * rest)``: S is the model's card, N the
 sentence's size, and ``rest`` the part the codec owns (here the clock
@@ -179,12 +182,16 @@ class GameCore:
     An internal position is one int ``si + S * (node + N * rest)``, where
     S is the model's card, N the sentence's size and ``rest`` the part
     that the game's codec owns (clocks or counters).  ``p % (S * N)`` is
-    then the (state, node) pair, and the explorer reads every position's
-    status and successors from flat tables indexed by it, built once per
-    game: ``_status_row(node)`` gives the status over every state index
-    of each non-label node, and the row tables, built once per clock
-    policy, give each position's successors as deltas to add to it (a
-    modal row when play first reaches its state).  The clock-free rules
+    then the (state, node) pair, and the one row builder
+    (``_build_rows``) reads every position's status and successors from
+    flat tables indexed by it, built once per game: ``_status_row(node)``
+    gives the status over every state index of each non-label node, and
+    the row tables, built once per clock policy, give each position's
+    successors as deltas to add to it (a modal row when play first
+    reaches its state).  ``_solve`` calls the builder from inside its
+    depth-first search, on demand; ``_explore`` calls it breadth-first
+    over the whole reachable graph, for the sweeps, the free game and
+    the position-model export.  The clock-free rules
     (literals, or/and, modal moves, stuck movers) are shared here.  A game
     supplies only its codec:
 
@@ -204,7 +211,7 @@ class GameCore:
     depends on ``rest``.
     """
 
-    last_explored = 0  # size of the last position graph explored
+    last_explored = 0  # positions the last solve or exploration numbered
 
     def __init__(self, model, state, sentence, max_positions):
         model.state_index(state)
@@ -363,19 +370,33 @@ class GameCore:
                        abelard_greedy=False):
         """The reachable position graph from internal root positions,
         numbered in discovery order from the distinct roots on."""
-        roots = list(dict.fromkeys(roots))
-        status = [self._status(p) for p in roots]
-        graph = _Graph(roots, {p: i for i, p in enumerate(roots)}, status,
-                       [()] * len(roots), self._S)
-        self._expand(graph, [i for i, st in enumerate(status)
-                             if st >= _TURN_E], eloise_greedy, abelard_greedy)
+        graph = self._root_graph(roots)
+        self._expand(graph, [i for i, row in enumerate(graph.succs)
+                             if row is None], eloise_greedy, abelard_greedy)
         return graph
 
-    def _expand(self, graph, frontier, eloise_greedy, abelard_greedy):
-        """The explorer loop: (re)build the row of every position in
-        ``frontier`` under the given clock policy, appending each newly
-        discovered turn position to it, so that play carries on
-        breadth-first.  Positions that end the game keep an empty row."""
+    def _root_graph(self, roots):
+        """A graph of the distinct roots alone: a turn root's row is None,
+        unset until it is built, and a root that ends the game has an
+        empty row."""
+        roots = list(dict.fromkeys(roots))
+        status = [self._status(p) for p in roots]
+        return _Graph(roots, {p: i for i, p in enumerate(roots)}, status,
+                      [None if st >= _TURN_E else () for st in status],
+                      self._S)
+
+    def _build_rows(self, graph, ids, eloise_greedy, abelard_greedy,
+                    queue=None):
+        """The one row builder, a generator: it builds, under the given
+        clock policy, the row of every position of ``graph`` in ``ids``
+        and stores it in ``graph.succs``, then waits for the next ids sent
+        to it, so that its locals are bound once per graph.  Every newly
+        discovered position is numbered and given its status; its row is
+        None, to be built later, if it is a turn, and empty if it ends
+        the game.  A discovered turn position is also appended to
+        ``queue`` when one is given, so that ``queue`` as ``ids`` explores
+        breadth-first.  Raises GameLimitError when the graph would
+        outgrow the cap."""
         pos_list = graph.pos_list
         pos_id = graph.pos_id
         get = pos_id.get
@@ -389,32 +410,53 @@ class GameCore:
         rows = self._rows(eloise_greedy, abelard_greedy)
         missing_row = self._missing_row
         label_status = self._label_status
-        for i in frontier:  # grows while it is walked
-            p = pos_list[i]
-            deltas = rows[p % SN]
-            if deltas is None:
-                deltas = missing_row(rows, p, eloise_greedy, abelard_greedy)
-            row = []
-            for d in deltas:
-                dst = p + d
-                di = get(dst)
-                if di is None:
-                    di = len(pos_list)
-                    if di >= cap:
-                        raise self._cap_error(pos_list)
-                    pos_id[dst] = di
-                    pos_list.append(dst)
-                    st = stat[dst % SN]
-                    if st is None:
-                        st = label_status(dst, dst // S % N)
-                    status.append(st)
-                    succs.append(())
-                    if st >= _TURN_E:
-                        frontier.append(di)
-                row.append(di)
-            succs[i] = tuple(row)
+        while True:
+            for i in ids:  # grows while it is walked when it is the queue
+                p = pos_list[i]
+                deltas = rows[p % SN]
+                if deltas is None:
+                    deltas = missing_row(rows, p, eloise_greedy,
+                                         abelard_greedy)
+                row = []
+                for d in deltas:
+                    dst = p + d
+                    di = get(dst)
+                    if di is None:
+                        di = len(pos_list)
+                        if di >= cap:
+                            raise self._cap_error(pos_list)
+                        pos_id[dst] = di
+                        pos_list.append(dst)
+                        st = stat[dst % SN]
+                        if st is None:
+                            st = label_status(dst, dst // S % N)
+                        status.append(st)
+                        if st >= _TURN_E:
+                            succs.append(None)
+                            if queue is not None:
+                                queue.append(di)
+                        else:
+                            succs.append(())
+                    row.append(di)
+                succs[i] = tuple(row)
+            ids = yield
+
+    def _row_builder(self, graph, eloise_greedy, abelard_greedy):
+        """``_build_rows`` as a function ``build(ids)``, for the search
+        that explores on demand."""
+        builder = self._build_rows(graph, (), eloise_greedy, abelard_greedy)
+        next(builder)
+        return builder.send
+
+    def _expand(self, graph, frontier, eloise_greedy, abelard_greedy):
+        """Breadth-first exploration: (re)build the row of every position
+        in the list ``frontier`` under the given clock policy, appending
+        each newly discovered turn position to it, so that play carries
+        on breadth-first."""
+        next(self._build_rows(graph, frontier, eloise_greedy, abelard_greedy,
+                              frontier))
         graph._topo = None
-        self.last_explored = len(pos_list)
+        self.last_explored = len(graph.pos_list)
 
     def _cap_error(self, pos_list):
         """The position-cap error, naming the node with the most explored
@@ -426,32 +468,45 @@ class GameCore:
             f"the busiest node is {self.index.node_path[node]} "
             f"({F.render(self.sentence, node)}) with {count} positions")
 
-    def _refine(self, graph, win_code):
-        """Extend a greedy graph in place into its one-sided refinement:
-        re-expand the loser's clock and counter decisions with every
-        choice, and explore on from the positions that adds."""
+    def _reopen(self, graph, win_code):
+        """Unset the rows of the loser's clock and counter decisions, so
+        that they are built again under the one-sided policy; returns
+        their ids.  Every other row is the same under both policies."""
         loser_turn = _TURN_A if win_code == _E else _TURN_E
         decides = [kind in self._decision_kinds for kind in self._kind]
         S, N = self._S, self._N
         redo = [i for i, (p, st) in enumerate(zip(graph.pos_list,
                                                   graph.status))
                 if st == loser_turn and decides[p // S % N]]
-        self._expand(graph, redo, win_code == _E, win_code == _A)
+        for i in redo:
+            graph.succs[i] = None
+        return redo
+
+    def _refine(self, graph, win_code):
+        """Extend a whole greedy graph in place into its one-sided
+        refinement: rebuild the loser's clock and counter decisions with
+        every choice, and explore on from the positions that adds."""
+        self._expand(graph, self._reopen(graph, win_code),
+                     win_code == _E, win_code == _A)
 
     def _solve(self, mode):
         """Winner of the game from ``start`` plus a winning strategy.
 
-        Greedy mode determines the winner on the subgame where both
-        players only ever make the largest legal clock or counter choice,
-        then refines that graph in place so that the strategy covers every
-        opponent deviation; the winner's own decisions stay greedy.  A
-        greedy choice is the first of the full choices, so the refined
-        graph is the one a fresh one-sided exploration finds, and
-        ``last_explored`` its size.  Exhaustive mode explores every choice
+        The graph is explored on demand: ``_Graph.solve``'s depth-first
+        search builds a position's row the first time it enters it, so
+        ``last_explored`` counts the positions the search discovered, not
+        the whole reachable graph.  Greedy mode first solves the subgame
+        where both players only ever make the largest legal clock or
+        counter choice.  It then reopens the loser's decision rows and
+        solves again on the same graph under the one-sided policy, so
+        that the strategy covers every opponent deviation while the
+        winner's own decisions stay greedy.  A greedy choice is the first
+        of the full choices, so every position of the greedy search lies
+        in the one-sided game, and every row not reopened is the same
+        under both policies.  Exhaustive mode solves with every choice
         once.
 
-        Each graph is solved from its start only (``_Graph.solve``), so
-        the cycle check covers the positions that search visits: every
+        The cycle check covers the positions the search visits: every
         position the winner and the strategy depend on.  Acyclicity of
         whole graphs is asserted by ``topo_order`` on every graph the
         sweeps explore and in the position-model export.
@@ -459,18 +514,24 @@ class GameCore:
         if mode not in ("greedy", "exhaustive"):
             raise ValueError(f"unknown solve mode {mode!r}")
         greedy = mode == "greedy"
-        graph = self._explore([self.start], greedy, greedy)
-        win, pick = graph.solve((0,))
+        graph = self._root_graph(
+            [self._root(self.model.state_index(self.start))])
+        win, pick = graph.solve((0,), self._row_builder(graph, greedy, greedy))
         win_code = win[0]
         if greedy:
-            self._refine(graph, win_code)
-            win, pick = graph.solve((0,))
+            self._reopen(graph, win_code)
+            win, pick = graph.solve((0,), self._row_builder(
+                graph, win_code == _E, win_code == _A))
             if win[0] != win_code:
                 raise RuntimeError(
                     "greedy policy disagreed with its one-sided "
                     "refinement; rerun in exhaustive mode")
+        self.last_explored = len(graph)
         # First-winning-move strategy over the positions reachable under it:
-        # the winner takes the recorded pick, the loser every move.
+        # the winner takes the recorded pick, the loser every move.  The
+        # search built every row this reads: a winner's turn was solved
+        # through its pick, and a loser's turn that the winner wins
+        # through every successor.
         pos_list = graph.pos_list
         status = graph.status
         succs = graph.succs
@@ -481,18 +542,22 @@ class GameCore:
         stack = [0]
         while stack:
             i = stack.pop()
+            row = succs[i]
+            if row is None:
+                raise RuntimeError("strategy walk reached an unexplored "
+                                   "position")
             st = status[i]
             if st == mover_code:
                 k = pick[i]
                 if k < 0:
                     raise RuntimeError("no winning move at a won position")
-                j = succs[i][k]
+                j = row[k]
                 walk.append((pos_list[i], k, pos_list[j]))
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
             elif st == loser_code:
-                for j in succs[i]:
+                for j in row:
                     if j not in seen:
                         seen.add(j)
                         stack.append(j)
@@ -722,8 +787,10 @@ class EvalGame(GameCore):
 class _Graph:
     """Explored position graph with status codes and successor rows.
 
-    ``states`` is the model's card S when the positions are a game's ints:
-    position ``p`` then lies at state index ``p % states``.
+    A turn position's row is None until it is built, which ``solve``
+    does on demand through its ``expand`` callback; ``_explore`` builds
+    every row.  ``states`` is the model's card S when the positions are a
+    game's ints: position ``p`` then lies at state index ``p % states``.
     """
 
     __slots__ = ("pos_list", "pos_id", "status", "succs", "states", "_topo")
@@ -762,16 +829,20 @@ class _Graph:
         self._topo = order
         return order
 
-    def solve(self, roots):
+    def solve(self, roots, expand=None):
         """Winner codes and first winning moves of what ``roots`` need.
 
         One iterative depth-first search: a turn position's row is tried
         in move order until its mover finds a successor that mover wins.
-        Returns ``(win, pick)``: ``win[i]`` is the winner code (0 Eloise,
-        1 Abelard) of every position the search solved and ``_UNSET``
-        elsewhere; ``pick[i]`` is the row index of the first successor won
-        by the mover, or -1 where the mover loses.  Raises RuntimeError on
-        meeting a position already on the search stack, which is a cycle.
+        A row that is None is still unset: ``expand((i,))`` builds it, and
+        numbers the positions it discovers, when the search first enters
+        ``i``.  So a game is explored on demand, only as far as the search
+        reads it.  Returns ``(win, pick)``: ``win[i]`` is the winner code
+        (0 Eloise, 1 Abelard) of every position the search solved and
+        ``_UNSET`` elsewhere; ``pick[i]`` is the row index of the first
+        successor won by the mover, or -1 where the mover loses.  Raises
+        RuntimeError on meeting a position already on the search stack,
+        which is a cycle.
         """
         status = self.status
         succs = self.succs
@@ -779,14 +850,9 @@ class _Graph:
         pick = [-1] * len(status)
         stack = []
         for r in roots:
-            if win[r] != _UNSET:
-                continue
-            st = status[r]
-            if st < _TURN_E:
-                win[r] = st
-                continue
-            win[r] = _OPEN
-            i, row, k, mover = r, succs[r], 0, st - _TURN_E
+            # Enter r from a sentinel parent, -1, whose row is (r,) and
+            # which no player owns, so that it never short-circuits.
+            i, row, k, mover = -1, (r,), 0, None
             while True:
                 end = len(row)
                 while k < end:
@@ -808,12 +874,24 @@ class _Graph:
                     # Descend into j; row[k] is read again on return.
                     stack.append((i, row, k, mover))
                     win[j] = _OPEN
-                    i, row, k, mover = j, succs[j], 0, sj - _TURN_E
+                    row = succs[j]
+                    if row is None:
+                        expand((j,))
+                        row = succs[j]
+                        if len(status) > len(win):
+                            # Room for what expand numbered, and as much
+                            # again, so that the lists grow in few steps.
+                            grow = 2 * len(status) - len(win)
+                            win += [_UNSET] * grow
+                            pick += [-1] * grow
+                    i, k, mover = j, 0, sj - _TURN_E
                     continue
-                win[i] = mover if pick[i] >= 0 else 1 - mover
                 if not stack:
-                    break
+                    break  # back at the sentinel
+                win[i] = mover if pick[i] >= 0 else 1 - mover
                 i, row, k, mover = stack.pop()
+        del win[len(status):]
+        del pick[len(status):]
         return win, pick
 
     def winners(self):
