@@ -688,8 +688,9 @@ class _FullMapGame(EvalGame):
     its ``_decision_row``.  Only winners are read from it, so it always
     offers every clock choice.  Its public positions carry every slot,
     the untouched ones at the clock cap, so ``play``, ``status`` and
-    ``validate_strategy`` start from its own root, and its descriptions
-    name each touched slot's binder.
+    ``validate_strategy`` start from its own root, ``make_position``
+    builds them at any node, and its descriptions name each touched
+    slot's binder.
     """
 
     def __init__(self, model, state, sentence, bound, max_positions):
@@ -709,6 +710,26 @@ class _FullMapGame(EvalGame):
 
     def initial_position(self):
         return self._public(self._root(self.model.state_index(self.start)))
+
+    def make_position(self, state, node, clocks=None):
+        """Build a Position from a clock map keyed by binder label name
+        (or binder node id), with one slot per binder in pre-order;
+        binders left out, or given None, carry the untouched bound."""
+        clocks = dict(clocks or {})
+        values = []
+        for b in self._unit:
+            if b in clocks:
+                v = clocks.pop(b)
+            else:
+                v = clocks.pop(self._name[b], None)
+            values.append(self.clock_cap if v is None else v)
+        if clocks:
+            raise ValueError(
+                f"clock entries {sorted(map(str, clocks))} do not name "
+                f"binders of the sentence")
+        pos = Position(state, node, tuple(values))
+        self._internal(pos)  # validate
+        return pos
 
     def _internal(self, pos):
         si = self.model.state_index(pos.state)

@@ -12,9 +12,9 @@ short-circuit depth-first search from the start that explores on demand:
 it builds a position's successors the first time it enters it, and tries
 them in move order until its mover finds one that mover wins, which is
 also the position's first winning move, so the strategy is read off the
-search and its public form is built only when it is read.  The sweeps
-and the position-model export explore whole graphs breadth-first with
-the same row builder, since they need every position.
+search, and it is walked only when it is read.  The sweeps and the
+position-model export explore whole graphs breadth-first with the same
+row builder, since they need every position.
 
 Rules in brief:
 
@@ -85,24 +85,36 @@ class GameStatus(NamedTuple):
 class Strategy:
     """Move prescriptions for one player on their reachable positions.
 
-    Either given as a ``moves`` dict, or by a solver as its strategy walk
-    over a game: the (internal position, move index, successor) of every
-    prescribed position, in walk order.  The public ``moves`` dict is then
-    built on first access; ``len`` and ``repr`` read only the walk.
+    Either given as a ``moves`` dict, or by a solver as the finished search
+    it is read from: the graph's positions, statuses and rows, the
+    search's picks and the winner code.  The strategy walk
+    (``_strategy_walk``) then runs the first time ``len``, ``repr``,
+    ``moves``, ``[]`` or ``in`` reads the strategy, and the graph is
+    dropped after it; the public ``moves`` dict is built from the walk on
+    first access, so ``len`` and ``repr`` never build it.
     """
 
-    __slots__ = ("player", "_moves", "_size", "_game", "_walk")
+    __slots__ = ("player", "_moves", "_size", "_game", "_walk", "_search")
 
-    def __init__(self, player, moves=None, game=None, walk=None):
+    def __init__(self, player, moves=None, game=None, search=None):
         self.player = player
         self._moves = moves
-        self._size = len(moves if walk is None else walk)
+        self._size = None if moves is None else len(moves)
         self._game = game
-        self._walk = walk
+        self._walk = None
+        self._search = search
+
+    def _walked(self):
+        """Run the walk if it has not run yet."""
+        if self._size is None:
+            self._walk = _strategy_walk(*self._search)
+            self._size = len(self._walk)
+            self._search = None
 
     @property
     def moves(self):
         if self._moves is None:
+            self._walked()
             public = self._game._public
             label = self._game._move_label
             self._moves = {public(p): label(p, dst, k)
@@ -120,10 +132,47 @@ class Strategy:
             raise StrategyError(f"strategy has no move for {pos}") from None
 
     def __len__(self):
+        self._walked()
         return self._size
 
     def __repr__(self):
-        return f"Strategy({self.player}, {self._size} positions)"
+        return f"Strategy({self.player}, {len(self)} positions)"
+
+
+def _strategy_walk(pos_list, status, succs, pick, win_code):
+    """The first-winning-move strategy of a solved graph over the
+    positions reachable under it, as the (internal position, move index,
+    successor) of every prescribed position, in walk order: the winner
+    takes the recorded pick, the loser every move.  The search built
+    every row this reads: a winner's turn was solved through its pick,
+    and a loser's turn that the winner wins through every successor."""
+    mover_code = _TURN_E + win_code
+    loser_code = _TURN_A - win_code
+    walk = []
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        row = succs[i]
+        if row is None:
+            raise RuntimeError("strategy walk reached an unexplored "
+                               "position")
+        st = status[i]
+        if st == mover_code:
+            k = pick[i]
+            if k < 0:
+                raise RuntimeError("no winning move at a won position")
+            j = row[k]
+            walk.append((pos_list[i], k, pos_list[j]))
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+        elif st == loser_code:
+            for j in row:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return walk
 
 
 class Trace:
@@ -506,6 +555,13 @@ class GameCore:
         under both policies.  Exhaustive mode solves with every choice
         once.
 
+        The strategy is not walked here.  The returned ``Strategy`` keeps
+        the graph's positions, statuses and rows, the search's picks and
+        the winner code, and walks them (``_strategy_walk``) the first
+        time it is read, so a verdict costs only the search.  The walk
+        explores nothing and the search has fixed every pick before it
+        starts, so the strategy is the same whenever it is read.
+
         The cycle check covers the positions the search visits: every
         position the winner and the strategy depend on.  Acyclicity of
         whole graphs is asserted by ``topo_order`` on every graph the
@@ -527,42 +583,9 @@ class GameCore:
                     "greedy policy disagreed with its one-sided "
                     "refinement; rerun in exhaustive mode")
         self.last_explored = len(graph)
-        # First-winning-move strategy over the positions reachable under it:
-        # the winner takes the recorded pick, the loser every move.  The
-        # search built every row this reads: a winner's turn was solved
-        # through its pick, and a loser's turn that the winner wins
-        # through every successor.
-        pos_list = graph.pos_list
-        status = graph.status
-        succs = graph.succs
-        mover_code = _TURN_E + win_code
-        loser_code = _TURN_A - win_code
-        walk = []
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            row = succs[i]
-            if row is None:
-                raise RuntimeError("strategy walk reached an unexplored "
-                                   "position")
-            st = status[i]
-            if st == mover_code:
-                k = pick[i]
-                if k < 0:
-                    raise RuntimeError("no winning move at a won position")
-                j = row[k]
-                walk.append((pos_list[i], k, pos_list[j]))
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-            elif st == loser_code:
-                for j in row:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
         player = _PLAYER_NAME[win_code]
-        return player, Strategy(player, game=self, walk=walk)
+        return player, Strategy(player, game=self, search=(
+            graph.pos_list, graph.status, graph.succs, pick, win_code))
 
     def play(self, eloise, abelard, max_rounds=1_000_000):
         """Play the game out and return the Trace.

@@ -227,10 +227,13 @@ def load_model(data):
     reduced-model files (which add "root" and "backmap") stay loadable.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelError(f"model file is not UTF-8: {exc}") from None
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an int past the digit limit
         raise ModelError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ModelError("invalid JSON: nested too deeply") from None

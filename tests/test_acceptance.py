@@ -3,7 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The heavy sweeps are
 shared session fixtures: the main sweep fuses the game/compositional
 agreement, the collapse checks, termination, playout validation, and the
-AR reductions over one exhaustively enumerated instance space.
+AR reductions over one exhaustively enumerated instance space.  The
+tests that run a sweep are marked ``slow``, so ``pytest -m "not slow"``
+leaves them out of a quick edit loop.
 """
 
 import math
@@ -54,6 +56,7 @@ def ar_sweep():
     return compare.run_ar_sweep(max_states=3, workers=2)
 
 
+@pytest.mark.slow
 def test_criterion_1_game_equals_bounded(main_sweep, sweep_corpus):
     tallies, elapsed = main_sweep
     t = tallies["game-vs-bounded"]
@@ -66,6 +69,7 @@ def test_criterion_1_game_equals_bounded(main_sweep, sweep_corpus):
         print("counterexample:", compare.minimize_counterexample(t.cex))
 
 
+@pytest.mark.slow
 def test_criterion_2_card_collapse(main_sweep):
     tallies, _ = main_sweep
     t = tallies["card-collapse"]
@@ -74,6 +78,7 @@ def test_criterion_2_card_collapse(main_sweep):
               f"{t.failures} disagreements")
 
 
+@pytest.mark.slow
 def test_criterion_3_omega_equals_standard(main_sweep):
     tallies, _ = main_sweep
     t = tallies["omega-standard"]
@@ -82,6 +87,7 @@ def test_criterion_3_omega_equals_standard(main_sweep):
               f"{t.failures} disagreements")
 
 
+@pytest.mark.slow
 def test_criterion_4_termination_and_strategies(main_sweep):
     tallies, _ = main_sweep
     term = tallies["termination"]
@@ -92,6 +98,7 @@ def test_criterion_4_termination_and_strategies(main_sweep):
               f"strategies beat all playouts on {plays.instances} instances")
 
 
+@pytest.mark.slow
 def test_criterion_5_reduction_soundness(main_sweep, ar_sweep):
     tallies, _ = main_sweep
     t_j = tallies["reduction-J"]
@@ -129,6 +136,7 @@ def test_criterion_5_reduction_soundness(main_sweep, ar_sweep):
               f"{t_j.failures + t_i.failures + t_chi.failures + sample_fail}")
 
 
+@pytest.mark.slow
 def test_criterion_6_fbounded_anchors(ar_sweep):
     t_fb = ar_sweep["fbounded-chi"]
     t_dec = ar_sweep["fbounded-decrements"]
@@ -241,6 +249,7 @@ def test_criterion_7_micro_examples():
               + ("" if ok else "; " + "; ".join(problems[:4])))
 
 
+@pytest.mark.slow
 def test_criterion_8_policy_and_clock_oracles():
     import random
     rng = random.Random(SEED + 1)

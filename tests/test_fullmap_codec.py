@@ -65,3 +65,24 @@ def test_descriptions_name_each_slots_binder(m1):
     assert game.describe_position(pos) == "(a, r.1.0, {Y=1})"
     assert game.position_json(pos)["clocks"] == {"Y": 1}
     assert game.clock_dict(pos._replace(clocks=(0, 2))) == {"X": 0}
+
+
+def test_make_position_fills_every_slot(m1):
+    """Every node, even one under fewer binders than the sentence has,
+    gets one slot per binder, the untouched ones at the clock cap."""
+    sent = F.parse("(mu X. (p | <>X)) & (nu Y. []Y)")
+    game = _FullMapGame(m1, "a", sent, 2, 10 ** 6)
+    x, y = game.index.mu_nu_nodes
+    for state in m1.states:
+        for node in range(sent.size):
+            for clocks, slots in ((None, (2, 2)), ({"X": 1}, (1, 2)),
+                                  ({y: 0}, (2, 0)),
+                                  ({x: 0, "Y": None}, (0, 2))):
+                pos = game.make_position(state, node, clocks)
+                assert pos == Position(state, node, slots)
+                assert game._public(game._internal(pos)) == pos
+    assert game.make_position("a", 0) == game.initial_position()
+    with pytest.raises(ValueError, match="do not name"):
+        game.make_position("a", 0, {"Z": 1})
+    with pytest.raises(ValueError):
+        game.make_position("a", 0, {"X": 3})

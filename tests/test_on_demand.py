@@ -112,7 +112,7 @@ def test_on_demand_search_raises_on_a_cycle(monkeypatch, m1, mode):
 
 def test_strategy_walk_never_expands(monkeypatch, m1, phi_star):
     """The walk reads only rows the search built; an unset row on it is an
-    error, not a place to explore."""
+    error, not a place to explore, when the strategy is read."""
     real = _Graph.solve
 
     def forgetful(self, roots, expand=None):
@@ -122,8 +122,9 @@ def test_strategy_walk_never_expands(monkeypatch, m1, phi_star):
                 self.succs[i] = None
         return result
     monkeypatch.setattr(_Graph, "solve", forgetful)
+    _, strategy = EvalGame(m1, "a", phi_star, 2).solve("exhaustive")
     with pytest.raises(RuntimeError, match="unexplored"):
-        EvalGame(m1, "a", phi_star, 2).solve("exhaustive")
+        len(strategy)
 
 
 def _chi_model():
