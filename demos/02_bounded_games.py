@@ -60,7 +60,10 @@ print("positions checked by exhaustive playout:",
 
 # ---------------------------------------------------------------------------
 # Greedy and exhaustive clock policies agree on the winner.  The solver
-# explores only the positions its search enters, and greedy a few fewer.
+# explores only the positions its search enters.  A greedy verdict is one
+# search with every clock choice greedy; the re-solve that makes its
+# strategy answer every opponent choice runs only when the strategy is
+# read, which this loop never does.
 
 for mode in ("greedy", "exhaustive"):
     game = EvalGame(star, "w_0", phi, OMEGA)

@@ -113,6 +113,10 @@ def cmd_eval(args):
                         max_positions=args.max_positions)
         t1 = time.time()
         winner, strategy = game.solve(args.mode)
+        if args.strategy or args.trace:
+            # The first read runs greedy mode's one-sided re-solve and the
+            # walk, so that solve_s times them and positions counts them.
+            len(strategy)
         solve_s = time.time() - t1
         positions = game.last_explored
         verdict = winner
@@ -172,6 +176,9 @@ def cmd_play(args):
     game = EvalGame(model, args.state, sent, bound,
                     max_positions=args.max_positions)
     winner, strategy = game.solve(args.mode)
+    # Read the strategy before the session, so that a cap hit in greedy
+    # mode's deferred re-solve exits before the first prompt.
+    len(strategy)
     print(f"bound {semantics.format_bound(bound)}; the solver expects "
           f"{winner} to win", file=sys.stderr)
 

@@ -12,9 +12,12 @@ short-circuit depth-first search from the start that explores on demand:
 it builds a position's successors the first time it enters it, and tries
 them in move order until its mover finds one that mover wins, which is
 also the position's first winning move, so the strategy is read off the
-search, and it is walked only when it is read.  The sweeps and the
-position-model export explore whole graphs breadth-first with the same
-row builder, since they need every position.
+search, and it is walked only when it is read.  In greedy mode the
+verdict is one search of the game where both players make only the
+largest clock choice; the one-sided re-solve that makes the strategy
+answer every opponent choice also runs only when the strategy is read.
+The sweeps and the position-model export explore whole graphs
+breadth-first with the same row builder, since they need every position.
 
 Rules in brief:
 
@@ -85,13 +88,16 @@ class GameStatus(NamedTuple):
 class Strategy:
     """Move prescriptions for one player on their reachable positions.
 
-    Either given as a ``moves`` dict, or by a solver as the finished search
-    it is read from: the graph's positions, statuses and rows, the
-    search's picks and the winner code.  The strategy walk
-    (``_strategy_walk``) then runs the first time ``len``, ``repr``,
-    ``moves``, ``[]`` or ``in`` reads the strategy, and the graph is
-    dropped after it; the public ``moves`` dict is built from the walk on
-    first access, so ``len`` and ``repr`` never build it.
+    Either given as a ``moves`` dict, or by a solver as a callable that
+    returns the finished search it is read from: the graph's positions,
+    statuses and rows, the search's picks and the winner code.  The
+    callable may run deferred solver work first (greedy mode's one-sided
+    re-solve), so it and the strategy walk (``_strategy_walk``) run the
+    first time ``len``, ``repr``, ``moves``, ``[]`` or ``in`` reads the
+    strategy, and the graph is dropped after them; the public ``moves``
+    dict is built from the walk on first access, so ``len`` and ``repr``
+    never build it.  If the callable raises, the next read calls it
+    again.
     """
 
     __slots__ = ("player", "_moves", "_size", "_game", "_walk", "_search")
@@ -105,9 +111,9 @@ class Strategy:
         self._search = search
 
     def _walked(self):
-        """Run the walk if it has not run yet."""
+        """Run the search callable and the walk if they have not run."""
         if self._size is None:
-            self._walk = _strategy_walk(*self._search)
+            self._walk = _strategy_walk(*self._search())
             self._size = len(self._walk)
             self._search = None
 
@@ -260,7 +266,10 @@ class GameCore:
     depends on ``rest``.
     """
 
-    last_explored = 0  # positions the last solve or exploration numbered
+    # Positions numbered by the last exploration, solve or deferred
+    # refinement: a greedy solve counts its one search until its strategy
+    # is read, and the one-sided refinement's graph after that.
+    last_explored = 0
 
     def __init__(self, model, state, sentence, max_positions):
         model.state_index(state)
@@ -538,28 +547,34 @@ class GameCore:
         self._expand(graph, self._reopen(graph, win_code),
                      win_code == _E, win_code == _A)
 
+    def _check_explored(self):
+        """Called after each search that ``_solve`` runs, greedy mode's
+        deferred re-solve included, with ``last_explored`` set to the
+        positions it numbered; a game whose position count has a known
+        bound checks it here."""
+
     def _solve(self, mode):
         """Winner of the game from ``start`` plus a winning strategy.
 
         The graph is explored on demand: ``_Graph.solve``'s depth-first
         search builds a position's row the first time it enters it, so
         ``last_explored`` counts the positions the search discovered, not
-        the whole reachable graph.  Greedy mode first solves the subgame
-        where both players only ever make the largest legal clock or
-        counter choice.  It then reopens the loser's decision rows and
-        solves again on the same graph under the one-sided policy, so
-        that the strategy covers every opponent deviation while the
-        winner's own decisions stay greedy.  A greedy choice is the first
-        of the full choices, so every position of the greedy search lies
-        in the one-sided game, and every row not reopened is the same
-        under both policies.  Exhaustive mode solves with every choice
-        once.
+        the whole reachable graph.  Exhaustive mode solves with every
+        choice.  Greedy mode solves the subgame where both players only
+        ever make the largest legal clock or counter choice, and its
+        winner is the verdict: every play is finite, so the search's
+        answer at the start is exact for that subgame, and criterion 8
+        holds it equal to the exhaustive winner.
 
-        The strategy is not walked here.  The returned ``Strategy`` keeps
-        the graph's positions, statuses and rows, the search's picks and
-        the winner code, and walks them (``_strategy_walk``) the first
-        time it is read, so a verdict costs only the search.  The walk
-        explores nothing and the search has fixed every pick before it
+        The strategy is not computed here.  The returned ``Strategy``
+        holds a callable that gives it the finished search (the graph's
+        positions, statuses and rows, the picks and the winner code),
+        and walks it (``_strategy_walk``) the first time it is read, so a
+        verdict costs one search.  In greedy mode that callable first
+        runs ``_refined_search``: the one-sided re-solve that makes the
+        strategy answer every opponent deviation, with its cap, its
+        position bound and its check that it agrees with the verdict.
+        The walk explores nothing and every pick is fixed before it
         starts, so the strategy is the same whenever it is read.
 
         The cycle check covers the positions the search visits: every
@@ -574,18 +589,38 @@ class GameCore:
             [self._root(self.model.state_index(self.start))])
         win, pick = graph.solve((0,), self._row_builder(graph, greedy, greedy))
         win_code = win[0]
-        if greedy:
-            self._reopen(graph, win_code)
-            win, pick = graph.solve((0,), self._row_builder(
-                graph, win_code == _E, win_code == _A))
-            if win[0] != win_code:
-                raise RuntimeError(
-                    "greedy policy disagreed with its one-sided "
-                    "refinement; rerun in exhaustive mode")
         self.last_explored = len(graph)
+        self._check_explored()
+        if greedy:
+            def search():
+                return self._refined_search(graph, win_code)
+        else:
+            found = (graph.pos_list, graph.status, graph.succs, pick,
+                     win_code)
+
+            def search():
+                return found
         player = _PLAYER_NAME[win_code]
-        return player, Strategy(player, game=self, search=(
-            graph.pos_list, graph.status, graph.succs, pick, win_code))
+        return player, Strategy(player, game=self, search=search)
+
+    def _refined_search(self, graph, win_code):
+        """Greedy mode's deferred half: reopen the loser's decision rows
+        of a greedy search's graph and solve again on it under the
+        one-sided policy, which keeps the winner's own decisions greedy.
+        A greedy choice is the first of the full choices, so every
+        position of the greedy search lies in the one-sided game, and
+        every row not reopened is the same under both policies.  Returns
+        the finished search for the strategy walk."""
+        self._reopen(graph, win_code)
+        win, pick = graph.solve((0,), self._row_builder(
+            graph, win_code == _E, win_code == _A))
+        if win[0] != win_code:
+            raise RuntimeError(
+                "greedy policy disagreed with its one-sided "
+                "refinement; rerun in exhaustive mode")
+        self.last_explored = len(graph)
+        self._check_explored()
+        return graph.pos_list, graph.status, graph.succs, pick, win_code
 
     def play(self, eloise, abelard, max_rounds=1_000_000):
         """Play the game out and return the Trace.
@@ -799,7 +834,8 @@ class EvalGame(GameCore):
         players only ever announce the largest legal clock value and lower
         clocks by exactly one; exhaustive mode explores every clock
         choice.  The returned strategy is total against arbitrary opponent
-        play in both modes.
+        play in both modes; in greedy mode the re-solve that makes it so
+        runs, and may hit the position cap, when it is first read.
         """
         return self._solve(mode)
 

@@ -59,6 +59,10 @@ class FBoundedGame(GameCore):
         # Position units of one step of each counter.
         self._ga_unit = self._SN
         self._ge_unit = self._SN * (self.f + 1)
+        # No search may number more positions than there are
+        # (state, node, gE, gA) tuples.
+        self._position_limit = model.card * self.sentence.size \
+            * (self.f + 1) ** 2
 
     def initial_position(self):
         return FPosition(self.start, 0, self.f, self.f)
@@ -127,17 +131,17 @@ class FBoundedGame(GameCore):
 
         Greedy mode lowers counters by exactly one; exhaustive mode
         explores every allowed decrement.  The visited position count is
-        checked against card(M) * size * (f+1)^2 on every run; checking
-        the final graph suffices, since in greedy mode the greedy graph
-        is refined in place into it.
+        checked against card(M) * size * (f+1)^2 after every search: the
+        solve's own, and in greedy mode also the one-sided re-solve that
+        runs when the strategy is first read (``_check_explored``).
         """
-        result = self._solve(mode)
-        limit = self.model.card * self.sentence.size * (self.f + 1) ** 2
-        if self.last_explored > limit:
+        return self._solve(mode)
+
+    def _check_explored(self):
+        if self.last_explored > self._position_limit:
             raise RuntimeError(
                 f"explored {self.last_explored} positions, above the "
-                f"card*size*(f+1)^2 bound {limit}")
-        return result
+                f"card*size*(f+1)^2 bound {self._position_limit}")
 
     def _decision_label(self, p, dst):
         node = p // self._S % self._N

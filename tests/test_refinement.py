@@ -1,9 +1,10 @@
 """Greedy solving refines its greedy graph in place.
 
-A greedy solve first explores the game where both players make only the
-largest clock or counter choice, then extends that graph so that every
-choice stays open to the loser.  The extended graph must be the graph a
-fresh exploration under the same one-sided policy finds.
+A greedy solve explores the game where both players make only the
+largest clock or counter choice; when its strategy is read, it extends
+that graph so that every choice stays open to the loser.  The extended
+graph must be the graph a fresh exploration under the same one-sided
+policy finds.
 """
 
 import random
@@ -123,17 +124,25 @@ def test_strategy_is_the_first_winning_move_of_the_whole_graph(mode):
 
 def test_refinement_keeps_the_position_cap(tmp_path, capsys):
     """chain(35) has a greedy graph of 2,772 positions and a one-sided
-    refinement of 69,593, so the cap trips only while refining."""
+    refinement of 69,593.  A verdict is capped on the positions of its
+    one greedy search, so it passes a cap of 10,000; the refinement runs
+    when the strategy is read, and the cap trips there."""
     model = generate_family("chain", 35)
     sent = F.parse(NU_MU)
     game = EvalGame(model, "w_0", sent, OMEGA, max_positions=10_000)
     assert len(game._explore(["w_0"], True, True)) == 2772
+    winner, strategy = game.solve()
+    assert winner == "Eloise" and game.last_explored == 2772
     with pytest.raises(GameLimitError):
-        game.solve()
+        len(strategy)
     path = tmp_path / "chain35.json"
     save_model(model, path)
-    code = main(["eval", "--model", str(path), "--state", "w_0",
-                 "--formula", NU_MU, "--semantics", "omega",
-                 "--max-positions", "10000"])
-    capsys.readouterr()
+    argv = ["eval", "--model", str(path), "--state", "w_0",
+            "--formula", NU_MU, "--semantics", "omega",
+            "--max-positions", "10000"]
+    code = main(argv + ["--strategy"])
+    assert "position cap 10000 exceeded" in capsys.readouterr().err
     assert code == EXIT_CAP == 11
+    code = main(argv)
+    assert capsys.readouterr().out == "true\n"
+    assert code == 0

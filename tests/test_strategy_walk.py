@@ -1,8 +1,9 @@
 """The solver's strategy is walked only when it is read.
 
-``GameCore._solve`` returns a ``Strategy`` that keeps the finished
-search (positions, statuses, rows, picks and the winner code) and runs
-``game._strategy_walk`` over it the first time the strategy is read.
+``GameCore._solve`` returns a ``Strategy`` that keeps a callable giving
+the finished search (positions, statuses, rows, picks and the winner
+code) and runs ``game._strategy_walk`` over it the first time the
+strategy is read.
 These tests count the walks with a spy, hold the lazily walked strategy
 to the whole-graph reference of ``tests/test_refinement.py``, and check
 that the strategy lets go of the graph once it has walked it.
@@ -129,20 +130,28 @@ def test_strategy_drops_the_graph_after_the_walk(monkeypatch, m1, phi_star):
         searches.append((self, pick))
         return win, pick
     monkeypatch.setattr(_Graph, "solve", spy)
-    _, strategy = EvalGame(m1, "a", phi_star, 2).solve()
-    graph, pick = searches[-1]
-    held = [graph.pos_list, graph.status, graph.succs, pick]
 
-    def refers(obj):
+    def refers(obj, graph, pick):
+        held = [graph.pos_list, graph.status, graph.succs, pick]
         return [any(r is h for r in gc.get_referents(obj)) for h in held]
 
-    assert strategy._search is not None
-    assert refers(strategy._search) == [True] * 4
-    assert not any(r is graph.pos_id for r in gc.get_referents(
-        strategy._search))
-    len(strategy)
-    assert strategy._search is None
-    assert refers(strategy) == [False] * 4
+    for mode in MODES:
+        _, strategy = EvalGame(m1, "a", phi_star, 2).solve(mode)
+        graph, pick = searches[-1]
+        if mode == "greedy":
+            # The deferred re-solve reopens and extends the whole graph.
+            assert any(c.cell_contents is graph
+                       for c in strategy._search.__closure__)
+        else:
+            # Only what the walk reads: not the index pos_id.
+            found = strategy._search()
+            assert refers(found, graph, pick) == [True] * 4
+            assert not any(r is graph.pos_id or r is graph
+                           for r in gc.get_referents(found))
+        len(strategy)
+        graph, pick = searches[-1]
+        assert strategy._search is None
+        assert refers(strategy, graph, pick) == [False] * 4
 
 
 def test_a_given_moves_dict_is_never_walked(walks, m1, afp):
