@@ -97,12 +97,11 @@ def cmd_eval(args):
     if kind in ("standard", "free") and (args.trace or args.strategy):
         raise CliError(f"--trace/--strategy need a game semantics, "
                        f"not {args.semantics!r}")
-    t0 = time.time()
-    solve_s = None
     positions = None
     trace = None
     strategy = None
     game = None
+    t0 = t1 = time.time()
     if kind == "standard":
         verdict = args.state in semantics.eval_standard(model, sent)
     elif kind == "free":
@@ -117,9 +116,9 @@ def cmd_eval(args):
             # The first read runs greedy mode's one-sided re-solve and the
             # walk, so that solve_s times them and positions counts them.
             len(strategy)
-        solve_s = time.time() - t1
         positions = game.last_explored
         verdict = winner
+    solve_s = time.time() - t1
 
     if args.check:
         std = semantics.eval_standard(model, sent)
@@ -151,8 +150,7 @@ def cmd_eval(args):
             "mode": args.mode if kind in ("bounded", "fbounded") else None,
             "positions": positions,
             "timings": {"total_s": round(time.time() - t0, 6),
-                        "solve_s": None if solve_s is None
-                        else round(solve_s, 6)},
+                        "solve_s": round(solve_s, 6)},
         }
         if strategy is not None and args.strategy:
             payload["strategy"] = {

@@ -540,13 +540,6 @@ class GameCore:
             graph.succs[i] = None
         return redo
 
-    def _refine(self, graph, win_code):
-        """Extend a whole greedy graph in place into its one-sided
-        refinement: rebuild the loser's clock and counter decisions with
-        every choice, and explore on from the positions that adds."""
-        self._expand(graph, self._reopen(graph, win_code),
-                     win_code == _E, win_code == _A)
-
     def _check_explored(self):
         """Called after each search that ``_solve`` runs, greedy mode's
         deferred re-solve included, with ``last_explored`` set to the

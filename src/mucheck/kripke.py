@@ -144,19 +144,23 @@ class KripkeModel:
         return {p: self.mask_to_states(m) for p, m in self._val_mask.items()}
 
     def succ_pred_masks(self):
-        """Successor and predecessor bitmasks, one int per state.
+        """Successor and predecessor bitmasks, one int per state, and the
+        mask of the states that have a successor.
 
         Built on first use and cached: only the compositional semantics
         reads them, so loading or solving a game never pays for them.
         """
         if self._masks is None:
             pred = [0] * len(self.states)
+            live = 0
             for i, lst in enumerate(self._succ):
                 bit = 1 << i
+                if lst:
+                    live |= bit
                 for v in lst:
                     pred[v] |= bit
             self._masks = (tuple(sum(1 << v for v in lst)
-                                 for lst in self._succ), tuple(pred))
+                                 for lst in self._succ), tuple(pred), live)
         return self._masks
 
     def state_index(self, w):

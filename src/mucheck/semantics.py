@@ -15,6 +15,14 @@ left or joined it and their predecessors, so an iterate costs what
 changed rather than a scan of every state.  A box is the dual diamond,
 ``[]T = ~<>~T``.  The update is exact for any pair of targets, so results
 and iteration counts are those of a full scan.
+
+A target of the empty set or of every state is answered without the memo:
+``<>{}`` is empty and ``<>S`` is the states with a successor, cached with
+the model's masks.  These are the targets an inner fixpoint restarts from
+(mu from the empty set, nu from every state; under a box the dual), so
+the memo keeps the last real target across each restart, and a restart
+costs the difference between the previous final value and the new first
+iterate rather than two swings through every state.
 """
 
 from . import formula as F
@@ -97,12 +105,18 @@ def _diamond(model, memo, node, target):
     ``memo[node]`` holds the modal node's last ``(target, result)``.
     States that left the target make their predecessors candidates, and
     only candidates inside the old result are re-tested against the new
-    target; states that joined it add their predecessors.
+    target; states that joined it add their predecessors.  An empty or
+    full target (a fixpoint restart) is answered directly and leaves
+    ``memo[node]`` as it was.
     """
+    if not target:
+        return 0
+    if target == model._full_mask:
+        return (model._masks or model.succ_pred_masks())[2]
     old, result = memo.get(node, (0, 0))
     if old == target:
         return result
-    succ, pred = model._masks or model.succ_pred_masks()
+    succ, pred, _ = model._masks or model.succ_pred_masks()
     gone = old & ~target
     if gone:
         cand = 0

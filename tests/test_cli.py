@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -79,6 +80,34 @@ def test_eval_json_schema(m1_path, capsys):
     assert "solve_s" in data["timings"] and "total_s" in data["timings"]
     assert data["trace"]["winner"] == "Eloise"
     assert data["strategy"]
+
+
+@pytest.mark.parametrize("sem,module,name", [
+    ("standard", "mucheck.semantics", "eval_standard"),
+    ("free", "mucheck.variants", "solve_free"),
+])
+def test_eval_json_times_the_compositional_solve(m1_path, capsys,
+                                                 monkeypatch, sem, module,
+                                                 name):
+    """``timings.solve_s`` is the time of the engine call, not null."""
+    engine = getattr(sys.modules[module], name)
+
+    def slow(*args):
+        time.sleep(0.05)
+        return engine(*args)
+
+    monkeypatch.setattr(sys.modules[module], name, slow)
+    code, out, _ = run(["eval", "--model", m1_path, "--formula",
+                        "mu X. (p | []X)", "--state", "a", "--semantics",
+                        sem, "--json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == ["verdict", "semantics", "model", "state",
+                          "formula", "mode", "positions", "timings"]
+    assert data["mode"] is None and data["positions"] is None
+    timings = data["timings"]
+    assert list(timings) == ["total_s", "solve_s"]
+    assert 0.05 <= timings["solve_s"] <= timings["total_s"]
 
 
 PHI_STAR = "nu X. [] mu Y. (<>Y | (p & X))"

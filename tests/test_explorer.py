@@ -23,7 +23,7 @@ from mucheck import formula as F
 from mucheck.compare import _FullMapGame
 from mucheck.corpus import random_model, random_sentence
 from mucheck.formula import parse
-from mucheck.game import EvalGame, GameLimitError, Position
+from mucheck.game import EvalGame, GameLimitError, Position, _A, _E
 from mucheck.kripke import generate_family
 from mucheck.semantics import OMEGA, clock_cap
 from mucheck.variants import FBoundedGame, FPosition, _FreeGame
@@ -77,7 +77,7 @@ def test_int_explorer_matches_the_tuple_explorer(seed, card, bound):
         graph = game._explore(model.states, True, True)
         ref = reference_explore(codec, roots, True, True)
         win = graph.solve((0,))[0][0]
-        game._refine(graph, win)
+        game._expand(graph, game._reopen(graph, win), win == _E, win == _A)
         reference_refine(ref, win, game._decision_kinds)
         _assert_same(game, graph, ref)
 
@@ -143,7 +143,9 @@ def test_explorer_calls_the_codec_only_at_labels(monkeypatch):
     for greedy in (True, False):
         graph = game._explore(["w_0"], greedy, greedy)
         if greedy:
-            game._refine(graph, graph.solve((0,))[0][0])
+            win = graph.solve((0,))[0][0]
+            game._expand(graph, game._reopen(graph, win), win == _E,
+                         win == _A)
         new_labels += sum(game._kind[p // S % N] == F.LABEL
                           for p in graph.pos_list[1:])
     assert calls["_status"] == 2  # the two roots

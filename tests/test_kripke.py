@@ -270,11 +270,12 @@ def test_semantic_masks_are_built_once_and_correct():
     masks = m.succ_pred_masks()
     assert eval_standard(m, sent) == first
     assert m.succ_pred_masks() is masks
-    succ, pred = masks
+    succ, pred, live = masks
     for i, lst in enumerate(m._succ):
         assert succ[i] == sum(1 << v for v in lst)
         assert pred[i] == sum(1 << u for u, row in enumerate(m._succ)
                               if i in row)
+        assert (live >> i & 1) == bool(lst)
 
 
 def test_model_pickles_before_and_after_its_masks_are_built():

@@ -2,11 +2,15 @@
 
 ``semantics._diamond`` updates each diamond and box from its last target,
 so its multi-word, shrinking and jumping target paths are checked here on
-models far larger than the acceptance corpora's 1-3 states.
+models far larger than the acceptance corpora's 1-3 states.  An empty or
+full target, where an inner fixpoint restarts, bypasses the memo; the
+random steps restart and return, and a read count on chain models pins
+that a restart costs only what changed.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,11 +27,17 @@ MODAL = F.parse("<>X & []X", allow_free=True)
 DIA = next(n for n in range(MODAL.size) if MODAL.kind[n] == F.DIAMOND)
 BOX = next(n for n in range(MODAL.size) if MODAL.kind[n] == F.BOX)
 
+THREE_BINDERS = "mu Z. nu X. [] mu Y. ((<>Y & q) | (p & X) | <>Z)"
+NU_RESTART_UNDER_DIAMOND = "mu Z. nu X. [] nu Y. ((<>Y & q) | (p & X) | <>Z)"
+MU_RESTART_UNDER_BOX = "mu Z. nu X. <> mu Y. (([]Y & q) | (p & X) | []Z)"
+
 FORMULAS = [F.parse(text) for text in (
     "nu X. [] mu Y. (<>Y | (p & X))",
     "nu X. ([]X & mu Y. (p | <>Y))",
-    "mu Z. nu X. [] mu Y. ((<>Y & q) | (p & X) | <>Z)",
+    THREE_BINDERS,
     "mu X. (p | []X)",
+    NU_RESTART_UNDER_DIAMOND,
+    MU_RESTART_UNDER_BOX,
 )] + [chi()]
 
 BOUNDS = (1, 2, 3, OMEGA)
@@ -65,12 +75,17 @@ def _next_target(rng, card, target, step):
         return rng.getrandbits(card) & full
     if step == "flip":
         return target ^ some
+    if step == "empty":
+        return 0
+    if step == "full":
+        return full
     return target
 
 
 @settings(max_examples=300)
 @given(models(), st.integers(0, 2 ** 32),
-       st.lists(st.sampled_from(("grow", "shrink", "jump", "flip", "same")),
+       st.lists(st.sampled_from(("grow", "shrink", "jump", "flip", "same",
+                                 "empty", "full")),
                 min_size=1, max_size=12))
 def test_modal_update_matches_the_scan(model, seed, steps):
     rng = random.Random(seed)
@@ -118,3 +133,34 @@ def test_engines_match_the_scan_on_family_models(instance):
                     == model.mask_to_states(current))
             current = naive_eval_mask(model, sent, body,
                                       {sent.name[0]: current}, 2)
+
+
+class _CountedReads:
+    """A sequence that counts how often its items are read."""
+
+    def __init__(self, items):
+        self.items = items
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.items[i]
+
+
+@pytest.mark.parametrize("n", (100, 200, 400))
+@pytest.mark.parametrize("text", (THREE_BINDERS, NU_RESTART_UNDER_DIAMOND,
+                                  MU_RESTART_UNDER_BOX))
+def test_fixpoint_restarts_cost_only_what_changed(n, text):
+    """Each restart of the inner fixpoint leaves the modal memo alone, so
+    the diamond reads predecessor masks about 4n times in all, not once
+    per state per outer iterate (about n*n when a restart swings the memo
+    to the empty or full set and back)."""
+    model = generate_family("chain", n)
+    succ, pred, live = model.succ_pred_masks()
+    counted = _CountedReads(pred)
+    model._masks = (succ, counted, live)
+    sent = F.parse(text)
+    result = eval_standard(model, sent)
+    assert counted.reads < 5 * n
+    assert result == model.mask_to_states(
+        naive_eval_mask(model, sent, 0, {}, None))

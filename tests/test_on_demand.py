@@ -46,7 +46,9 @@ def _whole_graph(game, mode):
     """The whole one-sided (greedy) or exhaustive graph and its winners.
     The one-sided graph is explored afresh under the policy that keeps
     the winner greedy, which ``tests/test_refinement.py`` holds equal to
-    ``_refine``'s graph, so no reopen code is shared with the solver."""
+    the greedy graph with the loser's decisions reopened and expanded
+    (``_reopen`` plus ``_expand``), so no reopen code is shared with the
+    solver."""
     greedy = mode == "greedy"
     graph = game._explore([game.start], greedy, greedy)
     if greedy:

@@ -18,8 +18,8 @@ from test_refinement import _first_winning_moves, _games
 
 from mucheck import game as G
 from mucheck.cli import main
-from mucheck.game import (EvalGame, Strategy, StrategyError, _Graph,
-                          first_move_player)
+from mucheck.game import (EvalGame, Strategy, StrategyError, _A, _E,
+                          _Graph, first_move_player)
 from mucheck.kripke import save_model
 from mucheck.variants import FBoundedGame
 
@@ -109,7 +109,8 @@ def test_lazy_walk_is_the_first_winning_move_of_the_whole_graph(walks, mode):
         graph = game._explore([game.start], greedy, greedy)
         win = graph.winners()[0]
         if greedy:
-            game._refine(graph, win)
+            game._expand(graph, game._reopen(graph, win), win == _E,
+                         win == _A)
         expected = _first_winning_moves(game, graph, win)
         del walks[:]
         _, strategy = game.solve(mode)
