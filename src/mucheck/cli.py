@@ -101,7 +101,7 @@ def cmd_eval(args):
     trace = None
     strategy = None
     game = None
-    t0 = t1 = time.time()
+    t0 = t1 = time.perf_counter()
     if kind == "standard":
         verdict = args.state in semantics.eval_standard(model, sent)
     elif kind == "free":
@@ -110,7 +110,7 @@ def cmd_eval(args):
         game_cls = EvalGame if kind == "bounded" else FBoundedGame
         game = game_cls(model, args.state, sent, param,
                         max_positions=args.max_positions)
-        t1 = time.time()
+        t1 = time.perf_counter()
         winner, strategy = game.solve(args.mode)
         if args.strategy or args.trace:
             # The first read runs greedy mode's one-sided re-solve and the
@@ -118,7 +118,7 @@ def cmd_eval(args):
             len(strategy)
         positions = game.last_explored
         verdict = winner
-    solve_s = time.time() - t1
+    solve_s = time.perf_counter() - t1
 
     if args.check:
         std = semantics.eval_standard(model, sent)
@@ -149,7 +149,7 @@ def cmd_eval(args):
             "formula": F.render(sent),
             "mode": args.mode if kind in ("bounded", "fbounded") else None,
             "positions": positions,
-            "timings": {"total_s": round(time.time() - t0, 6),
+            "timings": {"total_s": round(time.perf_counter() - t0, 6),
                         "solve_s": round(solve_s, 6)},
         }
         if strategy is not None and args.strategy:

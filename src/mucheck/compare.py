@@ -755,21 +755,22 @@ class _FullMapGame(EvalGame):
         return {self._name[b]: v for b, v in zip(self._unit, pos.clocks)
                 if v != self.clock_cap}
 
-    # The shared clock-free rules with this class's own label rule, so
-    # that nothing done to EvalGame's rules reaches this oracle.
+    # The shared clock-free rules and no jump table, with this class's
+    # own label rule, so that nothing done to EvalGame's rules reaches
+    # this oracle.
     _status_row = GameCore._status_row
+    _label_jump = GameCore._label_jump
 
-    def _label_status(self, p, node):
-        gamma = p // self._unit[self._rf[node]] % self._R
-        if self._rf_is_mu[node]:
-            return _TURN_E if gamma else _WON_A
-        return _TURN_A if gamma else _WON_E
+    def _label_rule(self, node):
+        # The binder's own slot decides: 0 loses for the label's owner.
+        codes = (_WON_A, _TURN_E) if self._rf_is_mu[node] \
+            else (_WON_E, _TURN_A)
+        return self._unit[self._rf[node]], self._R, codes
 
     def _fixed_row(self, node, eloise_greedy, abelard_greedy):
         return None
 
-    def _decision_row(self, p, node, eloise_greedy=False,
-                      abelard_greedy=False):
+    def _decision_row(self, p, node):
         R = self._R
         cap = self.clock_cap
         if self._kind[node] == F.LABEL:
@@ -933,12 +934,6 @@ def _rerun(cex):
     return tallies[prop]
 
 
-def _recheck(cex):
-    """True when the sweep's own check finds no failure on ``cex``; a
-    crash propagates."""
-    return _rerun(cex).failures == 0
-
-
 def _failing(cex):
     """The rerun's own counterexample when the property fails on ``cex``
     by its own verdict, else None.  A crash is a different fault, so it
@@ -1010,13 +1005,13 @@ def run_compare(max_states=2, max_binders=1, gammas=(1, 2, 3, 4, OMEGA),
     binders.  A wall-clock ``budget`` (seconds) or a position-cap hit
     cuts later phases and marks the report partial.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     caps_hit = False
     tallies = _new_tallies(MAIN_PROPERTIES + AR_PROPERTIES + MODE_PROPERTIES
                            + EXTRA_PROPERTIES)
 
     def over_budget():
-        return budget is not None and time.time() - t0 > budget
+        return budget is not None and time.perf_counter() - t0 > budget
 
     try:
         sentences = corpus.all_sentences(max_nodes, 1)
@@ -1065,7 +1060,8 @@ def run_compare(max_states=2, max_binders=1, gammas=(1, 2, 3, 4, OMEGA),
         "random_count": random_count,
         "ar_max_states": ar_max_states,
     }
-    return CompareReport(properties, time.time() - t0, params, caps_hit)
+    return CompareReport(properties, time.perf_counter() - t0, params,
+                         caps_hit)
 
 
 class _BudgetExceeded(Exception):

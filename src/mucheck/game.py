@@ -9,15 +9,16 @@ a label jump amount to truncating the tuple.  This canonical form keeps
 the reachable position set a finite DAG, so every play is finite and a
 position's value follows from its successors.  The solver is one
 short-circuit depth-first search from the start that explores on demand:
-it builds a position's successors the first time it enters it, and tries
-them in move order until its mover finds one that mover wins, which is
-also the position's first winning move, so the strategy is read off the
-search, and it is walked only when it is read.  In greedy mode the
-verdict is one search of the game where both players make only the
-largest clock choice; the one-sided re-solve that makes the strategy
-answer every opponent choice also runs only when the strategy is read.
-The sweeps and the position-model export explore whole graphs
-breadth-first with the same row builder, since they need every position.
+the first time it enters a position it numbers that position's
+successors inline, and it tries them in move order until its mover finds
+one that mover wins, which is also the position's first winning move, so
+the strategy is read off the search, and it is walked only when it is
+read.  In greedy mode the verdict is one search of the game where both
+players make only the largest clock choice; the one-sided re-solve that
+makes the strategy answer every opponent choice also runs only when the
+strategy is read.  The sweeps and the position-model export explore
+whole graphs with a breadth-first builder, since they need every
+position, and solve them with the same search.
 
 Rules in brief:
 
@@ -30,16 +31,20 @@ Rules in brief:
   otherwise that player must lower the clock and play returns to the
   binder's body, resetting every clock introduced below the binder.
 
-``GameCore`` is the one game kernel (row builder, solver, play); every game
+``GameCore`` is the one game kernel (row tables, search, play); every game
 variant supplies only a position codec to it.  Internally a position is
 one int ``si + S * (node + N * rest)``: S is the model's card, N the
 sentence's size, and ``rest`` the part the codec owns (here the clock
-prefix in mixed radix ``clock_cap + 1``).  The explorer reads statuses and
-successor deltas from per-node tables built once per game and clock
-policy, and calls the codec only at the nodes whose status or moves
-depend on ``rest``.  Public positions are decoded from the ints, so
-output is unchanged.  ``_attractor`` is the one attractor, for the free
-game and alternating reachability.
+prefix in mixed radix ``clock_cap + 1``).  The search and the
+breadth-first builder read statuses and successor deltas from per-node
+tables built once per game and clock policy from the codec's units:
+a label's status is a code indexed by the digit of ``rest`` that holds
+its binder's clock, and its greedy move lowers that digit.  They call
+the codec per position only for a row that depends on ``rest`` under
+every choice.
+Public positions are decoded from the ints, so output is unchanged.
+``_attractor`` is the one attractor, for the free game and alternating
+reachability.
 """
 
 from collections import Counter
@@ -237,33 +242,43 @@ class GameCore:
     An internal position is one int ``si + S * (node + N * rest)``, where
     S is the model's card, N the sentence's size and ``rest`` the part
     that the game's codec owns (clocks or counters).  ``p % (S * N)`` is
-    then the (state, node) pair, and the one row builder
-    (``_build_rows``) reads every position's status and successors from
-    flat tables indexed by it, built once per game: ``_status_row(node)``
-    gives the status over every state index of each non-label node, and
-    the row tables, built once per clock policy, give each position's
-    successors as deltas to add to it (a modal row when play first
-    reaches its state).  ``_solve`` calls the builder from inside its
-    depth-first search, on demand; ``_explore`` calls it breadth-first
-    over the whole reachable graph, for the sweeps, the free game and
-    the position-model export.  The clock-free rules
-    (literals, or/and, modal moves, stuck movers) are shared here.  A game
-    supplies only its codec:
+    then the (state, node) pair, and every position's status and
+    successors are read from flat tables indexed by it.  Per game:
+    ``_status_row(node)`` gives the status over every state index of
+    each non-label node, and the label table gives a label's status as
+    a code indexed by one digit of ``rest``.  Per clock policy: the row
+    table gives each position's successors as deltas to add to it (a
+    modal row when play first reaches its state), and the jump table
+    the one move of a label whose owner plays greedy.  Two loops read
+    them: ``_Graph.solve``'s depth-first search, which ``_solve`` runs
+    and which numbers a position's successors when it first enters it,
+    and the breadth-first builder ``_build_rows``, which ``_explore``
+    runs over the whole reachable graph for the sweeps, the free game
+    and the position-model export.  The clock-free rules (literals,
+    or/and, modal moves, stuck movers) are shared here.  A game supplies
+    only its codec:
 
     * ``_root(si)``, the start position at state index ``si``, and
       ``_internal``/``_public`` between public and internal positions;
     * ``_fixed_row(node, eloise_greedy, abelard_greedy)``, the deltas of
       a binder or label node when they do not depend on ``rest``, or None;
-    * ``_decision_row(p, node, eloise_greedy, abelard_greedy)``, the
-      deltas at the nodes where ``_fixed_row`` gives None;
-    * ``_label_status(p, node)``, the status at a label position;
+    * ``_label_rule(node)``, the label's ``(unit, radix, codes)``: a
+      label position ``p`` has status ``codes[d]`` for its digit
+      ``d = p // unit % radix``, the last code standing for every digit
+      past the end;
+    * ``_label_jump(node)``, the label's move when its owner plays
+      greedy and ``_fixed_row`` gives None, as ``(keep, delta)`` for the
+      one successor ``p % keep + delta``, or None;
+    * ``_decision_row(p, node)``, the deltas of a binder or label
+      position that neither table gives, such as a label whose owner
+      chooses freely;
     * ``_decision_label``, the name of a binder or label move
       (``_move_label`` names every move), and ``_decision_kinds``, the
       node kinds whose moves depend on the clock or counter policy;
     * ``describe_position``/``position_json`` for output.
 
-    So the codec is called only at the positions whose status or row
-    depends on ``rest``.
+    So per position the codec is called only for the rows that depend
+    on ``rest`` under every choice; its other calls build the tables.
     """
 
     # Positions numbered by the last exploration, solve or deferred
@@ -310,11 +325,12 @@ class GameCore:
                 rows += [()] * S  # literals end the game
         self._stat = stat
         self._shared_rows = rows
+        self._labels = None
         self._row_tables = {}
 
     def _status_row(self, node):
         """Status code at ``node`` per state index, or None at a label,
-        whose status the codec's ``_label_status`` gives."""
+        whose status the label table gives."""
         kind = self._kind[node]
         S = self._S
         if kind == F.PROP or kind == F.NEGPROP:
@@ -334,30 +350,74 @@ class GameCore:
                              map(bool, self._succ)))
         return None
 
-    def _rows(self, eloise_greedy, abelard_greedy):
-        """The row table of a clock policy, indexed by ``p % (S * N)``:
-        the deltas from a position to its successors in move order, or
-        None where ``_missing_row`` gives them."""
-        key = (eloise_greedy, abelard_greedy)
-        rows = self._row_tables.get(key)
-        if rows is None:
+    def _label_table(self):
+        """The label table, indexed by ``p % (S * N)`` and None off the
+        labels: ``(unit, radix, codes, top)`` from the codec's
+        ``_label_rule``, so that a label position ``p`` with digit
+        ``d = p // unit % radix`` has status ``codes[min(d, top)]``.  The
+        last code stands for every digit from ``top`` up, so ``codes``
+        need not list every clock or counter value.  The table is built
+        on first use, since a codec sets its units after
+        ``GameCore.__init__``."""
+        labels = self._labels
+        if labels is None:
             S = self._S
-            rows = self._row_tables[key] = list(self._shared_rows)
+            labels = self._labels = [None] * self._SN
+            for node, kind in enumerate(self._kind):
+                if kind == F.LABEL:
+                    unit, radix, codes = self._label_rule(node)
+                    labels[node * S:(node + 1) * S] = \
+                        [(unit, radix, codes, len(codes) - 1)] * S
+        return labels
+
+    def _owner_codes(self, node):
+        """The status codes of label ``node`` by its binder's clock or
+        counter: 0 loses for the label's owner, and any other value is
+        the owner's turn."""
+        return (_WON_A, _TURN_E) if self._rf_is_mu[node] \
+            else (_WON_E, _TURN_A)
+
+    def _label_jump(self, node):
+        """None: by default a label row that ``_fixed_row`` does not give
+        comes from ``_decision_row`` under every policy."""
+        return None
+
+    def _rows(self, eloise_greedy, abelard_greedy):
+        """The row and jump tables of a clock policy, indexed by
+        ``p % (S * N)``.  A row entry is the deltas from a position to
+        its successors in move order, or None where the jump table or
+        ``_missing_row`` gives them.  A jump entry ``(keep, delta)`` is
+        the move of a label whose owner plays greedy, to the one
+        successor ``p % keep + delta``, and None elsewhere."""
+        key = (eloise_greedy, abelard_greedy)
+        tables = self._row_tables.get(key)
+        if tables is None:
+            S = self._S
+            rows = list(self._shared_rows)
+            jumps = [None] * self._SN
             for node, kind in enumerate(self._kind):
                 if kind == F.MU or kind == F.NU or kind == F.LABEL:
-                    rows[node * S:(node + 1) * S] = [self._fixed_row(
-                        node, eloise_greedy, abelard_greedy)] * S
-        return rows
+                    cells = slice(node * S, (node + 1) * S)
+                    fixed = self._fixed_row(node, eloise_greedy,
+                                            abelard_greedy)
+                    rows[cells] = [fixed] * S
+                    if fixed is None and kind == F.LABEL and (
+                            eloise_greedy if self._rf_is_mu[node]
+                            else abelard_greedy):
+                        jumps[cells] = [self._label_jump(node)] * S
+            tables = self._row_tables[key] = (rows, jumps)
+        return tables
 
-    def _missing_row(self, rows, p, eloise_greedy, abelard_greedy):
-        """The deltas of ``p`` where its entry in ``rows`` is None: the
-        codec's decision row, or a modal row, which is built when play
-        first reaches its state and kept, so that a large model costs
-        only the states a game reaches."""
+    def _missing_row(self, rows, p):
+        """The deltas of ``p`` where neither its row entry nor its jump
+        entry gives them: the codec's every-choice decision row, or a
+        modal row, which is built when play first reaches its state and
+        kept, so that a large model costs only the states a game
+        reaches."""
         node = p // self._S % self._N
         kind = self._kind[node]
         if kind != F.DIAMOND and kind != F.BOX:
-            return self._decision_row(p, node, eloise_greedy, abelard_greedy)
+            return self._decision_row(p, node)
         S = self._S
         si = p % S
         base = S * (self._children[node][0] - node) - si
@@ -366,21 +426,27 @@ class GameCore:
         return row
 
     def _status(self, p):
-        st = self._stat[p % self._SN]
+        c = p % self._SN
+        st = self._stat[c]
         if st is None:
-            return self._label_status(p, p // self._S % self._N)
+            unit, radix, codes, top = self._label_table()[c]
+            d = p // unit % radix
+            st = codes[d if d < top else top]
         return st
 
     def _successors(self, p, eloise_greedy=False, abelard_greedy=False):
         """Successor positions of ``p`` in move order."""
-        rows = self._rows(eloise_greedy, abelard_greedy)
-        deltas = rows[p % self._SN]
+        rows, jumps = self._rows(eloise_greedy, abelard_greedy)
+        c = p % self._SN
+        deltas = rows[c]
         if deltas is None:
-            deltas = self._missing_row(rows, p, eloise_greedy, abelard_greedy)
+            jump = jumps[c]
+            if jump is not None:
+                return [p % jump[0] + jump[1]]
+            deltas = self._missing_row(rows, p)
         return [p + d for d in deltas]
 
-    def _decision_row(self, p, node, eloise_greedy=False,
-                      abelard_greedy=False):
+    def _decision_row(self, p, node):
         raise NotImplementedError(
             f"{type(self).__name__} gives every row in its tables")
 
@@ -443,76 +509,66 @@ class GameCore:
                       [None if st >= _TURN_E else () for st in status],
                       self._S)
 
-    def _build_rows(self, graph, ids, eloise_greedy, abelard_greedy,
-                    queue=None):
-        """The one row builder, a generator: it builds, under the given
-        clock policy, the row of every position of ``graph`` in ``ids``
-        and stores it in ``graph.succs``, then waits for the next ids sent
-        to it, so that its locals are bound once per graph.  Every newly
-        discovered position is numbered and given its status; its row is
-        None, to be built later, if it is a turn, and empty if it ends
-        the game.  A discovered turn position is also appended to
-        ``queue`` when one is given, so that ``queue`` as ``ids`` explores
-        breadth-first.  Raises GameLimitError when the graph would
-        outgrow the cap."""
+    def _build_rows(self, graph, frontier, eloise_greedy, abelard_greedy):
+        """The breadth-first row builder: build, under the given clock
+        policy, the row of every position of ``graph`` in the list
+        ``frontier`` and store it in ``graph.succs``, numbering every
+        newly discovered position, giving it its status and appending it
+        to ``frontier`` if it is a turn, so that play carries on
+        breadth-first.  A discovered turn's row is None until it is
+        built; a position that ends the game has an empty row.  It reads
+        the same tables as ``_Graph.solve``'s search.  Raises
+        GameLimitError when the graph would outgrow the cap."""
         pos_list = graph.pos_list
         pos_id = graph.pos_id
         get = pos_id.get
         status = graph.status
         succs = graph.succs
         cap = self.max_positions
-        S = self._S
-        N = self._N
         SN = self._SN
         stat = self._stat
-        rows = self._rows(eloise_greedy, abelard_greedy)
+        labels = self._label_table()
+        rows, jumps = self._rows(eloise_greedy, abelard_greedy)
         missing_row = self._missing_row
-        label_status = self._label_status
-        while True:
-            for i in ids:  # grows while it is walked when it is the queue
-                p = pos_list[i]
-                deltas = rows[p % SN]
-                if deltas is None:
-                    deltas = missing_row(rows, p, eloise_greedy,
-                                         abelard_greedy)
-                row = []
-                for d in deltas:
-                    dst = p + d
-                    di = get(dst)
-                    if di is None:
-                        di = len(pos_list)
-                        if di >= cap:
-                            raise self._cap_error(pos_list)
-                        pos_id[dst] = di
-                        pos_list.append(dst)
-                        st = stat[dst % SN]
-                        if st is None:
-                            st = label_status(dst, dst // S % N)
-                        status.append(st)
-                        if st >= _TURN_E:
-                            succs.append(None)
-                            if queue is not None:
-                                queue.append(di)
-                        else:
-                            succs.append(())
-                    row.append(di)
-                succs[i] = tuple(row)
-            ids = yield
-
-    def _row_builder(self, graph, eloise_greedy, abelard_greedy):
-        """``_build_rows`` as a function ``build(ids)``, for the search
-        that explores on demand."""
-        builder = self._build_rows(graph, (), eloise_greedy, abelard_greedy)
-        next(builder)
-        return builder.send
+        for i in frontier:  # grows while it is walked
+            p = pos_list[i]
+            c = p % SN
+            deltas = rows[c]
+            if deltas is None:
+                jump = jumps[c]
+                if jump is None:
+                    deltas = missing_row(rows, p)
+                else:
+                    deltas = (p % jump[0] + jump[1] - p,)
+            row = []
+            for d in deltas:
+                dst = p + d
+                di = get(dst)
+                if di is None:
+                    di = len(pos_list)
+                    if di >= cap:
+                        raise self._cap_error(pos_list)
+                    pos_id[dst] = di
+                    pos_list.append(dst)
+                    st = stat[dst % SN]
+                    if st is None:
+                        unit, radix, codes, top = labels[dst % SN]
+                        digit = dst // unit % radix
+                        st = codes[digit if digit < top else top]
+                    status.append(st)
+                    if st >= _TURN_E:
+                        succs.append(None)
+                        frontier.append(di)
+                    else:
+                        succs.append(())
+                row.append(di)
+            succs[i] = tuple(row)
 
     def _expand(self, graph, frontier, eloise_greedy, abelard_greedy):
         """Breadth-first exploration: (re)build the row of every position
-        in the list ``frontier`` under the given clock policy, appending
-        each newly discovered turn position to it, so that play carries
-        on breadth-first."""
-        next(self._build_rows(graph, frontier, eloise_greedy, abelard_greedy,
-                              frontier))
+        in the list ``frontier`` under the given clock policy, and of
+        every turn position it discovers."""
+        self._build_rows(graph, frontier, eloise_greedy, abelard_greedy)
         graph._topo = None
         self.last_explored = len(graph.pos_list)
 
@@ -550,14 +606,16 @@ class GameCore:
         """Winner of the game from ``start`` plus a winning strategy.
 
         The graph is explored on demand: ``_Graph.solve``'s depth-first
-        search builds a position's row the first time it enters it, so
-        ``last_explored`` counts the positions the search discovered, not
-        the whole reachable graph.  Exhaustive mode solves with every
-        choice.  Greedy mode solves the subgame where both players only
-        ever make the largest legal clock or counter choice, and its
-        winner is the verdict: every play is finite, so the search's
-        answer at the start is exact for that subgame, and criterion 8
-        holds it equal to the exhaustive winner.
+        search, given this game and its clock policy, numbers a
+        position's successors from the game's tables the first time it
+        enters the position, so ``last_explored`` counts the positions
+        the search discovered, not the whole reachable graph.
+        Exhaustive mode solves with every choice.  Greedy mode solves
+        the subgame where both players only ever make the largest legal
+        clock or counter choice, and its winner is the verdict: every
+        play is finite, so the search's answer at the start is exact for
+        that subgame, and criterion 8 holds it equal to the exhaustive
+        winner.
 
         The strategy is not computed here.  The returned ``Strategy``
         holds a callable that gives it the finished search (the graph's
@@ -580,7 +638,7 @@ class GameCore:
         greedy = mode == "greedy"
         graph = self._root_graph(
             [self._root(self.model.state_index(self.start))])
-        win, pick = graph.solve((0,), self._row_builder(graph, greedy, greedy))
+        win, pick = graph.solve((0,), self, greedy, greedy)
         win_code = win[0]
         self.last_explored = len(graph)
         self._check_explored()
@@ -605,8 +663,7 @@ class GameCore:
         every row not reopened is the same under both policies.  Returns
         the finished search for the strategy walk."""
         self._reopen(graph, win_code)
-        win, pick = graph.solve((0,), self._row_builder(
-            graph, win_code == _E, win_code == _A))
+        win, pick = graph.solve((0,), self, win_code == _E, win_code == _A)
         if win[0] != win_code:
             raise RuntimeError(
                 "greedy policy disagreed with its one-sided "
@@ -789,13 +846,11 @@ class EvalGame(GameCore):
 
     _decision_kinds = (F.MU, F.NU, F.LABEL)
 
-    def _label_status(self, p, node):
+    def _label_rule(self, node):
         # The clock of the label's binder decides; the digit for None,
         # the untouched bound, is nonzero.
-        clock = p // self._slot_unit[self._rf_slot[node]] % self._R
-        if self._rf_is_mu[node]:
-            return _TURN_E if clock else _WON_A
-        return _TURN_A if clock else _WON_E
+        return (self._slot_unit[self._rf_slot[node]], self._R,
+                self._owner_codes(node))
 
     def _fixed_row(self, node, eloise_greedy, abelard_greedy):
         if self._kind[node] == F.LABEL:
@@ -808,16 +863,19 @@ class EvalGame(GameCore):
         choices = self._clock_choices[:1] if greedy else self._clock_choices
         return tuple(base + g * unit for g in choices)
 
-    def _decision_row(self, p, node, eloise_greedy=False,
-                      abelard_greedy=False):
-        # Label: lower the binder's clock and return to its body, which
-        # truncates the prefix after the binder's slot.
+    def _label_jump(self, node):
+        # Greedy label: lower the binder's clock by one and return to its
+        # body.  Keeping ``p % (unit * R)`` truncates the prefix after
+        # the binder's slot; the cap digit, for None, becomes the largest
+        # clock.
+        unit = self._slot_unit[self._rf_slot[node]]
+        return unit * self._R, self._S * (self._rf_body[node] - node) - unit
+
+    def _decision_row(self, p, node):
+        # Label under every choice: any lower clock, largest first.
         unit = self._slot_unit[self._rf_slot[node]]
         top = p // unit % self._R  # the cap digit for None: every choice
         base = p % unit - p + self._S * (self._rf_body[node] - node)
-        greedy = eloise_greedy if self._rf_is_mu[node] else abelard_greedy
-        if greedy:
-            return (base + (top - 1) * unit,)
         return [base + g * unit for g in range(top - 1, -1, -1)]
 
     def solve(self, mode="greedy"):
@@ -839,10 +897,11 @@ class EvalGame(GameCore):
 class _Graph:
     """Explored position graph with status codes and successor rows.
 
-    A turn position's row is None until it is built, which ``solve``
-    does on demand through its ``expand`` callback; ``_explore`` builds
-    every row.  ``states`` is the model's card S when the positions are a
-    game's ints: position ``p`` then lies at state index ``p % states``.
+    A turn position's row is None until it is built: ``solve``, given
+    the game, builds it on demand inside its search, and ``_explore``'s
+    breadth-first builder builds every row.  ``states`` is the model's
+    card S when the positions are a game's ints: position ``p`` then
+    lies at state index ``p % states``.
     """
 
     __slots__ = ("pos_list", "pos_id", "status", "succs", "states", "_topo")
@@ -881,25 +940,41 @@ class _Graph:
         self._topo = order
         return order
 
-    def solve(self, roots, expand=None):
+    def solve(self, roots, game=None, eloise_greedy=False,
+              abelard_greedy=False):
         """Winner codes and first winning moves of what ``roots`` need.
 
         One iterative depth-first search: a turn position's row is tried
         in move order until its mover finds a successor that mover wins.
-        A row that is None is still unset: ``expand((i,))`` builds it, and
-        numbers the positions it discovers, when the search first enters
-        ``i``.  So a game is explored on demand, only as far as the search
-        reads it.  Returns ``(win, pick)``: ``win[i]`` is the winner code
-        (0 Eloise, 1 Abelard) of every position the search solved and
-        ``_UNSET`` elsewhere; ``pick[i]`` is the row index of the first
-        successor won by the mover, or -1 where the mover loses.  Raises
+        A row that is None is still unset.  With a ``game`` the search
+        builds it when it first enters the position, under the given
+        clock policy, from the same tables as ``GameCore._build_rows``:
+        it numbers the successors it discovers and gives each its
+        status.  So a game is explored on demand, only as far as the
+        search reads it, and the cap and its error are the builder's.  A
+        fully built graph, solved without a game, has no unset row.
+        Returns ``(win, pick)``: ``win[i]`` is the winner code (0 Eloise,
+        1 Abelard) of every position the search solved and ``_UNSET``
+        elsewhere; ``pick[i]`` is the row index of the first successor
+        won by the mover, or -1 where the mover loses.  Raises
         RuntimeError on meeting a position already on the search stack,
         which is a cycle.
         """
+        pos_list = self.pos_list
         status = self.status
         succs = self.succs
-        win = [_UNSET] * len(status)
-        pick = [-1] * len(status)
+        if game is not None:
+            pos_id = self.pos_id
+            get = pos_id.get
+            cap = game.max_positions
+            SN = game._SN
+            stat = game._stat
+            labels = game._label_table()
+            rows, jumps = game._rows(eloise_greedy, abelard_greedy)
+            missing_row = game._missing_row
+        room = len(status)  # the length of win and pick
+        win = [_UNSET] * room
+        pick = [-1] * room
         stack = []
         for r in roots:
             # Enter r from a sentinel parent, -1, whose row is (r,) and
@@ -928,14 +1003,43 @@ class _Graph:
                     win[j] = _OPEN
                     row = succs[j]
                     if row is None:
-                        expand((j,))
-                        row = succs[j]
-                        if len(status) > len(win):
-                            # Room for what expand numbered, and as much
-                            # again, so that the lists grow in few steps.
-                            grow = 2 * len(status) - len(win)
+                        # Build j's row: GameCore._build_rows, inline.
+                        p = pos_list[j]
+                        c = p % SN
+                        deltas = rows[c]
+                        if deltas is None:
+                            jump = jumps[c]
+                            if jump is None:
+                                deltas = missing_row(rows, p)
+                            else:
+                                deltas = (p % jump[0] + jump[1] - p,)
+                        row = []
+                        for d in deltas:
+                            dst = p + d
+                            di = get(dst)
+                            if di is None:
+                                di = len(pos_list)
+                                if di >= cap:
+                                    raise game._cap_error(pos_list)
+                                pos_id[dst] = di
+                                pos_list.append(dst)
+                                st = stat[dst % SN]
+                                if st is None:
+                                    unit, radix, codes, top = labels[dst % SN]
+                                    digit = dst // unit % radix
+                                    st = codes[digit if digit < top else top]
+                                status.append(st)
+                                succs.append(None if st >= _TURN_E else ())
+                            row.append(di)
+                        succs[j] = row = tuple(row)
+                        if len(pos_list) > room:
+                            # Room for the positions just numbered, and as
+                            # much again, so that the lists grow in few
+                            # steps.
+                            grow = 2 * len(pos_list) - room
                             win += [_UNSET] * grow
                             pick += [-1] * grow
+                            room += grow
                     i, k, mover = j, 0, sj - _TURN_E
                     continue
                 if not stack:

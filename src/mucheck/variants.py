@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import formula as F
 from .game import (ABELARD, DEFAULT_MAX_POSITIONS, ELOISE, GameCore,
-                   _TURN_A, _TURN_E, _WON_A, _WON_E, _A, _E, _attractor)
+                   _TURN_A, _TURN_E, _A, _E, _attractor)
 
 UNDETERMINED = "Undetermined"
 
@@ -99,10 +99,10 @@ class FBoundedGame(GameCore):
 
     _decision_kinds = (F.LABEL,)
 
-    def _label_status(self, p, node):
-        if self._rf_is_mu[node]:
-            return _TURN_E if p // self._ge_unit else _WON_A
-        return _TURN_A if p // self._ga_unit % (self.f + 1) else _WON_E
+    def _label_rule(self, node):
+        # The counter of the label's owner decides.
+        unit = self._ge_unit if self._rf_is_mu[node] else self._ga_unit
+        return unit, self.f + 1, self._owner_codes(node)
 
     def _fixed_row(self, node, eloise_greedy, abelard_greedy):
         if self._kind[node] != F.LABEL:
@@ -113,8 +113,7 @@ class FBoundedGame(GameCore):
             return (base - self._ge_unit,) if eloise_greedy else None
         return (base - self._ga_unit,) if abelard_greedy else None
 
-    def _decision_row(self, p, node, eloise_greedy=False,
-                      abelard_greedy=False):
+    def _decision_row(self, p, node):
         # A label under every choice: lower its owner's counter by any
         # amount, largest remaining value first.
         base = self._S * (self._rf_body[node] - node)
@@ -175,8 +174,10 @@ class _FreeGame(GameCore):
     def _public(self, p):
         return FreePosition(self.model.states[p % self._S], p // self._S)
 
-    def _label_status(self, p, node):
-        return _TURN_E if self._rf_is_mu[node] else _TURN_A
+    def _label_rule(self, node):
+        # No clock: the digit is always 0, and a label is always its
+        # binder's owner's turn.
+        return 1, 1, (_TURN_E if self._rf_is_mu[node] else _TURN_A,)
 
     def _fixed_row(self, node, eloise_greedy, abelard_greedy):
         if self._kind[node] == F.LABEL:

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON schema, pipelines, the REPL."""
 
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -108,6 +109,25 @@ def test_eval_json_times_the_compositional_solve(m1_path, capsys,
     timings = data["timings"]
     assert list(timings) == ["total_s", "solve_s"]
     assert 0.05 <= timings["solve_s"] <= timings["total_s"]
+
+
+def test_timings_ignore_a_wall_clock_that_steps_back(m1_path, capsys,
+                                                      monkeypatch):
+    """Durations come from a monotonic clock: a wall clock that steps
+    back a second at every read leaves every timing non-negative."""
+    wall = itertools.count(2_000_000_000, -1)
+    monkeypatch.setattr(time, "time", lambda: next(wall))
+    code, out, _ = run(["eval", "--model", m1_path, "--formula",
+                        "mu X. (p | []X)", "--state", "a", "--semantics",
+                        "bounded:2", "--json"], capsys)
+    timings = json.loads(out)["timings"]
+    assert code == 0 and 0 <= timings["solve_s"] <= timings["total_s"]
+    code, out, _ = run(["compare", "--max-states", "1", "--max-nodes", "2",
+                        "--random-count", "0", "--gammas", "1",
+                        "--ar-max-states", "1", "--workers", "1",
+                        "--budget", "60", "--json"], capsys)
+    data = json.loads(out)
+    assert code == 0 and not data["partial"] and data["elapsed_s"] >= 0
 
 
 PHI_STAR = "nu X. [] mu Y. (<>Y | (p & X))"

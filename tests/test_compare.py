@@ -51,7 +51,7 @@ def test_minimizer_shrinks_counterexample(monkeypatch):
     smaller = compare.minimize_counterexample(cex)
     assert len(smaller["model"]["edges"]) <= len(cex["model"]["edges"])
     # the minimized instance still reproduces the disagreement
-    assert not compare._recheck(smaller)
+    assert compare._rerun(smaller).failures > 0
 
 
 def test_ar_sweep_small():
@@ -98,15 +98,17 @@ def test_fullmap_oracle_owns_its_clock_rule(monkeypatch):
     full-map oracle, which checks that rule."""
     from mucheck import formula as F
     from mucheck.game import EvalGame, _WON_A
-    real = EvalGame._label_status
+    real = EvalGame._label_rule
 
-    def broken(self, p, node):
-        if (self._rf_is_mu[node]
-                and self._public(p).clocks[self._rf_slot[node]] == 1):
-            return _WON_A  # a mu-label with clock 1 is lost by Eloise
-        return real(self, p, node)
+    def broken(self, node):
+        unit, radix, codes = real(self, node)
+        if self._rf_is_mu[node] and 1 < self.clock_cap:
+            # A mu-label with clock 1 is lost by Eloise: digit 1 gets
+            # its own code, and the digits above keep the last one.
+            codes = (codes[0], _WON_A, codes[-1])
+        return unit, radix, codes
 
-    monkeypatch.setattr(EvalGame, "_label_status", broken)
+    monkeypatch.setattr(EvalGame, "_label_rule", broken)
     tallies = compare.run_mode_sweep([F.parse("mu X. (p | <>X)")],
                                      max_states=2, gammas=(2,), workers=1)
     tally = tallies["canonical-fullmap"]
@@ -351,15 +353,15 @@ def test_recheck_propagates_crashes_and_minimizer_rejects_them(m1,
     monkeypatch.setattr(semantics, "eval_group", crashing)
     cex = {"property": "game-vs-bounded", "model": m1.to_json_dict(),
            "formula": "mu X. (p | [] X)", "gamma": "2", "state": "a"}
-    assert compare._recheck(cex) is False
+    assert compare._rerun(cex).failures > 0
     trial = dict(cex, model=dict(cex["model"],
                                  edges=cex["model"]["edges"][1:]))
     with pytest.raises(RuntimeError):
-        compare._recheck(trial)
+        compare._rerun(trial)
     smaller = compare.minimize_counterexample(cex)
     # no edge could go without crashing the engine, so none went
     assert len(smaller["model"]["edges"]) == len(m1.relation)
-    assert compare._recheck(smaller) is False
+    assert compare._rerun(smaller).failures > 0
 
 
 def _cex_on(model, prop, gamma="2", state="a", formula="mu X. (p | [] X)"):
@@ -372,7 +374,7 @@ def test_recheck_runs_the_sweeps_own_playouts(m1, monkeypatch):
     that pass, so it sees the failure and the minimizer can shrink."""
     _wrong_first_winner(monkeypatch)
     cex = _cex_on(m1, "strategy-playouts")
-    assert compare._recheck(cex) is False
+    assert compare._rerun(cex).failures > 0
     smaller = compare.minimize_counterexample(cex)
     assert smaller["model"]["edges"] == [] and smaller["formula"] == "p"
     assert smaller["gamma"] == "1" and smaller["state"] == "a"
@@ -394,7 +396,7 @@ def test_termination_counterexample_reruns_as_failing(monkeypatch):
     tally = tallies["termination"]
     assert tally.failures == tally.instances > 0
     assert tally.cex["property"] == "termination"
-    assert compare._recheck(tally.cex) is False
+    assert compare._rerun(tally.cex).failures > 0
 
 
 @pytest.mark.parametrize("fault", ["winner", "cycle"])

@@ -23,7 +23,8 @@ from mucheck import formula as F
 from mucheck.compare import _FullMapGame
 from mucheck.corpus import random_model, random_sentence
 from mucheck.formula import parse
-from mucheck.game import EvalGame, GameLimitError, Position, _A, _E
+from mucheck.game import (EvalGame, GameLimitError, Position, _A, _E,
+                          _TURN_E)
 from mucheck.kripke import generate_family
 from mucheck.semantics import OMEGA, clock_cap
 from mucheck.variants import FBoundedGame, FPosition, _FreeGame
@@ -114,45 +115,89 @@ def test_codecs_invert(seed, bound):
                 fb._internal(wrong)
 
 
-def test_explorer_calls_the_codec_only_at_labels(monkeypatch):
-    """Statuses and rows come from the tables: exploring starN(3) at omega
-    calls the codec's hooks only at label positions, once per new label
-    position for its status, and never per position for a status or a
-    row."""
-    game = EvalGame(generate_family("starN", 3), "w_0",
-                    parse("nu X. [] mu Y. (<>Y | (p & X))"), OMEGA)
-    calls = Counter()
-    hook_kinds = set()
+PHI_STAR = "nu X. [] mu Y. (<>Y | (p & X))"
 
-    def counting(name, record_node):
+
+def _count_calls(monkeypatch, calls, hook_kinds, names):
+    """Count the calls of each ``(name, node_arg)`` method of EvalGame,
+    and record the node kinds of the calls where ``node_arg`` is the
+    index of the node among the arguments (None for no node)."""
+    for name, node_arg in names:
         real = getattr(EvalGame, name)
 
-        def wrapper(self, *args):
+        def wrapper(self, *args, name=name, node_arg=node_arg, real=real):
             calls[name] += 1
-            if record_node:
-                hook_kinds.add(self._kind[args[1]])
+            if node_arg is not None:
+                hook_kinds.add(self._kind[args[node_arg]])
             return real(self, *args)
         monkeypatch.setattr(EvalGame, name, wrapper)
 
-    counting("_status", False)
-    counting("_successors", False)
-    counting("_label_status", True)
-    counting("_decision_row", True)
+
+CODEC_LABEL_HOOKS = (("_label_rule", 0), ("_label_jump", 0),
+                     ("_decision_row", 1))
+
+
+def test_explorer_calls_the_codec_only_at_labels(monkeypatch):
+    """Statuses and rows come from the tables: exploring starN(3) at omega
+    calls the codec's hooks only at labels.  The label table is built
+    once per label node and the jump table once per label node and
+    policy under which the label's owner plays greedy; the decision row
+    is called once per row built at a label whose owner chooses freely,
+    and nothing is called per position for a status or a row."""
+    game = EvalGame(generate_family("starN", 3), "w_0", parse(PHI_STAR),
+                    OMEGA)
+    calls = Counter()
+    hook_kinds = set()
+    _count_calls(monkeypatch, calls, hook_kinds,
+                 (("_status", None), ("_successors", None))
+                 + CODEC_LABEL_HOOKS)
     S, N = game._S, game._N
-    new_labels = 0
+    label_nodes = [n for n in range(N) if game._kind[n] == F.LABEL]
+    policies = set()
+    free_rows = 0
     for greedy in (True, False):
         graph = game._explore(["w_0"], greedy, greedy)
+        policy = (greedy, greedy)
+        policies.add(policy)
         if greedy:
             win = graph.solve((0,))[0][0]
-            game._expand(graph, game._reopen(graph, win), win == _E,
-                         win == _A)
-        new_labels += sum(game._kind[p // S % N] == F.LABEL
-                          for p in graph.pos_list[1:])
+            policy = (win == _E, win == _A)
+            policies.add(policy)
+            game._expand(graph, game._reopen(graph, win), *policy)
+        # Every label row of the graph was last built under ``policy``.
+        free_rows += sum(game._kind[p // S % N] == F.LABEL
+                         and not policy[st - _TURN_E]
+                         for p, st in zip(graph.pos_list, graph.status)
+                         if st >= _TURN_E)
     assert calls["_status"] == 2  # the two roots
     assert calls["_successors"] == 0
     assert hook_kinds == {F.LABEL}
-    assert calls["_label_status"] == new_labels > 0
-    assert 0 < calls["_decision_row"] <= 2 * new_labels
+    assert calls["_label_rule"] == len(label_nodes) == 2
+    assert calls["_label_jump"] == sum(
+        policy[game._kind[game.index.rf[n]] != F.MU]
+        for policy in policies for n in label_nodes) > 0
+    assert calls["_decision_row"] == free_rows > 0
+
+
+def test_greedy_solve_calls_no_label_hook_per_position(monkeypatch):
+    """A greedy verdict reads every label status and label row from the
+    per-node tables: the codec's label hooks run once per label node to
+    build them, and no label hook, decision row or status runs per
+    explored position."""
+    game = EvalGame(generate_family("starN", 3), "w_0", parse(PHI_STAR),
+                    OMEGA)
+    calls = Counter()
+    _count_calls(monkeypatch, calls, set(),
+                 (("_status", None), ("_successors", None),
+                  ("_missing_row", None)) + CODEC_LABEL_HOOKS)
+    winner, _ = game.solve("greedy")
+    labels = sum(kind == F.LABEL for kind in game._kind)
+    modal_cells = game._S * sum(kind in (F.DIAMOND, F.BOX)
+                                for kind in game._kind)
+    assert winner == "Eloise" and game.last_explored > 10 * modal_cells
+    assert calls.pop("_missing_row") <= modal_cells  # modal rows, kept
+    assert calls == {"_status": 1, "_label_rule": labels,
+                     "_label_jump": labels}
 
 
 def test_cap_hit_names_the_busiest_node(m1, phi_star):

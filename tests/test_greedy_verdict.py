@@ -33,8 +33,8 @@ def searches(monkeypatch):
     calls = []
     real = _Graph.solve
 
-    def spy(self, roots, expand=None):
-        win, pick = real(self, roots, expand)
+    def spy(self, roots, *explorer):
+        win, pick = real(self, roots, *explorer)
         calls.append(win)
         return win, pick
     monkeypatch.setattr(_Graph, "solve", spy)
@@ -82,8 +82,8 @@ def test_a_disagreeing_refinement_fails_on_the_first_read(monkeypatch, m1,
     real = _Graph.solve
     count = []
 
-    def flip_second(self, roots, expand=None):
-        win, pick = real(self, roots, expand)
+    def flip_second(self, roots, *explorer):
+        win, pick = real(self, roots, *explorer)
         count.append(1)
         if len(count) == 2:
             win[0] = 1 - win[0]

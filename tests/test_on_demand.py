@@ -34,8 +34,8 @@ def _spy_solve(monkeypatch):
     calls = []
     real = _Graph.solve
 
-    def spy(self, roots, expand=None):
-        win, pick = real(self, roots, expand)
+    def spy(self, roots, *explorer):
+        win, pick = real(self, roots, *explorer)
         calls.append((self, win))
         return win, pick
     monkeypatch.setattr(_Graph, "solve", spy)
@@ -99,16 +99,22 @@ def test_on_demand_solve_matches_the_whole_graph(seed, card, bound, mode):
 
 @pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
 def test_on_demand_search_raises_on_a_cycle(monkeypatch, m1, mode):
-    """A label row that also leads back to the root closes a cycle, which
-    the search meets on its first label position."""
+    """A label row that leads back to the root closes a cycle, which the
+    search meets on its first label position: under every choice the
+    decision row's extra first move, and in greedy mode the jump table's
+    one move."""
     sent = F.parse("mu X. []X")
     game = EvalGame(m1, "a", sent, 2)
     root = game._root(0)
     real = EvalGame._decision_row
 
-    def looping(self, p, node, *policy):
-        return [root - p] + list(real(self, p, node, *policy))
+    def looping(self, p, node):
+        return [root - p] + list(real(self, p, node))
+
+    def jump_to_root(self, node):
+        return 1, root  # the one successor p % 1 + root
     monkeypatch.setattr(EvalGame, "_decision_row", looping)
+    monkeypatch.setattr(EvalGame, "_label_jump", jump_to_root)
     with pytest.raises(RuntimeError, match="cycle"):
         game.solve(mode)
 
@@ -118,8 +124,8 @@ def test_strategy_walk_never_expands(monkeypatch, m1, phi_star):
     error, not a place to explore, when the strategy is read."""
     real = _Graph.solve
 
-    def forgetful(self, roots, expand=None):
-        result = real(self, roots, expand)
+    def forgetful(self, roots, *explorer):
+        result = real(self, roots, *explorer)
         for i in range(1, len(self.succs)):
             if self.succs[i]:
                 self.succs[i] = None

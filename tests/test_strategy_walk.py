@@ -126,8 +126,8 @@ def test_strategy_drops_the_graph_after_the_walk(monkeypatch, m1, phi_star):
     searches = []
     real = _Graph.solve
 
-    def spy(self, roots, expand=None):
-        win, pick = real(self, roots, expand)
+    def spy(self, roots, *explorer):
+        win, pick = real(self, roots, *explorer)
         searches.append((self, pick))
         return win, pick
     monkeypatch.setattr(_Graph, "solve", spy)
@@ -169,8 +169,8 @@ def test_fault_in_the_search_surfaces_on_read(monkeypatch, m1, afp):
     """A pick cleared after the search makes the walk fail when read."""
     real = _Graph.solve
 
-    def no_picks(self, roots, expand=None):
-        win, pick = real(self, roots, expand)
+    def no_picks(self, roots, *explorer):
+        win, pick = real(self, roots, *explorer)
         pick[:] = [-1] * len(pick)
         return win, pick
     monkeypatch.setattr(_Graph, "solve", no_picks)
