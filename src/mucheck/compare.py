@@ -37,7 +37,6 @@ ones at which it fails there.
 
 import functools
 import json
-import multiprocessing
 import os
 import random
 import time
@@ -562,6 +561,8 @@ def _pool_map(worker, jobs, workers):
     if workers <= 1 or len(jobs) <= 1:
         results = map(worker, jobs)
     else:
+        import multiprocessing  # only a pool needs it; kept off start-up
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
             results = pool.map(worker, jobs)

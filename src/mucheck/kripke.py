@@ -1,5 +1,6 @@
 """Finite pointed Kripke models: validation, JSON I/O, example families."""
 
+import gc
 import json
 from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -54,6 +55,30 @@ def _ids(mask):
     return compress(count(), map("1".__eq__, bin(mask)[:1:-1]))
 
 
+def _mask(ids, n):
+    """The bitmask with bit i set for each i in ``ids`` (repeats allowed,
+    each below ``n``): one bit string, read by one ``int(..., 2)``, so
+    the cost is linear in ``n`` where adding one shifted int per id is
+    quadratic."""
+    bits = bytearray(b"0") * (n + 1)  # bit i at n - i, a leading "0"
+    for i in ids:
+        bits[n - i] = 49  # ord("1")
+    return int(bits, 2)
+
+
+def _model_members(quoted, srcs, dsts, n_edges, val_mask):
+    """The encoded "states", "edges" and "val" members of a model file:
+    ``quoted`` holds the encoded state names, ``srcs`` and ``dsts`` the
+    encoded names of the ``n_edges`` edges, and ``val_mask`` a state mask
+    per proposition."""
+    name = quoted.__getitem__
+    yield _json_block('"states": ', "[]", quoted, 1)
+    yield _json_edges(srcs, dsts, n_edges)
+    yield _json_block('"val": ', "{}", (
+        _json_block(_quote(p) + ": ", "[]", map(name, _ids(mask)), 2)
+        for p, mask in sorted(val_mask.items())), 1)
+
+
 class KripkeModel:
     """A finite Kripke model (states, transition relation, valuation).
 
@@ -98,7 +123,7 @@ class KripkeModel:
                 w = ws[ids.index(None)]
                 raise ModelError(
                     f"valuation of {p!r} references unknown state {w!r}")
-            val_mask[p] = sum(map((1).__lshift__, set(ids)))
+            val_mask[p] = _mask(ids, n)
         self._fill(states, index, (tuple(src), tuple(dst)), succ, val_mask)
 
     @classmethod
@@ -177,10 +202,11 @@ class KripkeModel:
         return self.mask_to_states(self._val_mask.get(p, 0))
 
     def mask_to_states(self, mask):
-        return frozenset(w for i, w in enumerate(self.states) if mask >> i & 1)
+        return frozenset(map(self.states.__getitem__,
+                             _ids(mask & self._full_mask)))
 
     def states_to_mask(self, ws):
-        return sum(1 << self.state_index(w) for w in set(ws))
+        return _mask(map(self.state_index, ws), len(self.states))
 
     def to_json_dict(self):
         name = self.states.__getitem__
@@ -196,19 +222,13 @@ class KripkeModel:
         plus a newline, byte for byte, written in a few C-level passes."""
         return "".join(_json_document(self._json_members()))
 
-    def _json_members(self, quoted=None):
-        """The encoded "states", "edges" and "val" members of the model
-        file, one at a time; ``quoted`` holds the encoded state names
-        when the caller has them already."""
-        if quoted is None:
-            quoted = list(map(_quote, self.states))
+    def _json_members(self):
+        """The encoded members of the model file, one at a time."""
+        quoted = list(map(_quote, self.states))
         name = quoted.__getitem__
         src, dst = self._edges
-        yield _json_block('"states": ', "[]", quoted, 1)
-        yield _json_edges(map(name, src), map(name, dst), len(src))
-        yield _json_block('"val": ', "{}", (
-            _json_block(_quote(p) + ": ", "[]", map(name, _ids(mask)), 2)
-            for p, mask in sorted(self._val_mask.items())), 1)
+        return _model_members(quoted, map(name, src), map(name, dst),
+                              len(src), self._val_mask)
 
     def __eq__(self, other):
         if not isinstance(other, KripkeModel):
@@ -229,7 +249,22 @@ def load_model(data):
     Expected shape: {"states": [...], "edges": [[src, dst], ...],
     "val": {prop: [...]}}.  Unknown top-level keys are ignored so that
     reduced-model files (which add "root" and "backmap") stay loadable.
+
+    The cyclic garbage collector is paused while the model is parsed and
+    built: a JSON tree holds no cycles, and a multi-MB file would
+    otherwise set off hundreds of collections over it.  The collector's
+    state is restored on return and on error.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_model(data)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_model(data):
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")

@@ -11,14 +11,15 @@ makes the AR game on the export play out exactly like the evaluation
 game.
 """
 
-from itertools import compress, count
+from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add
 
 from . import formula as F
 from .game import (DEFAULT_MAX_POSITIONS, EvalGame, GameLimitError,
                    _TURN_A, _TURN_E, _WON_A, _WON_E, _E, _attractor)
-from .kripke import KripkeModel, _json_block, _json_document, save_model
+from .kripke import (KripkeModel, _ids, _json_block, _json_document, _mask,
+                     _model_members, save_model)
 from .semantics import check_bound
 
 P_B = "p_B"
@@ -56,19 +57,13 @@ def ar_winning_set(model):
     """
     check_ar_vocabulary(model)
     succ = model._succ
-    p_mask = model._val_mask.get(P_B, 0)
-    q_mask = model._val_mask.get(Q_B, 0)
-    status = []
-    for i in range(model.card):
-        b_turn = q_mask >> i & 1
-        if p_mask >> i & 1:
-            status.append(_WON_E)
-        elif not succ[i]:
-            status.append(_WON_A if b_turn else _WON_E)
-        else:
-            status.append(_TURN_E if b_turn else _TURN_A)
+    status = [_TURN_A if row else _WON_E for row in succ]
+    for i in _ids(model._val_mask.get(Q_B, 0)):
+        status[i] = _TURN_E if succ[i] else _WON_A
+    for i in _ids(model._val_mask.get(P_B, 0)):
+        status[i] = _WON_E
     win = _attractor(status, succ, _E)
-    return frozenset(w for w, inside in zip(model.states, win) if inside)
+    return frozenset(compress(model.states, win))
 
 
 def solve_ar(model, state):
@@ -81,26 +76,39 @@ class ReducedModel:
     """An AR model over evaluation-game positions, plus the root position
     and a back-map from exported state names to position data.
 
-    The back-map is built from the decoded positions when it is first
-    read; ``json_text`` writes it straight from them.
+    The state names, successor rows and p_B/q_B masks are kept as built;
+    the ``KripkeModel`` is built from them when ``model`` is first read,
+    and the back-map from the decoded positions when it is first read.
+    ``json_text`` writes the file straight from the kept data.
     """
 
-    __slots__ = ("model", "root", "_game", "_positions", "_pos_of",
-                 "_backmap")
+    __slots__ = ("root", "_names", "_rows", "_val_mask", "_model", "_game",
+                 "_positions", "_pos_of", "_backmap")
 
-    def __init__(self, model, root, game, positions, pos_of):
-        # Exported state k is explored position i = pos_of[k], decoded in
-        # ``positions`` (see _decode).
-        self.model = model
-        self.root = root
+    def __init__(self, names, rows, val_mask, game, positions, pos_of):
+        # Exported state k is named names[k], has the successors rows[k]
+        # and is explored position i = pos_of[k], decoded in ``positions``
+        # (see _decode).
+        self.root = names[0]
+        self._names = names
+        self._rows = rows
+        self._val_mask = val_mask
+        self._model = None
         self._game = game
         self._positions = positions
         self._pos_of = pos_of
         self._backmap = None
 
     @property
+    def model(self):
+        if self._model is None:
+            self._model = KripkeModel._from_rows(self._names, self._rows,
+                                                 self._val_mask)
+        return self._model
+
+    @property
     def positions(self):
-        return len(self.model.states)
+        return len(self._names)
 
     @property
     def backmap(self):
@@ -112,7 +120,7 @@ class ReducedModel:
             name = game.sentence.name
             sis, qs, prefix = self._positions
             backmap = {}
-            for nm, i in zip(self.model.states, self._pos_of):
+            for nm, i in zip(self._names, self._pos_of):
                 node, clocks = prefix[qs[i]]
                 backmap[nm] = {
                     "state": states[sis[i]], "node": paths[node],
@@ -129,12 +137,16 @@ class ReducedModel:
     def json_text(self):
         """The reduced-model file: ``json.dumps(self.to_json_dict(),
         indent=2)`` plus a newline, byte for byte, without building the
-        back-map."""
+        model or the back-map."""
         return "".join(_json_document(self._json_members()))
 
     def _json_members(self):
-        quoted = list(map(_quote, self.model.states))
-        yield from self.model._json_members(quoted)
+        quoted = list(map(_quote, self._names))
+        rows = self._rows
+        yield from _model_members(
+            quoted, chain.from_iterable(map(repeat, quoted, map(len, rows))),
+            map(quoted.__getitem__, chain.from_iterable(rows)),
+            sum(map(len, rows)), self._val_mask)
         yield '"root": ' + _quote(self.root)
         entries = _backmap_entries(self._game, self._positions)
         yield _json_block('"backmap": ', "{}", map(
@@ -230,11 +242,10 @@ def build_position_model(model, state, sentence, bound, tree=False,
                          map(suffix.__getitem__, qs)))
         pos_of = range(len(names))
         rows = graph.succs
-    val = {prop: sum(1 << i for i in compress(
-               count(), map(flags.__getitem__, pos_of)))
+    val = {prop: _mask(compress(count(), map(flags.__getitem__, pos_of)),
+                       len(names))
            for prop, flags in ((P_B, p_flags), (Q_B, q_flags))}
-    reduced = KripkeModel._from_rows(names, rows, val)
-    return ReducedModel(reduced, names[0], game, positions, pos_of)
+    return ReducedModel(names, rows, val, game, positions, pos_of)
 
 
 def _unfold(graph, max_positions):

@@ -521,6 +521,15 @@ def test_console_entry_point():
     assert "eval" in proc.stdout and "compare" in proc.stdout
 
 
+def test_cli_import_leaves_multiprocessing_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mucheck.cli; "
+         "print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_module_invocation(tmp_path):
     model = tmp_path / "m.json"
     save_model(generate_family("chain", 1), model)

@@ -1,7 +1,9 @@
 """Kripke models: construction, JSON loading, validation, families."""
 
+import gc
 import json
 import pickle
+import random
 import re
 
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 from mucheck.formula import parse
 from mucheck.game import EvalGame
-from mucheck.kripke import (KripkeModel, ModelError, generate_family,
+from mucheck.corpus import random_model
+from mucheck.kripke import (KripkeModel, ModelError, _mask, generate_family,
                             load_model, save_model)
 from mucheck.reduction import solve_ar
 from mucheck.semantics import OMEGA, eval_standard
@@ -289,3 +292,46 @@ def test_model_pickles_before_and_after_its_masks_are_built():
     assert built == m and built._masks is not None
     assert built.succ_pred_masks() == m.succ_pred_masks()
     assert eval_standard(built, sent) == eval_standard(m, sent)
+
+
+def test_mask_sets_one_bit_per_distinct_id():
+    rng = random.Random(19)
+    assert _mask([], 0) == 0
+    for _ in range(300):
+        n = rng.randint(1, 200)
+        ids = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))]
+        assert _mask(ids, n) == sum(1 << i for i in set(ids))
+        assert _mask(iter(ids), n) == _mask(ids, n)
+
+
+def test_state_masks_round_trip_on_random_models():
+    rng = random.Random(23)
+    for _ in range(60):
+        model = random_model(rng, rng.randint(1, 40))
+        for _ in range(5):
+            ws = rng.sample(model.states, rng.randint(0, model.card))
+            ws += rng.choices(model.states, k=rng.randint(0, 3))  # repeats
+            mask = model.states_to_mask(ws)
+            assert mask == sum(1 << model.state_index(w) for w in set(ws))
+            assert model.mask_to_states(mask) == frozenset(ws)
+        for p, ws in model.valuation.items():
+            assert model.states_to_mask(ws) == model._val_mask[p]
+    with pytest.raises(ModelError):
+        model.states_to_mask(["nowhere"])
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_load_model_restores_the_collector_state(enabled):
+    good = json.dumps(generate_family("chain", 3).to_json_dict())
+    bad = ['{"states": ["a"], "edges": [["a", "b"]]}', "{not json"]
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert load_model(good) == generate_family("chain", 3)
+        assert gc.isenabled() is enabled
+        for text in bad:
+            with pytest.raises(ModelError):
+                load_model(text)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()

@@ -5,12 +5,13 @@ import random
 
 import pytest
 
+from mucheck import cli
 from mucheck import formula as F
 from mucheck.corpus import (AR_PROPS, all_models, all_sentences,
                             random_model, random_sentences)
 from mucheck.formula import dual, parse, render
 from mucheck.game import ELOISE, EvalGame, GameLimitError
-from mucheck.kripke import KripkeModel, generate_family, load_model
+from mucheck.kripke import KripkeModel, generate_family, load_model, save_model
 from mucheck.reduction import (P_B, Q_B, VocabularyError,
                                _position_valuation, ar_winning_set,
                                build_position_model, chi, reduce_mc,
@@ -27,6 +28,25 @@ def test_chi_round_trip():
 
 def test_chi_defines_ar_on_two_state_models():
     for m in all_models(2, AR_PROPS):
+        assert ar_winning_set(m) == eval_standard(m, chi())
+
+
+def _random_ar_model(rng, n):
+    """A seeded AR model on ``n`` named states with out-degree 0 to 3 and
+    sparse p_B: random but deep enough that the attractor and chi's
+    fixpoint take many rounds.  Valuation lists repeat some states."""
+    states = [f"s{i}" for i in range(n)]
+    edges = [(w, rng.choice(states)) for w in states
+             for _ in range(rng.choice((0, 1, 1, 2, 2, 3)))]
+    p_b = rng.choices(states, k=rng.randint(0, n // 20))
+    q_b = rng.choices(states, k=rng.randint(0, n))
+    return KripkeModel(states, edges, {P_B: p_b, Q_B: q_b})
+
+
+def test_chi_defines_ar_on_larger_random_models():
+    rng = random.Random(19)
+    for _ in range(30):
+        m = _random_ar_model(rng, rng.randint(50, 300))
         assert ar_winning_set(m) == eval_standard(m, chi())
 
 
@@ -253,3 +273,47 @@ def test_integer_row_build_equals_the_build_by_names(tree):
         assert reduced.backmap is reduced.backmap
         count += 1
     assert count > 90
+
+
+def test_reduce_cli_builds_no_export_model(m1, afp, tmp_path, capsys,
+                                          monkeypatch):
+    path = tmp_path / "m1.json"
+    save_model(m1, path)
+    calls = []
+    eager = KripkeModel._from_rows.__func__
+
+    def counting(cls, *args):
+        calls.append(args)
+        return eager(cls, *args)
+
+    monkeypatch.setattr(KripkeModel, "_from_rows", classmethod(counting))
+    code = cli.main(["reduce", "--model", str(path), "--formula",
+                     "mu X. (p | []X)", "--state", "a", "--gamma", "auto",
+                     "--out", "-"])
+    out = capsys.readouterr()
+    assert code == 0 and calls == []
+    assert load_model(out.out) == reduce_mc(m1, "a", afp).model
+    assert len(calls) == 1  # the spy sees the build on first read
+
+
+@pytest.mark.parametrize("tree", [False, True], ids=["dag", "tree"])
+def test_export_model_is_built_on_first_read(tree):
+    star = generate_family("starN", 3)
+    phi_star = parse("nu X. [] mu Y. (<>Y | (p & X))")
+    reduced = build_position_model(star, "w_0", phi_star, 3, tree=tree)
+    assert reduced._model is None
+    names, rows, val = reduced._names, reduced._rows, reduced._val_mask
+    positions, root = reduced.positions, reduced.root
+    text = reduced.json_text()
+    assert reduced._model is None  # writing the file builds no model
+    model = reduced.model
+    assert model is reduced.model
+    eager = KripkeModel._from_rows(names, rows, val)
+    assert model == eager
+    assert model.relation == eager.relation
+    assert model._val_mask == eager._val_mask
+    assert model._index == eager._index
+    assert (reduced.positions, reduced.root) == (positions, root)
+    assert positions == model.card and root == model.states[0]
+    assert reduced.json_text() == text
+    assert load_model(text) == model
