@@ -273,15 +273,22 @@ def cmd_gen(args):
     return EXIT_TRUE
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low, what):
+    """An argparse type for integers from ``low`` up."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected {what} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive")
+_nonnegative_int = _int_at_least(0, "a non-negative")
 
 
 def build_parser():
@@ -340,16 +347,16 @@ def build_parser():
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("compare", help="run the engine-agreement sweeps")
-    p.add_argument("--max-states", type=int, default=2)
-    p.add_argument("--max-binders", type=int, default=2)
+    p.add_argument("--max-states", type=_positive_int, default=2)
+    p.add_argument("--max-binders", type=_nonnegative_int, default=2)
     p.add_argument("--gammas", default="1,2,3,4,omega",
                    help="comma-separated clock bounds")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-nodes", type=int, default=5,
+    p.add_argument("--max-nodes", type=_positive_int, default=5,
                    help="node budget of the exhaustive sentence corpus")
-    p.add_argument("--random-count", type=int, default=200,
+    p.add_argument("--random-count", type=_nonnegative_int, default=200,
                    help="seeded random sentences added to the corpus")
-    p.add_argument("--ar-max-states", type=int, default=3)
+    p.add_argument("--ar-max-states", type=_positive_int, default=3)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--budget", type=float, default=None,
                    help="wall-clock budget in seconds (partial report when "

@@ -21,8 +21,9 @@ replays it under every bound at once: each position carries a bitmask
 with one bit per bound, so one backward pass yields the winners and AR
 membership under all bounds and one forward pass replays every winning
 strategy.  The full-clock-map oracle is a position codec for the shared
-game explorer, and every sweep shares one model enumerator, one job
-splitter and one worker pool runner.
+game explorer.  Every sweep shares one model enumerator and one sweep
+runner, which cuts the sweep's items into jobs, runs them in this
+process or a fork pool and merges their tallies.
 
 Models that agree on the propositions a sentence actually mentions are
 indistinguishable to every engine, so the sweep runs one representative
@@ -446,6 +447,10 @@ def _check_games(sent, sent_idx, union, rows, gammas, max_positions,
     # as the edges whose announced clock value lies below that cap.
     caps = (tuple(semantics.clock_cap(g, model0) for g in gammas)
             + (max(1, card),))
+    if max(caps) > max_positions:
+        # _admit_masks keeps one mask per clock value.
+        raise GameLimitError(f"clock cap {max(caps)} is above the position "
+                             f"cap {max_positions}")
     ncaps = len(caps)
     game = EvalGame(union, union.states[0], sent, max(caps),
                     max_positions=max_positions)
@@ -525,11 +530,17 @@ def _new_tallies(names):
     return {name: _Tally() for name, _ in names}
 
 
+def _groups_by_vocab(max_states, seed=0, samples_per_size=60, extra=()):
+    """Per proposition subset, the card groups of its model classes."""
+    return {v: _card_groups(_model_classes(max_states, v, seed,
+                                           samples_per_size, extra))
+            for v in _VOCABS}
+
+
 def _main_worker(args):
     (trees, start_idx, max_states, gammas, max_positions, seed,
      samples_per_size) = args
-    groups_by_vocab = {v: _card_groups(_model_classes(
-        max_states, v, seed, samples_per_size)) for v in _VOCABS}
+    groups_by_vocab = _groups_by_vocab(max_states, seed, samples_per_size)
     tallies = _new_tallies(MAIN_PROPERTIES)
     for k, tree in enumerate(trees):
         sent = F.Sentence(tree)
@@ -538,26 +549,28 @@ def _main_worker(args):
     return tallies
 
 
-def _split(items, workers, min_parallel, chunks_per_worker=1):
-    """Worker count and job size for a sweep runner.
+def _run_sweep(properties, worker, items, workers, min_parallel, *args,
+               chunks_per_worker=1):
+    """The sweep runner: run ``worker`` on ``items`` cut into jobs and
+    merge the _Tally dicts it returns into fresh tallies of
+    ``properties``.
 
-    ``workers`` defaults to one per CPU, at most 8.  One job takes every
-    item when there is one worker or fewer than ``min_parallel`` items;
-    otherwise each worker gets ``chunks_per_worker`` jobs.
+    A job is ``(chunk, start, *args)``: a slice of ``items`` and the
+    index of its first item.  ``workers`` defaults to one per CPU, at
+    most 8.  One job takes every item when there is one worker or fewer
+    than ``min_parallel`` items; otherwise each worker gets
+    ``chunks_per_worker`` jobs.  Jobs run in a fork pool of ``workers``
+    processes when there are more than one of each, and in this process
+    otherwise.
     """
     if workers is None:
         workers = min(os.cpu_count() or 1, 8)
     if workers <= 1 or len(items) < min_parallel:
-        return workers, max(1, len(items))
-    return workers, max(1, -(-len(items) // (workers * chunks_per_worker)))
-
-
-def _pool_map(worker, jobs, workers):
-    """Run ``worker`` on every job and merge the _Tally dicts it returns.
-
-    Jobs run in a fork pool of ``workers`` processes when there are more
-    than one of each, and in this process otherwise.
-    """
+        chunk = max(1, len(items))
+    else:
+        chunk = max(1, -(-len(items) // (workers * chunks_per_worker)))
+    jobs = [(items[i:i + chunk], i, *args)
+            for i in range(0, len(items), chunk)]
     if workers <= 1 or len(jobs) <= 1:
         results = map(worker, jobs)
     else:
@@ -566,10 +579,10 @@ def _pool_map(worker, jobs, workers):
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
             results = pool.map(worker, jobs)
-    tallies = {}
+    tallies = _new_tallies(properties)
     for res in results:
         for name, tally in res.items():
-            tallies.setdefault(name, _Tally()).merge(tally)
+            tallies[name].merge(tally)
     return tallies
 
 
@@ -580,14 +593,10 @@ def run_main_sweep(sentences, max_states=2, gammas=(1, 2, 3, 4, OMEGA),
                    workers=None, max_positions=SWEEP_MAX_POSITIONS, seed=0,
                    samples_per_size=60):
     """Main-sweep tallies over the given sentence corpus."""
-    trees = [s.tree() for s in sentences]
-    workers, chunk = _split(trees, workers, 64)
-    jobs = [(trees[i:i + chunk], i, max_states, gammas, max_positions,
-             seed, samples_per_size)
-            for i in range(0, len(trees), chunk)]
-    tallies = _new_tallies(MAIN_PROPERTIES)
-    tallies.update(_pool_map(_main_worker, jobs, workers))
-    return tallies
+    return _run_sweep(MAIN_PROPERTIES, _main_worker,
+                      [s.tree() for s in sentences], workers, 64,
+                      max_states, gammas, max_positions, seed,
+                      samples_per_size)
 
 
 def _start_winners(graph, starts):
@@ -604,18 +613,18 @@ def _start_winners(graph, starts):
 # AR sweep: chi agreement and the two-counter game.
 
 def _ar_worker(args):
-    codes, check_decrements = args
+    codes, _ = args
     tallies = _new_tallies(AR_PROPERTIES)
     for code in codes:
         _check_ar(corpus.model_from_code(*code, corpus.AR_PROPS), code,
-                  check_decrements, tallies)
+                  tallies)
     return tallies
 
 
-def _check_ar(model, key, check_decrements, tallies):
+def _check_ar(model, key, tallies):
     """The AR properties of one AR model: chi against the AR winning set,
     and the two-counter game on chi with unit decrements against AR and,
-    when ``check_decrements``, against arbitrary decrements."""
+    up to DECREMENT_MAX_STATES states, against arbitrary decrements."""
     chi_sent = reduction.chi()
     ar_set = reduction.ar_winning_set(model)
     chi_set = semantics.eval_standard(model, chi_sent)
@@ -627,14 +636,14 @@ def _check_ar(model, key, check_decrements, tallies):
     fb = variants.FBoundedGame(model, model.states[0], chi_sent, 1)
     starts = [fb._root(si) for si in range(model.card)]
     unit_win = _start_winners(fb._explore(model.states, True, True), starts)
-    if check_decrements:
-        full_win = _start_winners(fb._explore(model.states), starts)
+    full_win = (_start_winners(fb._explore(model.states), starts)
+                if model.card <= DECREMENT_MAX_STATES else None)
     for si, state in enumerate(model.states):
         verdict_e = unit_win[si] == _E
         tallies["fbounded-chi"].add(
             1, verdict_e == (state in ar_set), key,
             (model, chi_sent, None, state, "fbounded-chi"))
-        if check_decrements:
+        if full_win is not None:
             tallies["fbounded-decrements"].add(
                 1, (full_win[si] == _E) == verdict_e, key,
                 (model, chi_sent, None, state, "fbounded-decrements"))
@@ -656,17 +665,8 @@ def run_ar_sweep(max_states=3, workers=None, seed=0):
         rng = random.Random(f"ar:{seed}:{n}")
         codes.extend((n, rng.getrandbits(n * n), rng.getrandbits(n * 2))
                      for _ in range(AR_SAMPLES_PER_SIZE))
-    workers, chunk = _split(codes, workers, 1, chunks_per_worker=4)
-    # decrement agreement only runs on the small models; split accordingly
-    jobs = []
-    small = [c for c in codes if c[0] <= DECREMENT_MAX_STATES]
-    large = [c for c in codes if c[0] > DECREMENT_MAX_STATES]
-    for src, flag in ((small, True), (large, False)):
-        for i in range(0, len(src), chunk):
-            jobs.append((src[i:i + chunk], flag))
-    tallies = _new_tallies(AR_PROPERTIES)
-    tallies.update(_pool_map(_ar_worker, jobs, workers))
-    return tallies
+    return _run_sweep(AR_PROPERTIES, _ar_worker, codes, workers, 1,
+                      chunks_per_worker=4)
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +797,7 @@ class _FullMapGame(EvalGame):
 
 def _mode_worker(args):
     trees, start_idx, max_states, extra, gammas = args
-    groups_by_vocab = {v: _card_groups(_model_classes(max_states, v,
-                                                      extra=extra))
-                       for v in _VOCABS}
+    groups_by_vocab = _groups_by_vocab(max_states, extra=extra)
     tallies = _new_tallies(MODE_PROPERTIES)
     for k, tree in enumerate(trees):
         sent = F.Sentence(tree)
@@ -859,13 +857,9 @@ def run_mode_sweep(sentences, max_states=2, extra_models=(),
     ``extra_models`` supplies sampled larger models as (code, props)
     pairs, run after the main sweep's model classes up to ``max_states``.
     """
-    trees = [s.tree() for s in sentences]
-    workers, chunk = _split(trees, workers, 8)
-    jobs = [(trees[i:i + chunk], i, max_states, tuple(extra_models), gammas)
-            for i in range(0, len(trees), chunk)]
-    tallies = _new_tallies(MODE_PROPERTIES)
-    tallies.update(_pool_map(_mode_worker, jobs, workers))
-    return tallies
+    return _run_sweep(MODE_PROPERTIES, _mode_worker,
+                      [s.tree() for s in sentences], workers, 8, max_states,
+                      tuple(extra_models), gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -929,7 +923,7 @@ def _rerun(cex):
         _check_policies(sent, 0, *groups[0], 0, bound, tallies)
     elif prop in dict(AR_PROPERTIES):
         tallies = _new_tallies(AR_PROPERTIES)
-        _check_ar(model, 0, model.card <= DECREMENT_MAX_STATES, tallies)
+        _check_ar(model, 0, tallies)
     else:
         tallies = run_normalize_checks([sent], [model])
     return tallies[prop]
@@ -1010,39 +1004,36 @@ def run_compare(max_states=2, max_binders=1, gammas=(1, 2, 3, 4, OMEGA),
     caps_hit = False
     tallies = _new_tallies(MAIN_PROPERTIES + AR_PROPERTIES + MODE_PROPERTIES
                            + EXTRA_PROPERTIES)
-
-    def over_budget():
-        return budget is not None and time.perf_counter() - t0 > budget
-
-    try:
-        sentences = corpus.all_sentences(max_nodes, 1)
-        sentences += corpus.random_sentences(random_count, seed, 9,
-                                             max_binders)
-        tallies.update(run_main_sweep(sentences, max_states, gammas, workers,
-                                      seed=seed))
-        if over_budget():
-            raise _BudgetExceeded
-        tallies.update(run_ar_sweep(ar_max_states, workers, seed=seed))
-        if over_budget():
-            raise _BudgetExceeded
-        rng = random.Random(seed + 1)
-        extra = [((3, rng.getrandbits(9), rng.getrandbits(6)), ("p", "q"))
-                 for _ in range(mode_extra_models)]
-        mode_sents = corpus.all_sentences(mode_max_nodes, 1)
-        mode_sents += corpus.random_sentences(mode_random, seed + 2, 9,
-                                              max_binders)
-        mode_gammas = tuple(g for g in gammas
-                            if g is not OMEGA and g <= 3) or (1, 2, 3)
-        tallies.update(run_mode_sweep(mode_sents, min(max_states, 2), extra,
-                                      mode_gammas, workers))
-        if over_budget():
-            raise _BudgetExceeded
-        norm_sents = corpus.random_sentences(24, seed + 3, 9, 2)
-        norm_models = [corpus.random_model(random.Random(seed + 4), n)
-                       for n in (1, 2, 2, 3)]
-        tallies.update(run_normalize_checks(norm_sents, norm_models))
-    except (_BudgetExceeded, GameLimitError):
-        caps_hit = True
+    sentences = corpus.all_sentences(max_nodes, 1)
+    sentences += corpus.random_sentences(random_count, seed, 9, max_binders)
+    rng = random.Random(seed + 1)
+    extra = [((3, rng.getrandbits(9), rng.getrandbits(6)), ("p", "q"))
+             for _ in range(mode_extra_models)]
+    mode_sents = corpus.all_sentences(mode_max_nodes, 1)
+    mode_sents += corpus.random_sentences(mode_random, seed + 2, 9,
+                                          max_binders)
+    mode_gammas = tuple(g for g in gammas
+                        if g is not OMEGA and g <= 3) or (1, 2, 3)
+    norm_sents = corpus.random_sentences(24, seed + 3, 9, 2)
+    norm_models = [corpus.random_model(random.Random(seed + 4), n)
+                   for n in (1, 2, 2, 3)]
+    phases = (
+        functools.partial(run_main_sweep, sentences, max_states, gammas,
+                          workers, seed=seed),
+        functools.partial(run_ar_sweep, ar_max_states, workers, seed=seed),
+        functools.partial(run_mode_sweep, mode_sents, min(max_states, 2),
+                          extra, mode_gammas, workers),
+        functools.partial(run_normalize_checks, norm_sents, norm_models),
+    )
+    for k, phase in enumerate(phases):
+        if k and budget is not None and time.perf_counter() - t0 > budget:
+            caps_hit = True
+            break
+        try:
+            tallies.update(phase())
+        except GameLimitError:
+            caps_hit = True
+            break
 
     properties = []
     for name, desc in (MAIN_PROPERTIES + AR_PROPERTIES + MODE_PROPERTIES
@@ -1063,7 +1054,3 @@ def run_compare(max_states=2, max_binders=1, gammas=(1, 2, 3, 4, OMEGA),
     }
     return CompareReport(properties, time.perf_counter() - t0, params,
                          caps_hit)
-
-
-class _BudgetExceeded(Exception):
-    pass

@@ -19,7 +19,6 @@ BOX = "box"
 MU = "mu"
 NU = "nu"
 
-ATOM_KINDS = (PROP, NEGPROP, LABEL)
 BINDER_KINDS = (MU, NU)
 
 
@@ -521,11 +520,10 @@ class SyntaxIndex:
     def __init__(self, sentence):
         s = sentence
         n = s.size
-        rf = {}
+        rf = _label_binders(s)
         rf_slot = {}
         active = [()] * n
         paths = [""] * n
-        mu_nu = []
 
         stack = [(0, (), "r")]  # (node, binder ancestors, path)
         while stack:
@@ -533,30 +531,21 @@ class SyntaxIndex:
             active[nid] = anc
             paths[nid] = path
             kind = s.kind[nid]
-            child_anc = anc
             if kind in BINDER_KINDS:
-                mu_nu.append(nid)
-                child_anc = anc + (nid,)
+                anc += (nid,)
             elif kind == LABEL:
-                name = s.name[nid]
-                slot = None
-                for i in range(len(anc) - 1, -1, -1):
-                    if s.name[anc[i]] == name:
-                        slot = i
-                        break
-                if slot is None:
+                if rf[nid] is None:
                     raise FreeLabelError(
-                        f"label {name!r} has no enclosing binder")
-                rf[nid] = anc[slot]
-                rf_slot[nid] = slot
+                        f"label {s.name[nid]!r} has no enclosing binder")
+                rf_slot[nid] = anc.index(rf[nid])
             for idx, kid in enumerate(s.children[nid]):
-                stack.append((kid, child_anc, f"{path}.{idx}"))
+                stack.append((kid, anc, f"{path}.{idx}"))
 
-        mu_nu.sort()
         self.sentence = s
         self.rf = rf
         self.rf_slot = rf_slot
-        self.mu_nu_nodes = tuple(mu_nu)
+        self.mu_nu_nodes = tuple(nid for nid, kind in enumerate(s.kind)
+                                 if kind in BINDER_KINDS)
         self.active_ancestors = tuple(active)
         self.node_path = tuple(paths)
         self.size = n

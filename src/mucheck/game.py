@@ -495,8 +495,9 @@ class GameCore:
         """The reachable position graph from internal root positions,
         numbered in discovery order from the distinct roots on."""
         graph = self._root_graph(roots)
-        self._expand(graph, [i for i, row in enumerate(graph.succs)
-                             if row is None], eloise_greedy, abelard_greedy)
+        frontier = [i for i, row in enumerate(graph.succs) if row is None]
+        self._build_rows(graph, frontier, eloise_greedy, abelard_greedy)
+        self.last_explored = len(graph.pos_list)
         return graph
 
     def _root_graph(self, roots):
@@ -517,8 +518,10 @@ class GameCore:
         to ``frontier`` if it is a turn, so that play carries on
         breadth-first.  A discovered turn's row is None until it is
         built; a position that ends the game has an empty row.  It reads
-        the same tables as ``_Graph.solve``'s search.  Raises
-        GameLimitError when the graph would outgrow the cap."""
+        the same tables as ``_Graph.solve``'s search, and drops the
+        graph's cached topological order.  Raises GameLimitError when
+        the graph would outgrow the cap."""
+        graph._topo = None
         pos_list = graph.pos_list
         pos_id = graph.pos_id
         get = pos_id.get
@@ -563,14 +566,6 @@ class GameCore:
                         succs.append(())
                 row.append(di)
             succs[i] = tuple(row)
-
-    def _expand(self, graph, frontier, eloise_greedy, abelard_greedy):
-        """Breadth-first exploration: (re)build the row of every position
-        in the list ``frontier`` under the given clock policy, and of
-        every turn position it discovers."""
-        self._build_rows(graph, frontier, eloise_greedy, abelard_greedy)
-        graph._topo = None
-        self.last_explored = len(graph.pos_list)
 
     def _cap_error(self, pos_list):
         """The position-cap error, naming the node with the most explored
@@ -744,9 +739,10 @@ class EvalGame(GameCore):
         check_bound(bound)
         super().__init__(model, state, sentence, max_positions)
         self.bound = bound
-        # Clock values a binder may announce, largest first.
+        # Clock values a binder may announce, largest first: a range,
+        # since a greedy binder reads only the first of them.
         self.clock_cap = cap = clock_cap(bound, model)
-        self._clock_choices = tuple(range(cap - 1, -1, -1))
+        self._clock_choices = range(cap - 1, -1, -1)
         self._rf_slot = self.index.rf_slot
         self._R = cap + 1
         # A position's clock in slot k is p // _slot_unit[k] % R.
@@ -860,7 +856,13 @@ class EvalGame(GameCore):
         base = self._S * (self._children[node][0] - node)
         greedy = eloise_greedy if self._kind[node] == F.MU \
             else abelard_greedy
-        choices = self._clock_choices[:1] if greedy else self._clock_choices
+        choices = self._clock_choices
+        if greedy:
+            choices = choices[:1]
+        elif self.clock_cap > self.max_positions:
+            raise GameLimitError(
+                f"clock bound {self.clock_cap} gives a binder more choices "
+                f"than the position cap {self.max_positions}")
         return tuple(base + g * unit for g in choices)
 
     def _label_jump(self, node):

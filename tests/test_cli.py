@@ -325,6 +325,54 @@ def test_compare_budget_exits_with_the_partial_code(capsys):
     assert "partial report" in out
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--max-states", "0"), ("--max-states", "-1"), ("--max-nodes", "0"),
+    ("--max-nodes", "-2"), ("--ar-max-states", "0"),
+    ("--random-count", "-1"), ("--max-binders", "-1"),
+    ("--max-binders", "two")])
+def test_compare_rejects_sizes_that_would_pass_vacuously(capsys, option,
+                                                         value):
+    """An empty model or sentence corpus would report 0 instances and
+    pass; such sizes are usage errors."""
+    code, out, err = run(["compare", option, value], capsys)
+    assert code == 10 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and option in errors[0]
+
+
+HUGE_BOUND = "100000000000000000000"
+
+
+def test_a_huge_finite_bound_costs_greedy_play_nothing(tmp_path, capsys):
+    """A greedy binder announces only the largest clock value, so bound
+    10**20 is solved like bounded:7 on chain(3).  Exhaustive play and the
+    export would need a binder row of 10**20 choices and stop at the
+    position cap; compare reports its sweep partial."""
+    path = tmp_path / "chain3.json"
+    save_model(generate_family("chain", 3), path)
+    argv = ["--model", str(path), "--state", "w_0", "--formula",
+            "mu X. (p | <> X)"]
+    for bound in ("7", HUGE_BOUND):
+        code, out, _ = run(["eval", "--semantics", f"bounded:{bound}",
+                            "--json"] + argv, capsys)
+        payload = json.loads(out)
+        assert (code, payload["verdict"], payload["positions"]) \
+            == (0, "true", 16)
+    code, out, _ = run(["eval", "--semantics", f"bounded:{HUGE_BOUND}",
+                        "--strategy"] + argv, capsys)
+    assert code == 0
+    assert f"-> set-clock({int(HUGE_BOUND) - 1})" in out
+    for cmd in (["eval", "--semantics", f"bounded:{HUGE_BOUND}", "--mode",
+                 "exhaustive"], ["reduce", "--gamma", HUGE_BOUND]):
+        code, out, err = run(cmd + argv, capsys)
+        assert code == 11 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    code, out, _ = run(["compare", "--gammas", HUGE_BOUND, "--max-states",
+                        "1", "--max-nodes", "1", "--random-count", "0",
+                        "--ar-max-states", "1", "--workers", "1"], capsys)
+    assert code == 12 and "partial report" in out
+
+
 def test_play_as_abelard_machine_wins(star3_path, capsys, monkeypatch):
     # the human Abelard tries moves; machine Eloise still wins
     monkeypatch.setattr(sys, "stdin", io.StringIO("1\n1\n1\n1\n1\n1\n1\n1\n"

@@ -61,6 +61,58 @@ def test_ar_sweep_small():
         assert tallies[name].instances > 0
 
 
+def _flip_arbitrary_decrements(monkeypatch):
+    """A two-counter game whose every-choice graph gives each terminal to
+    the player who should lose it; the unit-decrement graph is sound."""
+    from mucheck.game import _WON_A, _WON_E
+    from mucheck.variants import FBoundedGame
+    real = FBoundedGame._explore
+    flip = {_WON_E: _WON_A, _WON_A: _WON_E}
+
+    def broken(self, start_states, eloise_greedy=False,
+               abelard_greedy=False):
+        graph = real(self, start_states, eloise_greedy, abelard_greedy)
+        if not (eloise_greedy or abelard_greedy):
+            graph.status = [flip.get(st, st) for st in graph.status]
+        return graph
+
+    monkeypatch.setattr(FBoundedGame, "_explore", broken)
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_ar_sweep_counts_do_not_depend_on_the_worker_count(monkeypatch,
+                                                            fault):
+    """The runner cuts the one- and two-state AR models into jobs of
+    mixed sizes; each model's card decides its decrement check, so one
+    worker and a pool of two give the same tallies."""
+    if fault:
+        _flip_arbitrary_decrements(monkeypatch)
+    one = compare.run_ar_sweep(max_states=2, workers=1)
+    two = compare.run_ar_sweep(max_states=2, workers=2)
+    assert _fingerprint(one) == _fingerprint(two)
+    # 8 one-state and 256 two-state models, one instance per state.
+    assert one["fbounded-decrements"].instances == 520
+    assert (one["fbounded-decrements"].failures > 0) == fault
+
+
+def test_decrement_counterexample_reruns_on_its_two_state_model(
+        monkeypatch):
+    """The rerun of an AR counterexample checks decrements exactly when
+    its model has at most DECREMENT_MAX_STATES states, as the sweep did."""
+    from mucheck import formula as F, reduction
+    _flip_arbitrary_decrements(monkeypatch)
+    chi = F.render(reduction.chi())
+    two = corpus.model_from_code(2, 0, 0b1100, corpus.AR_PROPS)
+    tally = compare._rerun(_cex_on(two, "fbounded-decrements", None, None,
+                                   chi))
+    assert (tally.instances, tally.failures) == (2, 2)
+    assert tally.cex["property"] == "fbounded-decrements"
+    three = corpus.model_from_code(3, 0, 0b110000, corpus.AR_PROPS)
+    tally = compare._rerun(_cex_on(three, "fbounded-decrements", None, None,
+                                   chi))
+    assert (tally.instances, tally.failures) == (0, 0)
+
+
 def test_mode_sweep_small():
     sents = corpus.all_sentences(2, 1)
     tallies = compare.run_mode_sweep(sents, max_states=2, gammas=(1, 2),

@@ -47,8 +47,8 @@ def _whole_graph(game, mode):
     The one-sided graph is explored afresh under the policy that keeps
     the winner greedy, which ``tests/test_refinement.py`` holds equal to
     the greedy graph with the loser's decisions reopened and expanded
-    (``_reopen`` plus ``_expand``), so no reopen code is shared with the
-    solver."""
+    (``_reopen`` plus ``_build_rows``), so no reopen code is shared with
+    the solver."""
     greedy = mode == "greedy"
     graph = game._explore([game.start], greedy, greedy)
     if greedy:

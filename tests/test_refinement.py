@@ -64,10 +64,10 @@ def test_refined_graph_is_a_fresh_one_sided_exploration():
         graph = game._explore([game.start], True, True)
         greedy_size = len(graph)
         win = graph.winners()[0]
-        game._expand(graph, game._reopen(graph, win), win == _E, win == _A)
-        refined_size = game.last_explored
+        game._build_rows(graph, game._reopen(graph, win), win == _E,
+                         win == _A)
         fresh = game._explore([game.start], win == _E, win == _A)
-        assert refined_size == len(graph) == len(fresh)
+        assert len(graph) == len(fresh)
         assert graph.pos_list[0] == fresh.pos_list[0]
         assert _shape(graph) == _shape(fresh)
         grew += len(graph) > greedy_size
@@ -110,8 +110,8 @@ def test_strategy_is_the_first_winning_move_of_the_whole_graph(mode):
         graph = game._explore([game.start], greedy, greedy)
         win = graph.winners()[0]
         if greedy:
-            game._expand(graph, game._reopen(graph, win), win == _E,
-                         win == _A)
+            game._build_rows(graph, game._reopen(graph, win), win == _E,
+                             win == _A)
         expected = _first_winning_moves(game, graph, win)
         winner, strategy = game.solve(mode)
         assert winner == strategy.player == ("Eloise", "Abelard")[win]
