@@ -14,16 +14,21 @@ models.  Play follows the model's edges and never leaves a component, so
 that game is the disjoint union of the models' games, and its results
 map back to each model.  The main sweep runs the compositional engines
 on that union too, once per bound, and keeps their results as state
-bitmasks: each model reads its own slice, and states get names only in
-a counterexample.
+bitmasks; states get names only in a counterexample.  Bookkeeping is
+per card group: whole union masks are compared, and only a group where
+something fails is tallied member by member, so failure counts and
+counterexamples are those of checking each model on its own.
 The main sweep builds its position graph at the largest clock bound and
 replays it under every bound at once: each position carries a bitmask
 with one bit per bound, so one backward pass yields the winners and AR
 membership under all bounds and one forward pass replays every winning
-strategy.  The full-clock-map oracle is a position codec for the shared
-game explorer.  Every sweep shares one model enumerator and one sweep
-runner, which cuts the sweep's items into jobs, runs them in this
-process or a fork pool and merges their tallies.
+strategy.  The AR recurrence runs on its own only where the game's
+statuses and the position model's p_B / q_B flags disagree; elsewhere
+it is the game's own recurrence.  The full-clock-map oracle is a
+position codec for the shared game explorer.  Every sweep shares one
+model enumerator and one sweep runner, which cuts the sweep's items
+into jobs, runs them in this process or a fork pool and merges their
+tallies.
 
 Models that agree on the propositions a sentence actually mentions are
 indistinguishable to every engine, so the sweep runs one representative
@@ -37,6 +42,7 @@ ones at which it fails there.
 """
 
 import functools
+import gc
 import json
 import os
 import random
@@ -114,11 +120,15 @@ class _Tally:
 
 
 class CompareReport:
-    def __init__(self, properties, elapsed, params, caps_hit=False):
+    def __init__(self, properties, elapsed, params, stopped_by=None):
         self.properties = properties  # list of (name, desc, inst, fail, cex)
         self.elapsed = elapsed
         self.params = params
-        self.caps_hit = caps_hit
+        self.stopped_by = stopped_by  # what cut a partial report short
+
+    @property
+    def caps_hit(self):
+        return self.stopped_by is not None
 
     def all_passed(self):
         return all(fail == 0 for _, _, _, fail, _ in self.properties)
@@ -135,10 +145,12 @@ class CompareReport:
         lines.append(f"elapsed: {self.elapsed:.1f}s"
                      + ("  (resource cap hit, partial report)"
                         if self.caps_hit else ""))
+        if self.caps_hit:
+            lines.append(f"stopped by: {self.stopped_by}")
         return "\n".join(lines)
 
     def to_json_dict(self):
-        return {
+        data = {
             "properties": [
                 {"name": n, "description": d, "instances": i,
                  "failures": f, "counterexample": c}
@@ -149,6 +161,9 @@ class CompareReport:
             "partial": self.caps_hit,
             "all_passed": self.all_passed(),
         }
+        if self.caps_hit:
+            data["stopped_by"] = self.stopped_by
+        return data
 
 
 @functools.lru_cache(maxsize=64)
@@ -156,38 +171,89 @@ def _admit_masks(caps):
     """Per edge tag, the mask of the cap bits whose graph has that edge.
 
     An edge tagged t announces clock value t, so it exists under every cap
-    above t.  Tags run from 0 to max(caps) - 1; the trailing entry is the
-    all-bits mask, so indexing with an untagged edge's -1 admits every bit.
+    above t.  Tags run from 0 to max(caps) - 1.
     """
-    masks = [0] * (max(caps) + 1)
+    masks = [0] * max(caps)
     for t in range(max(caps)):
         for b, cap in enumerate(caps):
             if cap > t:
                 masks[t] |= 1 << b
-    masks[-1] = (1 << len(caps)) - 1
     return tuple(masks)
 
 
 def _edge_tags(game, graph):
-    """Per position, the clock value each out-edge announces: a binder
-    edge carries the value it writes, every other edge -1.
+    """Per position, the clock value each out-edge announces, or None for
+    a row that announces none, which every cap admits in full.
 
     A binder's row is the game's clock choices in order (its first one
     under a greedy policy), so the tags come from one table over
     ``p % (S * N)``."""
     S = game._S
-    SN = game._SN
     choices = game._clock_choices
     by_key = [choices if kind in F.BINDER_KINDS else None
               for kind in game._kind for _ in range(S)]
-    untagged = [(-1,) * k for k in range(max(map(len, graph.succs),
-                                             default=0) + 1)]
-    return [t or untagged[len(row)] for t, row in zip(
-        map(by_key.__getitem__, map(SN.__rmod__, graph.pos_list)),
-        graph.succs)]
+    return list(map(by_key.__getitem__,
+                    map(game._SN.__rmod__, graph.pos_list)))
 
 
-def _replay(graph, tags, caps, p_flags, q_flags, card=None):
+# The (status, p_B, q_B) triples at which the AR rule computes the game's
+# value: the same rule, or a terminal whose empty row makes the AR
+# disjunction 0 (Abelard has won) or its conjunction full (Eloise has won).
+_AGREE = frozenset({
+    (_WON_E, True, False), (_WON_E, True, True),
+    (_TURN_E, False, True), (_WON_A, False, True),
+    (_TURN_A, False, False), (_WON_E, False, False)})
+
+
+def _flags_agree(game):
+    """Whether every (status, p_B, q_B) triple of the game's per-node
+    tables agrees, a label's statuses being every code of its label
+    rule.  Then the AR recurrence on any graph the game explores is its
+    own recurrence, since the explorer gives every terminal an empty
+    row."""
+    p_table, q_table = reduction._valuation_tables(game)
+    for st, label, p, q in set(zip(game._stat, game._label_table(),
+                                   p_table, q_table)):
+        for code in (st,) if label is None else label[2]:
+            if (code, p, q) not in _AGREE:
+                return False
+    return True
+
+
+def _backward(graph, tags, admit, block, full, status):
+    """Per position, the mask of the caps under which Eloise wins by the
+    rules that ``status`` gives, in one pass over the reversed
+    topological order."""
+    succs = graph.succs
+    out = [0] * len(status)
+    for i in reversed(graph.topo_order()):
+        st = status[i]
+        # A stuck mover loses: an empty OR is 0, an empty AND all ones.
+        if st == _WON_E:
+            v = full
+        elif st == _WON_A:
+            v = 0
+        elif st == _TURN_E:
+            v = 0
+            if tags[i] is None:
+                for j in succs[i]:
+                    v |= out[j]
+            else:
+                for j, t in zip(succs[i], tags[i]):
+                    v |= admit[t] & out[j]
+        else:
+            v = full
+            if tags[i] is None:
+                for j in succs[i]:
+                    v &= out[j]
+            else:
+                for j, t in zip(succs[i], tags[i]):
+                    v &= out[j] | block[t]
+        out[i] = v
+    return out
+
+
+def _replay(graph, tags, caps, p_flags=None, q_flags=None, card=None):
     """Winners and AR membership under every cap in one backward pass.
 
     Bit b of a position's mask stands for clock-choice cap ``caps[b]``;
@@ -199,45 +265,29 @@ def _replay(graph, tags, caps, p_flags, q_flags, card=None):
     each (position p at state index ``p % graph.states`` lies in component
     ``p % graph.states // card``), bit ``c * len(caps) + b`` of that last
     mask marks cap b in component c.
+
+    The AR rule is the game rule of a status code: p_B wins, q_B is a
+    disjunction, and any other position a conjunction.  Where every
+    position's (status, p_B, q_B) triple agrees, or the flags are None
+    because the caller found the game's tables to agree, the two
+    recurrences are the same function (by induction over the
+    topological order), so the AR masks are a copy of the winners and
+    nothing differs; otherwise the AR recurrence runs on its own.
     """
     full = (1 << len(caps)) - 1
     admit = _admit_masks(tuple(caps))
     block = [full ^ m for m in admit]
-    status = graph.status
-    succs = graph.succs
-    n = len(status)
-    win = [0] * n
-    ar = [0] * n
+    win = _backward(graph, tags, admit, block, full, graph.status)
+    if p_flags is None or _AGREE.issuperset(zip(graph.status, p_flags,
+                                                 q_flags)):
+        return win, list(win), 0
+    ar = _backward(graph, tags, admit, block, full,
+                   [_WON_E if p else _TURN_E if q else _TURN_A
+                    for p, q in zip(p_flags, q_flags)])
     diff = 0
-    for i in reversed(graph.topo_order()):
-        st = status[i]
-        # A stuck mover loses: an empty OR is 0, an empty AND all ones.
-        if st == _WON_E:
-            w = full
-        elif st == _WON_A:
-            w = 0
-        elif st == _TURN_E:
-            w = 0
-            for j, t in zip(succs[i], tags[i]):
-                w |= admit[t] & win[j]
-        else:
-            w = full
-            for j, t in zip(succs[i], tags[i]):
-                w &= win[j] | block[t]
-        if p_flags[i]:
-            a = full
-        elif q_flags[i]:
-            a = 0
-            for j, t in zip(succs[i], tags[i]):
-                a |= admit[t] & ar[j]
-        else:
-            a = full
-            for j, t in zip(succs[i], tags[i]):
-                a &= ar[j] | block[t]
-        win[i] = w
-        ar[i] = a
+    for p, w, a in zip(graph.pos_list, win, ar):
         if w != a:
-            c = graph.pos_list[i] % graph.states // card if card else 0
+            c = p % graph.states // card if card else 0
             diff |= (w ^ a) << (c * len(caps))
     return win, ar, diff
 
@@ -290,20 +340,34 @@ def _playouts(graph, tags, caps, win, inits, card=None):
         elif st == _WON_A:
             lost = mine_e
         elif st == _TURN_E:
-            for j, t in zip(succs[i], tags[i]):
-                a = admit[t]
-                take = mine_e & a & win[j] * rep
-                reach_e[j] |= take
-                reach_a[j] |= mine_a & a
-                mine_e ^= take
+            if tags[i] is None:
+                for j in succs[i]:
+                    take = mine_e & win[j] * rep
+                    reach_e[j] |= take
+                    reach_a[j] |= mine_a
+                    mine_e ^= take
+            else:
+                for j, t in zip(succs[i], tags[i]):
+                    a = admit[t]
+                    take = mine_e & a & win[j] * rep
+                    reach_e[j] |= take
+                    reach_a[j] |= mine_a & a
+                    mine_e ^= take
             lost = mine_e
         else:
-            for j, t in zip(succs[i], tags[i]):
-                a = admit[t]
-                take = mine_a & a & ~(win[j] * rep)
-                reach_a[j] |= take
-                reach_e[j] |= mine_e & a
-                mine_a ^= take
+            if tags[i] is None:
+                for j in succs[i]:
+                    take = mine_a & ~(win[j] * rep)
+                    reach_a[j] |= take
+                    reach_e[j] |= mine_e
+                    mine_a ^= take
+            else:
+                for j, t in zip(succs[i], tags[i]):
+                    a = admit[t]
+                    take = mine_a & a & ~(win[j] * rep)
+                    reach_a[j] |= take
+                    reach_e[j] |= mine_e & a
+                    mine_a ^= take
             lost = mine_a
         if lost:
             bad |= lost << (pos_list[i] % S // period * period * nb)
@@ -390,58 +454,48 @@ def _check_sentence(sent, sent_idx, groups_by_vocab, gammas, max_positions,
     """All main-sweep properties for one sentence across its model classes,
     per card group: the compositional engines run once on the group's
     union model (semantics.eval_group), one call per distinct bound, and
-    each member reads its own slice of the resulting state bitmasks."""
+    _check_games compares their state bitmasks with the game."""
     dual_sent = F.dual(sent)
     for union, members in groups_by_vocab[_sentence_vocab(sent)]:
         model0 = members[0][1]
-        card = model0.card
-        full = model0._full_mask
-        cap0 = max(1, card)  # the collapse bound
         std = semantics.eval_group(union, model0, sent)
         dual = semantics.eval_group(union, model0, dual_sent)
         # Keyed by bound, not by iteration count: the standard result is
         # never derived from a bounded one, nor one bound's from another's.
         bounded = {}
-        for g in (cap0, OMEGA) + gammas:
+        for g in (max(1, model0.card), OMEGA) + gammas:
             if g not in bounded:
                 bounded[g] = semantics.eval_group(union, model0, sent, g)
-        rows = []
-        for k, (model_idx, model, mult) in enumerate(members):
-            shift = k * card
-            std_k = std >> shift & full
-            bounded_k = {g: mask >> shift & full
-                         for g, mask in bounded.items()}
-            key0 = (sent_idx, model_idx)
-            tallies["card-collapse"].add(
-                mult, bounded_k[cap0] == std_k, key0,
-                (model, sent, cap0, None, "card-collapse"))
-            tallies["omega-standard"].add(
-                mult, bounded_k[OMEGA] == std_k, key0,
-                (model, sent, OMEGA, None, "omega-standard"))
-            tallies["duality"].add(
-                mult, dual >> shift & full == full & ~std_k, key0,
-                (model, sent, None, None, "duality"))
-            rows.append((model_idx, model, mult, std_k, bounded_k))
-        _check_games(sent, sent_idx, union, rows, gammas, max_positions,
-                     tallies)
+        _check_games(sent, sent_idx, union, members, (std, dual, bounded),
+                     gammas, max_positions, tallies)
 
 
-def _check_games(sent, sent_idx, union, rows, gammas, max_positions,
-                 tallies):
-    """The game properties of one sentence on one card group, from one
-    game on the group's union model.
+def _columns(values, width):
+    """Per bit b < width, the mask whose bit u is bit b of ``values[u]``."""
+    digits = "".join(map(f"{{:0{width}b}}".format, reversed(values)))
+    return [int(digits[width - 1 - b::width], 2) for b in range(width)]
 
-    ``rows`` holds per member ``(model_idx, model, mult, std, bounded)``:
-    its standard truth mask and its truth mask per bound, over the
-    member's own states (bit si for state index si).  When the union's
-    game trips the position cap or has a cycle, the group runs again one
-    member at a time, so termination and the cap stay per (sentence,
-    model): there a cycle fails termination, and a cap hit propagates.
+
+def _check_games(sent, sent_idx, union, members, truth, gammas,
+                 max_positions, tallies):
+    """The main-sweep properties of one sentence on one card group, from
+    one game on the group's union model.
+
+    ``members`` lists the group's ``(model_idx, model, mult)``, and
+    ``truth`` holds the compositional results on the union as state
+    bitmasks: ``(std, dual, bounded)``, the standard truth of the
+    sentence and of its dual, and the truth per bound.  When every
+    member passes every property, each property's instances are added at
+    once; otherwise _main_members tallies the group member by member.
+    When the union's game trips the position cap or has a cycle, the
+    group runs again one member at a time, so termination and the cap
+    stay per (sentence, model): there a cycle fails termination, and a
+    cap hit propagates.
     """
     nb = len(gammas)
-    gbits = (1 << nb) - 1
-    model0 = rows[0][1]
+    model0 = members[0][1]
     card = model0.card
+    std, dual, bounded = truth
     # Bit b < nb of the replay masks is gammas[b]; bit nb is the collapse
     # bound.  The game at the largest cap holds every smaller cap's game
     # as the edges whose announced clock value lies below that cap.
@@ -451,7 +505,6 @@ def _check_games(sent, sent_idx, union, rows, gammas, max_positions,
         # _admit_masks keeps one mask per clock value.
         raise GameLimitError(f"clock cap {max(caps)} is above the position "
                              f"cap {max_positions}")
-    ncaps = len(caps)
     game = EvalGame(union, union.states[0], sent, max(caps),
                     max_positions=max_positions)
     try:
@@ -459,41 +512,96 @@ def _check_games(sent, sent_idx, union, rows, gammas, max_positions,
         graph.topo_order()
         acyclic = True
     except (RuntimeError, GameLimitError) as exc:
-        if len(rows) == 1 and isinstance(exc, GameLimitError):
+        if len(members) == 1 and isinstance(exc, GameLimitError):
             raise GameLimitError(
                 f"{exc}: {F.render(sent)} on the model "
                 f"{json.dumps(model0.to_json_dict())}") from None
         acyclic = False
-    if not acyclic and len(rows) > 1:
-        for row in rows:
-            _check_games(sent, sent_idx, row[1], [row], gammas,
-                         max_positions, tallies)
+    if not acyclic and len(members) > 1:
+        full = model0._full_mask
+        for k, member in enumerate(members):
+            shift = k * card
+            _check_games(sent, sent_idx, member[1], [member],
+                         (std >> shift & full, dual >> shift & full,
+                          {g: m >> shift & full
+                           for g, m in bounded.items()}),
+                         gammas, max_positions, tallies)
         return
-    for model_idx, model, mult, _, _ in rows:
-        tallies["termination"].add(
-            mult, acyclic, (sent_idx, model_idx),
-            (model, sent, None, None, "termination"))
     if not acyclic:
+        _main_members(sent, sent_idx, members, truth, gammas, None, tallies)
         return
-    p_flags, q_flags = reduction._position_valuation(game, graph)
+    flags = (None, None) if _flags_agree(game) \
+        else reduction._position_valuation(game, graph)
     tags = _edge_tags(game, graph)
     inits = [graph.pos_id[game._root(u)] for u in range(union.card)]
-    win, ar, diff = _replay(graph, tags, caps, p_flags, q_flags, card)
+    win, ar, diff = _replay(graph, tags, caps, *flags, card)
     bad = _playouts(graph, tags, caps, win, inits, card)
+    play = (inits, win, ar, diff, bad)
+    wins = [win[i] for i in inits]
+    ars = [ar[i] for i in inits]
+    cols = _columns(wins, nb + 1)
+    cap0 = max(1, card)
+    if not (bounded[cap0] == std and bounded[OMEGA] == std
+            and dual == union._full_mask & ~std
+            and diff == 0 and bad == 0 and ars == wins and cols[nb] == std
+            and all(cols[gi] == bounded[g] for gi, g in enumerate(gammas))):
+        _main_members(sent, sent_idx, members, truth, gammas, play, tallies)
+        return
+    mults = sum(mult for _, _, mult in members)
+    for name in ("card-collapse", "omega-standard", "duality",
+                 "termination"):
+        tallies[name].instances += mults
+    for name in ("game-vs-bounded", "reduction-J", "strategy-playouts"):
+        tallies[name].instances += mults * card * nb
+    tallies["reduction-I"].instances += mults * card
 
-    # Per start state, bit gi of each mask marks a failure at gammas[gi].
-    for k, (model_idx, model, mult, std, bounded) in enumerate(rows):
+
+def _main_members(sent, sent_idx, members, truth, gammas, play, tallies):
+    """The main-sweep properties of one card group tallied member by
+    member, each member reading its own slice of the union's results:
+    ``truth`` as _check_games takes it, and ``play`` the union game's
+    ``(inits, win, ar, diff, bad)``, or None when that game has a
+    cycle."""
+    nb = len(gammas)
+    gbits = (1 << nb) - 1
+    ncaps = nb + 1
+    model0 = members[0][1]
+    card = model0.card
+    full = model0._full_mask
+    cap0 = max(1, card)  # the collapse bound
+    std, dual, bounded = truth
+    for k, (model_idx, model, mult) in enumerate(members):
+        shift = k * card
+        std_k = std >> shift & full
+        bounded_k = {g: mask >> shift & full for g, mask in bounded.items()}
+        key0 = (sent_idx, model_idx)
+        tallies["card-collapse"].add(
+            mult, bounded_k[cap0] == std_k, key0,
+            (model, sent, cap0, None, "card-collapse"))
+        tallies["omega-standard"].add(
+            mult, bounded_k[OMEGA] == std_k, key0,
+            (model, sent, OMEGA, None, "omega-standard"))
+        tallies["duality"].add(
+            mult, dual >> shift & full == full & ~std_k, key0,
+            (model, sent, None, None, "duality"))
+        tallies["termination"].add(
+            mult, play is not None, key0,
+            (model, sent, None, None, "termination"))
+        if play is None:
+            continue
+        inits, win, ar, diff, bad = play
+        # Per start state, bit gi of each mask marks a failure at gammas[gi].
         model_diff = diff >> (k * ncaps)
-        truths = [bounded[g] for g in gammas]
+        truths = [bounded_k[g] for g in gammas]
         for si in range(card):
-            u = k * card + si
+            u = shift + si
             init = inits[u]
-            truth = 0
+            truth_u = 0
             for gi, mask in enumerate(truths):
-                truth |= (mask >> si & 1) << gi
+                truth_u |= (mask >> si & 1) << gi
             w = win[init]
             for name, fail in (
-                    ("game-vs-bounded", w ^ truth),
+                    ("game-vs-bounded", w ^ truth_u),
                     ("reduction-J", model_diff | (w ^ ar[init])),
                     ("strategy-playouts", bad >> (u * ncaps))):
                 tally = tallies[name]
@@ -505,7 +613,7 @@ def _check_games(sent, sent_idx, union, rows, gammas, max_positions,
                                        (model, sent, g, model.states[si],
                                         name))
             tallies["reduction-I"].add(
-                mult, ar[init] >> nb & 1 == std >> si & 1,
+                mult, ar[init] >> nb & 1 == std_k >> si & 1,
                 (sent_idx, model_idx, si),
                 (model, sent, None, model.states[si], "reduction-I"))
 
@@ -530,11 +638,24 @@ def _new_tallies(names):
     return {name: _Tally() for name, _ in names}
 
 
+class _Lazy(dict):
+    """A dict that builds a missing key's value with ``build(key)`` the
+    first time it is read."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
 def _groups_by_vocab(max_states, seed=0, samples_per_size=60, extra=()):
-    """Per proposition subset, the card groups of its model classes."""
-    return {v: _card_groups(_model_classes(max_states, v, seed,
-                                           samples_per_size, extra))
-            for v in _VOCABS}
+    """Per proposition subset, the card groups of its model classes, built
+    the first time a sentence needs them."""
+    return _Lazy(lambda vocab: _card_groups(_model_classes(
+        max_states, vocab, seed, samples_per_size, extra)))
 
 
 def _main_worker(args):
@@ -561,7 +682,7 @@ def _run_sweep(properties, worker, items, workers, min_parallel, *args,
     than ``min_parallel`` items; otherwise each worker gets
     ``chunks_per_worker`` jobs.  Jobs run in a fork pool of ``workers``
     processes when there are more than one of each, and in this process
-    otherwise.
+    otherwise, each with the cyclic GC paused (_gc_paused).
     """
     if workers is None:
         workers = min(os.cpu_count() or 1, 8)
@@ -571,19 +692,34 @@ def _run_sweep(properties, worker, items, workers, min_parallel, *args,
         chunk = max(1, -(-len(items) // (workers * chunks_per_worker)))
     jobs = [(items[i:i + chunk], i, *args)
             for i in range(0, len(items), chunk)]
+    run = functools.partial(_gc_paused, worker)
     if workers <= 1 or len(jobs) <= 1:
-        results = map(worker, jobs)
+        results = map(run, jobs)
     else:
         import multiprocessing  # only a pool needs it; kept off start-up
 
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
-            results = pool.map(worker, jobs)
+            results = pool.map(run, jobs)
     tallies = _new_tallies(properties)
     for res in results:
         for name, tally in res.items():
             tallies[name].merge(tally)
     return tallies
+
+
+def _gc_paused(worker, job):
+    """``worker(job)`` with the cyclic garbage collector paused, and its
+    state restored on return and on error.  A job allocates millions of
+    small acyclic objects (positions, rows, masks), which would otherwise
+    set off a collection every few hundred thousand allocations."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return worker(job)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 SWEEP_MAX_POSITIONS = 1_000_000  # position cap of one main-sweep game
@@ -813,7 +949,9 @@ def _check_policies(sent, sent_idx, union, members, gi, g, tallies):
     of one sentence at ``gammas[gi] = g`` on one card group, from one
     graph of each kind on the group's union model.  When one of them
     trips its position cap or has a cycle, the group runs again one
-    member at a time, where the error propagates as it always has."""
+    member at a time, where the error propagates as it always has.
+    Where every winner agrees, each property's instances are added at
+    once; otherwise _mode_members tallies the group member by member."""
     model0 = members[0][1]
     cap = semantics.clock_cap(g, model0)  # OMEGA means the member's card
     game = EvalGame(union, union.states[0], sent, cap)
@@ -835,7 +973,20 @@ def _check_policies(sent, sent_idx, union, members, gi, g, tallies):
             _check_policies(sent, sent_idx, member[1], [member], gi, g,
                             tallies)
         return
-    card = model0.card
+    if win_g == win_f and win_m == win_f:
+        count = model0.card * sum(mult for _, _, mult in members)
+        tallies["greedy-exhaustive"].instances += count
+        tallies["canonical-fullmap"].instances += count
+    else:
+        _mode_members(sent, sent_idx, members, gi, g, (win_g, win_f, win_m),
+                      tallies)
+
+
+def _mode_members(sent, sent_idx, members, gi, g, wins, tallies):
+    """The clock-policy properties of one card group tallied member by
+    member from the union's greedy, exhaustive and full-map winners."""
+    win_g, win_f, win_m = wins
+    card = members[0][1].card
     for k, (model_idx, model, mult) in enumerate(members):
         for si, state in enumerate(model.states):
             u = k * card + si
@@ -844,9 +995,8 @@ def _check_policies(sent, sent_idx, union, members, gi, g, tallies):
             tallies["greedy-exhaustive"].add(
                 mult, win_g[u] == b, key,
                 (model, sent, g, state, "greedy-exhaustive"))
-            m = win_m[u]
             tallies["canonical-fullmap"].add(
-                mult, m == b, key,
+                mult, win_m[u] == b, key,
                 (model, sent, g, state, "canonical-fullmap"))
 
 
@@ -1001,7 +1151,7 @@ def run_compare(max_states=2, max_binders=1, gammas=(1, 2, 3, 4, OMEGA),
     cuts later phases and marks the report partial.
     """
     t0 = time.perf_counter()
-    caps_hit = False
+    stopped_by = None
     tallies = _new_tallies(MAIN_PROPERTIES + AR_PROPERTIES + MODE_PROPERTIES
                            + EXTRA_PROPERTIES)
     sentences = corpus.all_sentences(max_nodes, 1)
@@ -1027,12 +1177,12 @@ def run_compare(max_states=2, max_binders=1, gammas=(1, 2, 3, 4, OMEGA),
     )
     for k, phase in enumerate(phases):
         if k and budget is not None and time.perf_counter() - t0 > budget:
-            caps_hit = True
+            stopped_by = f"the wall-clock budget of {budget:g}s ran out"
             break
         try:
             tallies.update(phase())
-        except GameLimitError:
-            caps_hit = True
+        except GameLimitError as exc:
+            stopped_by = str(exc)
             break
 
     properties = []
@@ -1053,4 +1203,4 @@ def run_compare(max_states=2, max_binders=1, gammas=(1, 2, 3, 4, OMEGA),
         "ar_max_states": ar_max_states,
     }
     return CompareReport(properties, time.perf_counter() - t0, params,
-                         caps_hit)
+                         stopped_by)

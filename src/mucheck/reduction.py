@@ -181,9 +181,9 @@ def _backmap_entries(game, positions):
                     map(tail.__getitem__, qs)))
 
 
-def _position_valuation(game, graph):
-    """p_B / q_B flags per explored position, read from one table per node
-    over the state indices.  Literals read the model's valuation, not the
+def _valuation_tables(game):
+    """p_B / q_B flags per ``(state, node)`` key ``p % (S * N)`` of the
+    game's positions.  Literals read the model's valuation, not the
     game's status rows, so that a wrong status rule shows up as a
     disagreement between the game and the AR export."""
     S = game._S
@@ -199,6 +199,13 @@ def _position_valuation(game, graph):
             p_table += [False] * S
             q_table += [k == F.OR or k == F.DIAMOND or k == F.MU
                         or (k == F.LABEL and game._rf_is_mu[node])] * S
+    return p_table, q_table
+
+
+def _position_valuation(game, graph):
+    """p_B / q_B flags per explored position, read from
+    _valuation_tables."""
+    p_table, q_table = _valuation_tables(game)
     keys = list(map(game._SN.__rmod__, graph.pos_list))
     return (list(map(p_table.__getitem__, keys)),
             list(map(q_table.__getitem__, keys)))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import formula as F
 from .game import (ABELARD, DEFAULT_MAX_POSITIONS, ELOISE, GameCore,
-                   _TURN_A, _TURN_E, _A, _E, _attractor)
+                   GameLimitError, _TURN_A, _TURN_E, _A, _E, _attractor)
 
 UNDETERMINED = "Undetermined"
 
@@ -123,6 +123,10 @@ class FBoundedGame(GameCore):
         else:
             unit = self._ga_unit
             top = p // unit % (self.f + 1)
+        if top > self.max_positions:
+            raise GameLimitError(
+                f"counter value {top} gives a label more choices than the "
+                f"position cap {self.max_positions}")
         return [base - k * unit for k in range(1, top + 1)]
 
     def solve(self, mode="greedy"):

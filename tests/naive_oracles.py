@@ -493,3 +493,55 @@ def reference_refine(graph, win_code, decision_kinds):
     graph.expand([i for i, ip in enumerate(graph.pos_list)
                   if graph.status[i] == loser and kind[ip[1]] in decision_kinds],
                  win_code == 0, win_code == 1)
+
+
+# ---------------------------------------------------------------------------
+# Reference replay: winners and AR membership per cap, by plain recursion.
+
+def reference_replay(graph, tags, caps, p_flags, q_flags, card=None):
+    """``(win, ar, diff)`` as the sweep's replay gives them, from one
+    memoized recursion per cap and rule over the edges that cap admits:
+    an edge tagged t exists under the caps above t, and a row tagged
+    None under every cap.  The game rule reads the status; the AR rule
+    wins at p_B, is a disjunction at q_B and a conjunction elsewhere.
+    Bit ``c * len(caps) + b`` of ``diff`` marks cap b in component
+    ``pos % graph.states // card`` (component 0 when card is None)."""
+    def solve(cap, rule):
+        memo = {}
+
+        def value(i):
+            if i not in memo:
+                row_tags = tags[i] or [None] * len(graph.succs[i])
+                row = [j for j, t in zip(graph.succs[i], row_tags)
+                       if t is None or t < cap]
+                kind = rule(i)
+                if kind == "won":
+                    memo[i] = True
+                elif kind == "lost":
+                    memo[i] = False
+                elif kind == "or":
+                    memo[i] = any([value(j) for j in row])
+                else:
+                    memo[i] = all([value(j) for j in row])
+            return memo[i]
+
+        return [value(i) for i in range(len(graph.status))]
+
+    def game_rule(i):
+        return ("won", "lost", "or", "and")[graph.status[i]]
+
+    def ar_rule(i):
+        return "won" if p_flags[i] else "or" if q_flags[i] else "and"
+
+    n = len(graph.status)
+    win, ar, diff = [0] * n, [0] * n, 0
+    for b, cap in enumerate(caps):
+        game_values = solve(cap, game_rule)
+        ar_values = solve(cap, ar_rule)
+        for i in range(n):
+            win[i] |= game_values[i] << b
+            ar[i] |= ar_values[i] << b
+            if game_values[i] != ar_values[i]:
+                c = graph.pos_list[i] % graph.states // card if card else 0
+                diff |= 1 << (c * len(caps) + b)
+    return win, ar, diff

@@ -373,6 +373,52 @@ def test_a_huge_finite_bound_costs_greedy_play_nothing(tmp_path, capsys):
     assert code == 12 and "partial report" in out
 
 
+def test_compare_names_the_cap_that_stopped_it(capsys):
+    """A partial report says what cut it short, in the text after the
+    partial-report line and in the one JSON key only partial reports
+    carry."""
+    argv = ["compare", "--gammas", HUGE_BOUND, "--max-states", "1",
+            "--max-nodes", "1", "--random-count", "0", "--ar-max-states",
+            "1", "--workers", "1"]
+    code, out, _ = run(argv, capsys)
+    lines = out.splitlines()
+    assert code == 12 and "partial report" in lines[-2]
+    assert lines[-1] == (f"stopped by: clock cap {HUGE_BOUND} is above "
+                         f"the position cap 1000000")
+    code, out, _ = run(argv + ["--json"], capsys)
+    data = json.loads(out)
+    assert code == 12 and data["partial"]
+    assert data["stopped_by"] == lines[-1][len("stopped by: "):]
+
+
+def test_two_counter_label_rows_check_the_cap_before_they_allocate(
+        tmp_path):
+    """At fbounded:40 on chain(3) an every-choice label row would list
+    one move per counter value, up to 4**40 * 5 of them: the row compares
+    that count with the position cap before it is built.  The child runs
+    under a 1 GiB address-space limit, so a row built first ends in
+    MemoryError rather than in exhausting the machine."""
+    path = tmp_path / "chain3.json"
+    save_model(generate_family("chain", 3), path)
+
+    def limit_memory():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mucheck.cli", "eval", "--semantics",
+         "fbounded:40", "--mode", "exhaustive", "--model", str(path),
+         "--state", "w_0", "--formula", "mu X. (p | <> X)"],
+        capture_output=True, text=True, preexec_fn=limit_memory,
+        timeout=120)
+    elapsed = time.perf_counter() - t0
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert proc.returncode == 11 and proc.stdout == ""
+    assert len(errors) == 1 and "position cap" in errors[0]
+    assert elapsed < 5  # about 0.2 s, most of it interpreter start-up
+
+
 def test_play_as_abelard_machine_wins(star3_path, capsys, monkeypatch):
     # the human Abelard tries moves; machine Eloise still wins
     monkeypatch.setattr(sys, "stdin", io.StringIO("1\n1\n1\n1\n1\n1\n1\n1\n"

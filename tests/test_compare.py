@@ -337,6 +337,97 @@ def test_replay_consistency_bit_catches_ar_mismatch():
     assert hits > 0
 
 
+# Flags that agree with each status code (0 won by Eloise, 1 won by
+# Abelard, 2 Eloise's turn, 3 Abelard's turn) as (p_B, q_B) pairs.
+_AGREEING_FLAGS = {0: [(True, False), (True, True), (False, False)],
+                   1: [(False, True)], 2: [(False, True)],
+                   3: [(False, False)]}
+
+
+@st.composite
+def _replay_instances(draw):
+    """A random DAG as the explorer builds it (edges go to later
+    positions, and a terminal's row is empty), with tags, caps, a state
+    count and component card, and p_B / q_B flags that agree with every
+    status or are drawn freely."""
+    from mucheck.game import _Graph
+    n = draw(st.integers(1, 14))
+    status = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    caps = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    succs, tags = [], []
+    for i, code in enumerate(status):
+        row = [] if code < 2 or i == n - 1 else draw(st.lists(
+            st.integers(i + 1, n - 1), max_size=3, unique=True))
+        succs.append(tuple(row))
+        tags.append(draw(st.none() | st.lists(
+            st.integers(0, max(caps) - 1), min_size=len(row),
+            max_size=len(row))))
+    states = draw(st.sampled_from([1, 2, 4, 6]))
+    card = draw(st.none() | st.sampled_from(
+        [c for c in (1, 2, 3) if states % c == 0]))
+    pos_list = draw(st.lists(st.integers(0, 50), min_size=n, max_size=n,
+                             unique=True))
+    agree = draw(st.booleans())
+    if agree:
+        pairs = [draw(st.sampled_from(_AGREEING_FLAGS[code]))
+                 for code in status]
+    else:
+        pairs = draw(st.lists(st.tuples(st.booleans(), st.booleans()),
+                              min_size=n, max_size=n))
+    graph = _Graph(pos_list, {p: i for i, p in enumerate(pos_list)},
+                   status, succs, states)
+    p_flags = [p for p, _ in pairs]
+    q_flags = [q for _, q in pairs]
+    return graph, tags, caps, p_flags, q_flags, card, agree
+
+
+@settings(max_examples=200)
+@given(_replay_instances())
+def test_replay_matches_the_reference_recurrence(instance):
+    """Winners, AR masks and the disagreement mask equal a plain recursion
+    per cap, whether the flags agree with every status (where the replay
+    copies the winners) or not; the AR list never aliases the winners,
+    and flags of None stand for agreeing ones."""
+    from naive_oracles import reference_replay
+    graph, tags, caps, p_flags, q_flags, card, agree = instance
+    ref = reference_replay(graph, tags, caps, p_flags, q_flags, card)
+    win, ar, diff = compare._replay(graph, tags, caps, p_flags, q_flags,
+                                    card)
+    assert (win, ar, diff) == ref
+    assert ar is not win
+    if agree:
+        assert diff == 0
+        win, ar, diff = compare._replay(graph, tags, caps, None, None, card)
+        assert (win, ar, diff) == ref and ar is not win
+
+
+def test_groups_that_pass_are_tallied_at_once(monkeypatch):
+    """A card group where every member passes adds each property's
+    instances in one step; the per-member loops run only in a group
+    where something fails."""
+    main_calls = _count_calls(monkeypatch, "_main_members")
+    mode_calls = _count_calls(monkeypatch, "_mode_members")
+    sents = small_sentences()[:12]
+
+    def main():
+        compare.run_main_sweep(sents, max_states=2, gammas=(1, 2, OMEGA),
+                               workers=1)
+
+    def mode():
+        compare.run_mode_sweep(sents, max_states=2, gammas=(1, 2),
+                               workers=1)
+
+    main()
+    mode()
+    assert (main_calls, mode_calls) == ([], [])
+    _flip_bound_two(monkeypatch)
+    main()
+    assert main_calls
+    _lying_literals(monkeypatch)  # the clock-policy sweep reads no engine
+    mode()
+    assert mode_calls
+
+
 def test_fbounded_shared_graph_matches_per_state_solves():
     from mucheck import reduction, variants
     from mucheck.game import ELOISE, _E
