@@ -15,8 +15,9 @@ that game is the disjoint union of the models' games, and its results
 map back to each model.  The main sweep runs the compositional engines
 on that union too, once per bound, and keeps their results as state
 bitmasks; states get names only in a counterexample.  Bookkeeping is
-per card group: whole union masks are compared, and only a group where
-something fails is tallied member by member, so failure counts and
+per card group: each property adds the group's instances at once and
+reads its failures from one union-state mask per bound, whose bit u is
+state u % card of member u // card, so failure counts and
 counterexamples are those of checking each model on its own.
 The main sweep builds its position graph at the largest clock bound and
 replays it under every bound at once: each position carries a bitmask
@@ -96,18 +97,19 @@ class _Tally:
         self.cex = None
         self.cex_key = None
 
-    def add(self, count, ok, key=None, cex=None):
-        """``cex`` is either a ready dict or the argument tuple for _cex,
-        materialized only when a failure is actually recorded."""
+    def add(self, count, ok, key, cex):
+        """Count ``count`` instances, which fail unless ``ok``."""
         self.instances += count
         if not ok:
             self.fail(count, key, cex)
 
-    def fail(self, count, key=None, cex=None):
-        """Record ``count`` failures of instances already counted."""
+    def fail(self, count, key, cex):
+        """Record ``count`` failures of instances already counted.  ``cex``
+        is the argument tuple for _cex, materialized only when ``key`` is
+        the smallest so far."""
         self.failures += count
-        if self.cex is None or (key is not None and key < self.cex_key):
-            self.cex = _materialize(cex)
+        if self.cex is None or key < self.cex_key:
+            self.cex = _cex(*cex)
             self.cex_key = key
 
     def merge(self, other):
@@ -470,9 +472,9 @@ def _check_sentence(sent, sent_idx, groups_by_vocab, gammas, max_positions,
                      gammas, max_positions, tallies)
 
 
-def _columns(values, width):
-    """Per bit b < width, the mask whose bit u is bit b of ``values[u]``."""
-    digits = "".join(map(f"{{:0{width}b}}".format, reversed(values)))
+def _columns(digits, width):
+    """Per bit b < width, the mask whose bit u is bit ``u * width + b`` of
+    the binary numeral ``digits``, whose length is a multiple of width."""
     return [int(digits[width - 1 - b::width], 2) for b in range(width)]
 
 
@@ -484,13 +486,13 @@ def _check_games(sent, sent_idx, union, members, truth, gammas,
     ``members`` lists the group's ``(model_idx, model, mult)``, and
     ``truth`` holds the compositional results on the union as state
     bitmasks: ``(std, dual, bounded)``, the standard truth of the
-    sentence and of its dual, and the truth per bound.  When every
-    member passes every property, each property's instances are added at
-    once; otherwise _main_members tallies the group member by member.
-    When the union's game trips the position cap or has a cycle, the
-    group runs again one member at a time, so termination and the cap
-    stay per (sentence, model): there a cycle fails termination, and a
-    cap hit propagates.
+    sentence and of its dual, and the truth per bound.  Each property
+    adds its instances for the whole group at once, and its failures are
+    the set bits of one union-state mask per bound, which _record maps
+    back to members and states.  When the union's game trips the
+    position cap or has a cycle, the group runs again one member at a
+    time, so termination and the cap stay per (sentence, model): there a
+    cycle fails termination, and a cap hit propagates.
     """
     nb = len(gammas)
     model0 = members[0][1]
@@ -499,8 +501,8 @@ def _check_games(sent, sent_idx, union, members, truth, gammas,
     # Bit b < nb of the replay masks is gammas[b]; bit nb is the collapse
     # bound.  The game at the largest cap holds every smaller cap's game
     # as the edges whose announced clock value lies below that cap.
-    caps = (tuple(semantics.clock_cap(g, model0) for g in gammas)
-            + (max(1, card),))
+    cap0 = max(1, card)
+    caps = tuple(semantics.clock_cap(g, model0) for g in gammas) + (cap0,)
     if max(caps) > max_positions:
         # _admit_masks keeps one mask per clock value.
         raise GameLimitError(f"clock cap {max(caps)} is above the position "
@@ -527,8 +529,17 @@ def _check_games(sent, sent_idx, union, members, truth, gammas,
                            for g, m in bounded.items()}),
                          gammas, max_positions, tallies)
         return
+    record = functools.partial(_record, tallies, members, sent, sent_idx)
+    mults = sum(mult for _, _, mult in members)
+    full = union._full_mask
+    for name, gamma, mask in (
+            ("card-collapse", cap0, bounded[cap0] ^ std),
+            ("omega-standard", OMEGA, bounded[OMEGA] ^ std),
+            ("duality", None, dual ^ full & ~std),
+            ("termination", None, 0 if acyclic else full)):
+        tallies[name].instances += mults
+        record(name, mask, gamma, per_model=True)
     if not acyclic:
-        _main_members(sent, sent_idx, members, truth, gammas, None, tallies)
         return
     flags = (None, None) if _flags_agree(game) \
         else reduction._position_valuation(game, graph)
@@ -536,92 +547,58 @@ def _check_games(sent, sent_idx, union, members, truth, gammas,
     inits = [graph.pos_id[game._root(u)] for u in range(union.card)]
     win, ar, diff = _replay(graph, tags, caps, *flags, card)
     bad = _playouts(graph, tags, caps, win, inits, card)
-    play = (inits, win, ar, diff, bad)
+    # Per cap b, masks over union states: bit u of column b is bit b of
+    # the value at state u.
+    ncaps = nb + 1
+    digits = f"{{:0{ncaps}b}}".format
     wins = [win[i] for i in inits]
     ars = [ar[i] for i in inits]
-    cols = _columns(wins, nb + 1)
-    cap0 = max(1, card)
-    if not (bounded[cap0] == std and bounded[OMEGA] == std
-            and dual == union._full_mask & ~std
-            and diff == 0 and bad == 0 and ars == wins and cols[nb] == std
-            and all(cols[gi] == bounded[g] for gi, g in enumerate(gammas))):
-        _main_members(sent, sent_idx, members, truth, gammas, play, tallies)
-        return
-    mults = sum(mult for _, _, mult in members)
-    for name in ("card-collapse", "omega-standard", "duality",
-                 "termination"):
-        tallies[name].instances += mults
-    for name in ("game-vs-bounded", "reduction-J", "strategy-playouts"):
+    win_cols = _columns("".join(map(digits, reversed(wins))), ncaps)
+    ar_cols = win_cols if ars == wins \
+        else _columns("".join(map(digits, reversed(ars))), ncaps)
+    bad_cols = _columns(f"{bad:0{len(inits) * ncaps}b}", ncaps) if bad \
+        else [0] * ncaps
+    # diff marks cap b in component c at bit c * ncaps + b; it fails
+    # every state of that component.
+    j_cols = [w ^ a for w, a in zip(win_cols, ar_cols)]
+    while diff:
+        c, b = divmod(diff.bit_length() - 1, ncaps)
+        j_cols[b] |= model0._full_mask << c * card
+        diff &= ~(1 << c * ncaps + b)
+    for name, cols in (("game-vs-bounded",
+                        [w ^ bounded[g] for w, g in zip(win_cols, gammas)]),
+                       ("reduction-J", j_cols),
+                       ("strategy-playouts", bad_cols)):
         tallies[name].instances += mults * card * nb
+        for gi, g in enumerate(gammas):
+            record(name, cols[gi], g, gi)
     tallies["reduction-I"].instances += mults * card
+    record("reduction-I", ar_cols[nb] ^ std)
 
 
-def _main_members(sent, sent_idx, members, truth, gammas, play, tallies):
-    """The main-sweep properties of one card group tallied member by
-    member, each member reading its own slice of the union's results:
-    ``truth`` as _check_games takes it, and ``play`` the union game's
-    ``(inits, win, ar, diff, bad)``, or None when that game has a
-    cycle."""
-    nb = len(gammas)
-    gbits = (1 << nb) - 1
-    ncaps = nb + 1
-    model0 = members[0][1]
-    card = model0.card
-    full = model0._full_mask
-    cap0 = max(1, card)  # the collapse bound
-    std, dual, bounded = truth
-    for k, (model_idx, model, mult) in enumerate(members):
-        shift = k * card
-        std_k = std >> shift & full
-        bounded_k = {g: mask >> shift & full for g, mask in bounded.items()}
-        key0 = (sent_idx, model_idx)
-        tallies["card-collapse"].add(
-            mult, bounded_k[cap0] == std_k, key0,
-            (model, sent, cap0, None, "card-collapse"))
-        tallies["omega-standard"].add(
-            mult, bounded_k[OMEGA] == std_k, key0,
-            (model, sent, OMEGA, None, "omega-standard"))
-        tallies["duality"].add(
-            mult, dual >> shift & full == full & ~std_k, key0,
-            (model, sent, None, None, "duality"))
-        tallies["termination"].add(
-            mult, play is not None, key0,
-            (model, sent, None, None, "termination"))
-        if play is None:
-            continue
-        inits, win, ar, diff, bad = play
-        # Per start state, bit gi of each mask marks a failure at gammas[gi].
-        model_diff = diff >> (k * ncaps)
-        truths = [bounded_k[g] for g in gammas]
-        for si in range(card):
-            u = shift + si
-            init = inits[u]
-            truth_u = 0
-            for gi, mask in enumerate(truths):
-                truth_u |= (mask >> si & 1) << gi
-            w = win[init]
-            for name, fail in (
-                    ("game-vs-bounded", w ^ truth_u),
-                    ("reduction-J", model_diff | (w ^ ar[init])),
-                    ("strategy-playouts", bad >> (u * ncaps))):
-                tally = tallies[name]
-                tally.instances += mult * nb
-                if fail & gbits:
-                    for gi, g in enumerate(gammas):
-                        if fail >> gi & 1:
-                            tally.fail(mult, (sent_idx, model_idx, gi, si),
-                                       (model, sent, g, model.states[si],
-                                        name))
-            tallies["reduction-I"].add(
-                mult, ar[init] >> nb & 1 == std_k >> si & 1,
-                (sent_idx, model_idx, si),
-                (model, sent, None, model.states[si], "reduction-I"))
-
-
-def _materialize(cex):
-    if cex is None or isinstance(cex, dict):
-        return cex
-    return _cex(*cex)
+def _record(tallies, members, sent, sent_idx, name, mask, gamma=None,
+            gi=None, per_model=False):
+    """Record the failures of property ``name`` that ``mask`` marks over
+    the union states of a card group: bit u is state ``u % card`` of
+    member ``u // card``.  A per-model property fails once per member
+    with any bit set, keyed ``(sent_idx, model_idx)``; any other fails
+    once per bit, keyed ``(sent_idx, model_idx, si)``, or
+    ``(sent_idx, model_idx, gi, si)`` at the bound ``gammas[gi]``."""
+    tally = tallies[name]
+    card = members[0][1].card
+    while mask:
+        u = (mask & -mask).bit_length() - 1
+        k, si = divmod(u, card)
+        model_idx, model, mult = members[k]
+        if per_model:
+            mask &= -1 << (k + 1) * card
+            key, state = (sent_idx, model_idx), None
+        else:
+            mask ^= 1 << u
+            key = (sent_idx, model_idx, si) if gi is None \
+                else (sent_idx, model_idx, gi, si)
+            state = model.states[si]
+        tally.fail(mult, key, (model, sent, gamma, state, name))
 
 
 def _cex(model, sent, gamma, state, prop):
@@ -950,8 +927,9 @@ def _check_policies(sent, sent_idx, union, members, gi, g, tallies):
     graph of each kind on the group's union model.  When one of them
     trips its position cap or has a cycle, the group runs again one
     member at a time, where the error propagates as it always has.
-    Where every winner agrees, each property's instances are added at
-    once; otherwise _mode_members tallies the group member by member."""
+    Each property adds its instances for the whole group at once, and
+    _record takes its failures from the mask of the union states where
+    its winner differs from the exhaustive one."""
     model0 = members[0][1]
     cap = semantics.clock_cap(g, model0)  # OMEGA means the member's card
     game = EvalGame(union, union.states[0], sent, cap)
@@ -973,31 +951,13 @@ def _check_policies(sent, sent_idx, union, members, gi, g, tallies):
             _check_policies(sent, sent_idx, member[1], [member], gi, g,
                             tallies)
         return
-    if win_g == win_f and win_m == win_f:
-        count = model0.card * sum(mult for _, _, mult in members)
-        tallies["greedy-exhaustive"].instances += count
-        tallies["canonical-fullmap"].instances += count
-    else:
-        _mode_members(sent, sent_idx, members, gi, g, (win_g, win_f, win_m),
-                      tallies)
-
-
-def _mode_members(sent, sent_idx, members, gi, g, wins, tallies):
-    """The clock-policy properties of one card group tallied member by
-    member from the union's greedy, exhaustive and full-map winners."""
-    win_g, win_f, win_m = wins
-    card = members[0][1].card
-    for k, (model_idx, model, mult) in enumerate(members):
-        for si, state in enumerate(model.states):
-            u = k * card + si
-            key = (sent_idx, model_idx, gi, si)
-            b = win_f[u]
-            tallies["greedy-exhaustive"].add(
-                mult, win_g[u] == b, key,
-                (model, sent, g, state, "greedy-exhaustive"))
-            tallies["canonical-fullmap"].add(
-                mult, win_m[u] == b, key,
-                (model, sent, g, state, "canonical-fullmap"))
+    count = model0.card * sum(mult for _, _, mult in members)
+    for name, wins in (("greedy-exhaustive", win_g),
+                       ("canonical-fullmap", win_m)):
+        tallies[name].instances += count
+        if wins != win_f:
+            _record(tallies, members, sent, sent_idx, name,
+                    sum(1 << u for u in units if wins[u] != win_f[u]), g, gi)
 
 
 def run_mode_sweep(sentences, max_states=2, extra_models=(),

@@ -514,8 +514,8 @@ class SyntaxIndex:
         Human-readable tree path per node ("r", "r.0", "r.0.1", ...).
     """
 
-    __slots__ = ("sentence", "rf", "mu_nu_nodes", "active_ancestors",
-                 "rf_slot", "node_path", "size")
+    __slots__ = ("rf", "mu_nu_nodes", "active_ancestors", "rf_slot",
+                 "node_path", "size")
 
     def __init__(self, sentence):
         s = sentence
@@ -541,7 +541,6 @@ class SyntaxIndex:
             for idx, kid in enumerate(s.children[nid]):
                 stack.append((kid, anc, f"{path}.{idx}"))
 
-        self.sentence = s
         self.rf = rf
         self.rf_slot = rf_slot
         self.mu_nu_nodes = tuple(nid for nid, kind in enumerate(s.kind)

@@ -328,6 +328,7 @@ def check_assignment(model, assignment):
 
 
 FAMILIES = ("starN", "daggerN", "chain", "clique", "ar-grid")
+FAMILY_MAX_SIZE = 1_000_000  # states plus edges of one generated model
 
 
 def generate_family(name, n):
@@ -348,6 +349,15 @@ def generate_family(name, n):
     """
     if n < 1:
         raise ModelError("family size must be at least 1")
+    if name not in FAMILIES:
+        raise ModelError(f"unknown model family {name!r} (expected one of "
+                         + ", ".join(FAMILIES) + ")")
+    # States plus edges, checked before anything is allocated.
+    size = {"starN": 3 * n + 1, "daggerN": 3 * n + 1, "chain": 2 * n + 1,
+            "clique": (n + 1) * (n + 2), "ar-grid": 3 * n * n - 2 * n}[name]
+    if size > FAMILY_MAX_SIZE:
+        raise ModelError(f"{name}({n}) has more than {FAMILY_MAX_SIZE:,} "
+                         f"states plus edges")
     if name == "starN" or name == "daggerN":
         states = [f"w_{i}" for i in range(n + 1)]
         edges = [("w_0", f"w_{i}") for i in range(1, n + 1)]
@@ -374,5 +384,3 @@ def generate_family(name, n):
         q = [f"g{i}_{j}" for i in range(n) for j in range(n) if (i + j) % 2 == 0]
         p = [f"g{n - 1}_{n - 1}"]
         return KripkeModel(states, edges, {"p_B": p, "q_B": q})
-    raise ModelError(f"unknown model family {name!r} (expected one of "
-                     + ", ".join(FAMILIES) + ")")

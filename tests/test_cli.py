@@ -419,6 +419,31 @@ def test_two_counter_label_rows_check_the_cap_before_they_allocate(
     assert elapsed < 5  # about 0.2 s, most of it interpreter start-up
 
 
+@pytest.mark.parametrize("family, n", [("clique", "100000"),
+                                       ("starN", "100000000000")])
+def test_gen_checks_the_family_size_before_it_allocates(family, n):
+    """clique(100000) has about 10**10 edges and starN(10**11) about
+    3 * 10**11: gen compares the closed-form count of states plus edges
+    with the family limit before it builds anything.  The child runs
+    under a 1 GiB address-space limit, so a model built first ends in
+    MemoryError rather than in exhausting the machine."""
+
+    def limit_memory():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mucheck.cli", "gen", family, n],
+        capture_output=True, text=True, preexec_fn=limit_memory,
+        timeout=120)
+    elapsed = time.perf_counter() - t0
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert proc.returncode == 10 and proc.stdout == ""
+    assert len(errors) == 1 and "states plus edges" in errors[0]
+    assert elapsed < 5  # about 0.2 s, most of it interpreter start-up
+
+
 def test_play_as_abelard_machine_wins(star3_path, capsys, monkeypatch):
     # the human Abelard tries moves; machine Eloise still wins
     monkeypatch.setattr(sys, "stdin", io.StringIO("1\n1\n1\n1\n1\n1\n1\n1\n"

@@ -401,31 +401,78 @@ def test_replay_matches_the_reference_recurrence(instance):
         assert (win, ar, diff) == ref and ar is not win
 
 
-def test_groups_that_pass_are_tallied_at_once(monkeypatch):
-    """A card group where every member passes adds each property's
-    instances in one step; the per-member loops run only in a group
-    where something fails."""
-    main_calls = _count_calls(monkeypatch, "_main_members")
-    mode_calls = _count_calls(monkeypatch, "_mode_members")
-    sents = small_sentences()[:12]
+def test_failures_are_read_from_union_state_bits():
+    """One recorder maps the failing bits of a union-state mask back to
+    the card group's members: bit u is state u % card of member
+    u // card.  Each failing instance counts its member's multiplicity, a
+    per-model property counts each failing member once, and the
+    counterexample is the one with the smallest key."""
+    from mucheck import formula as F
+    members = [(idx, corpus.model_from_code(2, edges, 0b01, ("p",)), mult)
+               for idx, edges, mult in ((3, 0b0001, 1), (5, 0b0110, 4),
+                                        (8, 0b1111, 2))]
+    sent = F.parse("mu X. (p | <> X)")
+    mask = 0b110010  # member 3 at state 1, member 8 at states 0 and 1
+    tallies = compare._new_tallies(compare.MAIN_PROPERTIES)
+    compare._record(tallies, members, sent, 7, "game-vs-bounded", mask,
+                    2, 1)
+    # Member 3 at state 0 under bound index 2 sorts after its state 1
+    # under bound index 1: keys order bounds before states.
+    compare._record(tallies, members, sent, 7, "game-vs-bounded", 0b01,
+                    3, 2)
+    compare._record(tallies, members, sent, 7, "reduction-I", mask)
+    compare._record(tallies, members, sent, 7, "card-collapse", mask, 2,
+                    per_model=True)
+    got = {name: (t.failures, t.cex_key, t.cex and t.cex["state"])
+           for name, t in tallies.items() if t.failures}
+    assert got == {"game-vs-bounded": (1 + 2 + 2 + 1, (7, 3, 1, 1), "s1"),
+                   "reduction-I": (1 + 2 + 2, (7, 3, 1), "s1"),
+                   "card-collapse": (1 + 2, (7, 3), None)}
+    assert tallies["game-vs-bounded"].cex["gamma"] == "2"
+    assert all(t.instances == 0 for t in tallies.values())
 
-    def main():
-        compare.run_main_sweep(sents, max_states=2, gammas=(1, 2, OMEGA),
-                               workers=1)
 
-    def mode():
-        compare.run_mode_sweep(sents, max_states=2, gammas=(1, 2),
-                               workers=1)
+def test_an_ar_disagreement_fails_every_state_of_its_model(monkeypatch):
+    """reduction-J: a position where the AR recurrence and the game differ
+    fails, under that bound, every start state of the component it lies
+    in, and no other component's."""
+    from mucheck import formula as F
+    real = compare._replay
 
-    main()
-    mode()
-    assert (main_calls, mode_calls) == ([], [])
-    _flip_bound_two(monkeypatch)
-    main()
-    assert main_calls
-    _lying_literals(monkeypatch)  # the clock-policy sweep reads no engine
-    mode()
-    assert mode_calls
+    def one_diff(graph, tags, caps, p_flags=None, q_flags=None, card=None):
+        win, ar, diff = real(graph, tags, caps, p_flags, q_flags, card)
+        return win, ar, diff | 1 << len(caps)  # component 1, first bound
+
+    monkeypatch.setattr(compare, "_replay", one_diff)
+    pairs = [(corpus.model_from_code(2, edges, val, ("p",)), mult)
+             for edges, val, mult in ((0b0001, 0b01, 1), (0b0110, 0b10, 4),
+                                      (0b1111, 0b11, 2))]
+    tallies = compare._new_tallies(compare.MAIN_PROPERTIES)
+    compare._check_sentence(F.parse("p"), 0,
+                            {frozenset({"p"}): compare._card_groups(pairs)},
+                            (1, 2), compare.SWEEP_MAX_POSITIONS, tallies)
+    t = tallies["reduction-J"]
+    assert (t.instances, t.failures, t.cex_key) == (7 * 2 * 2, 4 * 2,
+                                                    (0, 1, 0, 0))
+    assert sum(t.failures for t in tallies.values()) == 4 * 2
+
+
+def test_a_sweep_job_leaves_no_reference_cycles():
+    """Sweep jobs run with the cyclic GC paused, so what a job builds must
+    be freed by reference counting alone: after a main-sweep job, a
+    collection finds nothing unreachable."""
+    import gc
+    trees = [s.tree() for s in small_sentences()[:20]]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        compare._main_worker((trees, 0, 2, (1, 2, OMEGA),
+                              compare.SWEEP_MAX_POSITIONS, 0, 60))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_fbounded_shared_graph_matches_per_state_solves():

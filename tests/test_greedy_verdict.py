@@ -10,6 +10,7 @@ verdicts of the one search to the compositional bounded semantics.
 
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -17,7 +18,8 @@ import pytest
 from mucheck import formula as F
 from mucheck.cli import main
 from mucheck.compare import _sentence_vocab
-from mucheck.corpus import all_models, all_sentences
+from mucheck.corpus import (all_models, all_sentences, random_model,
+                            random_sentence)
 from mucheck.game import ELOISE, EvalGame, GameCore, _Graph, first_move_player
 from mucheck.kripke import generate_family, save_model
 from mucheck.semantics import OMEGA, eval_bounded
@@ -138,3 +140,38 @@ def test_greedy_verdicts_equal_the_bounded_semantics(monkeypatch):
                         (F.render(sent), model.to_json_dict(), state, bound)
                     instances += 1
     assert instances == 78_992
+
+
+THREE_BINDERS = "mu X. nu Y. mu Z. (Y & (<>Z | q | X))"
+
+
+def test_verdicts_at_three_binders_equal_the_bounded_semantics():
+    """Alternation depth three, where a greedy label must reset the clocks
+    of the binders inside its own: the sentence above on every 1-2 state
+    model over {q}, and six seeded random sentences with three binders
+    and three labels on a seeded random 2- and 3-state model each, from
+    every state, at bounds 2, 3 and omega.  Greedy and exhaustive winners
+    are the bounded compositional verdict."""
+    cases = [(F.parse(THREE_BINDERS), model)
+             for model in all_models(2, ("q",))]
+    rng = random.Random(3)
+    sents = []
+    while len(sents) < 6:
+        sent = random_sentence(rng, 12, 3)
+        if (sum(kind in F.BINDER_KINDS for kind in sent.kind) == 3
+                and sent.kind.count(F.LABEL) >= 3):
+            sents.append(sent)
+    cases += [(sent, random_model(rng, n)) for sent in sents for n in (2, 3)]
+    instances = 0
+    for sent, model in cases:
+        for bound in (2, 3, OMEGA):
+            truth = eval_bounded(model, sent, bound)
+            for state in model.states:
+                for mode in ("greedy", "exhaustive"):
+                    winner, _ = EvalGame(model, state, sent,
+                                         bound).solve(mode)
+                    assert (winner == ELOISE) == (state in truth), (
+                        F.render(sent), model.to_json_dict(), state,
+                        bound, mode)
+                    instances += 1
+    assert instances == 792 + 6 * (2 + 3) * 3 * 2

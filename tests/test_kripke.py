@@ -245,6 +245,25 @@ def test_family_errors():
         generate_family("unknown", 2)
 
 
+def test_family_size_limit_is_met_exactly_at_the_limit(monkeypatch):
+    """The closed-form count of states plus edges that generate_family
+    checks before it builds a model is that model's real count: with the
+    limit set to the count of a family's third member, the third member
+    is built and the fourth refused, and one below it refuses the
+    third."""
+    from mucheck import kripke
+    models = {fam: generate_family(fam, 3) for fam in kripke.FAMILIES}
+    for fam, model in models.items():
+        size = model.card + len(model.relation)
+        monkeypatch.setattr(kripke, "FAMILY_MAX_SIZE", size)
+        assert generate_family(fam, 3) == model
+        with pytest.raises(ModelError, match="states plus edges"):
+            generate_family(fam, 4)
+        monkeypatch.setattr(kripke, "FAMILY_MAX_SIZE", size - 1)
+        with pytest.raises(ModelError, match="states plus edges"):
+            generate_family(fam, 3)
+
+
 def test_family_determinism():
     for fam in ("starN", "daggerN", "chain", "clique", "ar-grid"):
         assert generate_family(fam, 3) == generate_family(fam, 3)
