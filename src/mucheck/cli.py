@@ -357,7 +357,9 @@ def build_parser():
     p.add_argument("--random-count", type=_nonnegative_int, default=200,
                    help="seeded random sentences added to the corpus")
     p.add_argument("--ar-max-states", type=_positive_int, default=3)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=None,
+                   help="worker processes, at most one per job and per CPU "
+                        "(default: one per CPU, at most 8)")
     p.add_argument("--budget", type=float, default=None,
                    help="wall-clock budget in seconds (partial report when "
                         "exceeded)")

@@ -657,9 +657,11 @@ def _run_sweep(properties, worker, items, workers, min_parallel, *args,
     index of its first item.  ``workers`` defaults to one per CPU, at
     most 8.  One job takes every item when there is one worker or fewer
     than ``min_parallel`` items; otherwise each worker gets
-    ``chunks_per_worker`` jobs.  Jobs run in a fork pool of ``workers``
-    processes when there are more than one of each, and in this process
-    otherwise, each with the cyclic GC paused (_gc_paused).
+    ``chunks_per_worker`` jobs.  Jobs run in a fork pool of one process
+    per worker, job and CPU, whichever is fewest, when that is more than
+    one, and in this process otherwise, each with the cyclic GC paused
+    (_gc_paused).  So the job split depends on ``workers`` alone, and a
+    huge ``workers`` starts no more processes than there are CPUs.
     """
     if workers is None:
         workers = min(os.cpu_count() or 1, 8)
@@ -670,13 +672,14 @@ def _run_sweep(properties, worker, items, workers, min_parallel, *args,
     jobs = [(items[i:i + chunk], i, *args)
             for i in range(0, len(items), chunk)]
     run = functools.partial(_gc_paused, worker)
-    if workers <= 1 or len(jobs) <= 1:
+    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    if processes <= 1:
         results = map(run, jobs)
     else:
         import multiprocessing  # only a pool needs it; kept off start-up
 
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
+        with ctx.Pool(processes) as pool:
             results = pool.map(run, jobs)
     tallies = _new_tallies(properties)
     for res in results:

@@ -493,10 +493,16 @@ class GameCore:
     def _explore_roots(self, roots, eloise_greedy=False,
                        abelard_greedy=False):
         """The reachable position graph from internal root positions,
-        numbered in discovery order from the distinct roots on."""
+        numbered in discovery order from the distinct roots on.
+
+        When the builder finds every edge pointing to a higher id, the
+        numbering is a topological order (a cycle needs an edge to an
+        equal or lower id), so it is cached as the graph's order and
+        ``topo_order`` skips Kahn's pass."""
         graph = self._root_graph(roots)
         frontier = [i for i, row in enumerate(graph.succs) if row is None]
-        self._build_rows(graph, frontier, eloise_greedy, abelard_greedy)
+        if self._build_rows(graph, frontier, eloise_greedy, abelard_greedy):
+            graph._topo = range(len(graph.pos_list))
         self.last_explored = len(graph.pos_list)
         return graph
 
@@ -519,9 +525,15 @@ class GameCore:
         breadth-first.  A discovered turn's row is None until it is
         built; a position that ends the game has an empty row.  It reads
         the same tables as ``_Graph.solve``'s search, and drops the
-        graph's cached topological order.  Raises GameLimitError when
-        the graph would outgrow the cap."""
+        graph's cached topological order.  Returns whether every row it
+        built points only to ids above its own: a newly numbered position
+        always does, so only a successor numbered before can point back.
+        Rows it did not build are not checked, so only a caller that has
+        every row built here (``_explore_roots``) may take the numbering
+        as the order.  Raises GameLimitError when the graph would outgrow
+        the cap."""
         graph._topo = None
+        forward = True
         pos_list = graph.pos_list
         pos_id = graph.pos_id
         get = pos_id.get
@@ -564,8 +576,11 @@ class GameCore:
                         frontier.append(di)
                     else:
                         succs.append(())
+                elif di <= i:
+                    forward = False
                 row.append(di)
             succs[i] = tuple(row)
+        return forward
 
     def _cap_error(self, pos_list):
         """The position-cap error, naming the node with the most explored
@@ -920,7 +935,12 @@ class _Graph:
         return len(self.pos_list)
 
     def topo_order(self):
-        """Topological order; raises if the graph has a cycle."""
+        """Topological order; raises if the graph has a cycle.
+
+        The order is cached.  ``GameCore._explore_roots`` caches the
+        numbering itself, ``range(n)``, when every edge of the graph goes
+        to a higher id, which no cycle can do; any other graph, and any
+        graph whose rows were rebuilt since, gets Kahn's pass."""
         if self._topo is not None:
             return self._topo
         n = len(self.pos_list)

@@ -15,11 +15,13 @@ shared attractor solves it: over every (state, node) pair for the
 regions, over the positions reachable from the start for a verdict.
 """
 
+import sys
 from typing import NamedTuple
 
 from . import formula as F
 from .game import (ABELARD, DEFAULT_MAX_POSITIONS, ELOISE, GameCore,
                    GameLimitError, _TURN_A, _TURN_E, _A, _E, _attractor)
+from .semantics import BoundError
 
 UNDETERMINED = "Undetermined"
 
@@ -37,10 +39,28 @@ class FreePosition(NamedTuple):
 
 
 def f_value(model, sentence, k=1):
-    """Initial counter value: card(M)^k times the sentence's node count."""
+    """Initial counter value: card(M)^k times the sentence's node count.
+
+    Raises BoundError when that value has more decimal digits than
+    ``sys.get_int_max_str_digits()`` allows to print, since a strategy,
+    trace or JSON report could not name a counter value then.  Bit
+    lengths decide first: ``2 ** (3 * digits)`` is below ``10 ** digits``
+    and ``2 ** (4 * digits)`` above it, so a huge ``k`` is refused before
+    the power is taken, and only a start between the two is compared
+    with ``10 ** digits``.  A 1-state model's start does not grow with
+    ``k``."""
     if k < 1:
         raise ValueError("the exponent k must be at least 1")
-    return model.card ** k * sentence.size
+    card = model.card
+    digits = (sys.get_int_max_str_digits()
+              or sys.int_info.default_max_str_digits)
+    if k * (card.bit_length() - 1) <= 4 * digits:
+        f = card ** k * sentence.size
+        if f.bit_length() <= 3 * digits or f < 10 ** digits:
+            return f
+    raise BoundError(f"fbounded exponent {k} is too large: the counter "
+                     f"start {card}**{k} * {sentence.size} has more than "
+                     f"{digits} decimal digits")
 
 
 class FBoundedGame(GameCore):

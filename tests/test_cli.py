@@ -329,11 +329,12 @@ def test_compare_budget_exits_with_the_partial_code(capsys):
     ("--max-states", "0"), ("--max-states", "-1"), ("--max-nodes", "0"),
     ("--max-nodes", "-2"), ("--ar-max-states", "0"),
     ("--random-count", "-1"), ("--max-binders", "-1"),
-    ("--max-binders", "two")])
+    ("--max-binders", "two"), ("--workers", "0"), ("--workers", "-1")])
 def test_compare_rejects_sizes_that_would_pass_vacuously(capsys, option,
                                                          value):
     """An empty model or sentence corpus would report 0 instances and
-    pass; such sizes are usage errors."""
+    pass; such sizes are usage errors.  So is a worker count below one,
+    which would run the sweeps in this process unasked."""
     code, out, err = run(["compare", option, value], capsys)
     assert code == 10 and out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
@@ -417,6 +418,58 @@ def test_two_counter_label_rows_check_the_cap_before_they_allocate(
     assert proc.returncode == 11 and proc.stdout == ""
     assert len(errors) == 1 and "position cap" in errors[0]
     assert elapsed < 5  # about 0.2 s, most of it interpreter start-up
+
+
+def test_a_huge_fbounded_exponent_is_refused_before_the_power(tmp_path):
+    """At fbounded:10**20 on chain(3) the counter start 4**(10**20) * 5
+    could not even be printed: it is refused by its bit length before
+    the power is taken.  The child runs under a 1 GiB address-space
+    limit, so a power taken first ends in MemoryError and exit 70."""
+    path = tmp_path / "chain3.json"
+    save_model(generate_family("chain", 3), path)
+
+    def limit_memory():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mucheck.cli", "eval", "--semantics",
+         f"fbounded:{HUGE_BOUND}", "--model", str(path), "--state", "w_0",
+         "--formula", "mu X. (p | <> X)"],
+        capture_output=True, text=True, preexec_fn=limit_memory,
+        timeout=120)
+    elapsed = time.perf_counter() - t0
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert proc.returncode == 10 and proc.stdout == ""
+    assert len(errors) == 1 and "decimal digits" in errors[0]
+    assert elapsed < 5  # about 0.2 s, most of it interpreter start-up
+
+
+def test_fbounded_limits_only_counter_starts_too_long_to_print(tmp_path,
+                                                               capsys):
+    """fbounded:40 on chain(3) still answers greedy; the counter start of
+    a 1-state model is its sentence size for every k, so it has no
+    limit; past 4,300 decimal digits the start is refused."""
+    chain = tmp_path / "chain3.json"
+    save_model(generate_family("chain", 3), chain)
+    single = tmp_path / "one.json"
+    save_model(KripkeModel(["a"], [("a", "a")], {"p": ["a"]}), single)
+    formula = ["--formula", "mu X. (p | <> X)"]
+    code, out, _ = run(["eval", "--semantics", "fbounded:40", "--model",
+                        str(chain), "--state", "w_0"] + formula, capsys)
+    assert (code, out) == (0, "true\n")
+    code, out, _ = run(["eval", "--semantics", f"fbounded:{HUGE_BOUND}",
+                        "--model", str(single), "--state", "a"] + formula,
+                       capsys)
+    assert (code, out) == (0, "true\n")
+    # 4**7140 * 5 has 4,300 digits and 4**7141 * 5 has 4,301.
+    for k, want in (("7140", 0), ("7141", 10)):
+        code, out, err = run(["eval", "--semantics", f"fbounded:{k}",
+                              "--model", str(chain), "--state", "w_0"]
+                             + formula, capsys)
+        assert code == want
+        assert (err == "") == (want == 0)
 
 
 @pytest.mark.parametrize("family, n", [("clique", "100000"),

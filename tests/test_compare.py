@@ -95,6 +95,52 @@ def test_ar_sweep_counts_do_not_depend_on_the_worker_count(monkeypatch,
     assert (one["fbounded-decrements"].failures > 0) == fault
 
 
+class _RecordingContext:
+    """A stand-in for a multiprocessing context whose pool records the
+    size it is asked for and runs its jobs in this process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, processes):
+        self.sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, jobs):
+        return list(map(func, jobs))
+
+
+@pytest.mark.parametrize("workers, items, cpus, size", [
+    (5000, 10, 4, 4), (5000, 10, 64, 10), (3, 10, 64, 3), (2, 10, 1, None),
+    (5000, 1, 64, None)])
+def test_the_sweep_pool_has_at_most_one_process_per_job_and_cpu(
+        monkeypatch, workers, items, cpus, size):
+    """A pool starts every process up front, so it is sized at the
+    fewest of the workers asked for, the jobs and the CPUs; a pool of
+    one would be this process, so none is opened.  The context only
+    records the size, so no process starts."""
+    import multiprocessing
+
+    ctx = _RecordingContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(compare.os, "cpu_count", lambda: cpus)
+    seen = []
+
+    def worker(job):
+        seen.extend(job[0])
+        return {}
+
+    compare._run_sweep((), worker, list(range(items)), workers, 1)
+    assert ctx.sizes == ([] if size is None else [size])
+    assert seen == list(range(items))
+
+
 def test_decrement_counterexample_reruns_on_its_two_state_model(
         monkeypatch):
     """The rerun of an AR counterexample checks decrements exactly when

@@ -20,14 +20,14 @@ from naive_oracles import (EvalTuples, FBoundedTuples, FreeTuples,
                            reference_refine)
 
 from mucheck import formula as F
-from mucheck.compare import _FullMapGame
+from mucheck.compare import _FullMapGame, _start_winners
 from mucheck.corpus import random_model, random_sentence
 from mucheck.formula import parse
 from mucheck.game import (EvalGame, GameLimitError, Position, _A, _E,
                           _TURN_E)
-from mucheck.kripke import generate_family
+from mucheck.kripke import KripkeModel, generate_family
 from mucheck.semantics import OMEGA, clock_cap
-from mucheck.variants import FBoundedGame, FPosition, _FreeGame
+from mucheck.variants import FBoundedGame, FPosition, _FreeGame, _free_game
 
 BOUNDS = (1, 2, 3, 4, OMEGA)
 
@@ -82,6 +82,69 @@ def test_int_explorer_matches_the_tuple_explorer(seed, card, bound):
                          win == _A)
         reference_refine(ref, win, game._decision_kinds)
         _assert_same(game, graph, ref)
+
+
+def _forward(graph):
+    """Whether every edge of the graph goes to a higher id."""
+    return all(j > i for i, row in enumerate(graph.succs) for j in row)
+
+
+def _assert_topological(graph, order):
+    assert sorted(order) == list(range(len(graph)))
+    rank = {i: r for r, i in enumerate(order)}
+    for i, row in enumerate(graph.succs):
+        for j in row:
+            assert rank[i] < rank[j]
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.sampled_from(BOUNDS))
+def test_explored_order_is_the_numbering_exactly_when_edges_point_forward(
+        seed, card, bound):
+    """Under both clock policies of the clock, counter and full-map games,
+    ``topo_order`` is a topological order, and it is the numbering itself
+    (a ``range``, which equals no list) exactly when every edge goes to a
+    higher id."""
+    rng = random.Random(seed)
+    model = random_model(rng, card)
+    sent = F.normalize(random_sentence(rng, 9, 2))
+    for game, _ in _games(model, sent, bound):
+        if isinstance(game, _FreeGame):
+            continue  # may be cyclic; see the test below
+        for greedy in (True, False):
+            if not greedy and isinstance(game, FBoundedGame) \
+                    and game.f > 27:
+                continue  # keep the two-counter graphs small
+            graph = game._explore(model.states, greedy, greedy)
+            order = graph.topo_order()
+            _assert_topological(graph, order)
+            assert (order == range(len(graph))) == _forward(graph)
+
+
+def test_a_cycle_through_the_explorer_still_raises():
+    """The free game of ``mu X. <>X`` on a 1-state self-loop returns to
+    its start; no numbering can hide that edge."""
+    model = KripkeModel(["a"], [("a", "a")], {})
+    graph = _free_game(model, "a", parse("mu X. <>X"))._explore(["a"])
+    assert not _forward(graph)
+    with pytest.raises(RuntimeError):
+        graph.topo_order()
+    with pytest.raises(RuntimeError):
+        _start_winners(graph, graph.pos_list[:1])
+
+
+def test_rebuilt_rows_drop_the_numbering_as_order():
+    """chain(3) at bound 3: the greedy graph's edges all point forward,
+    so its order is the numbering; the one-sided refinement then adds a
+    row that points back, and the order is recomputed."""
+    game = EvalGame(generate_family("chain", 3), "w_0",
+                    parse("mu X. (p | <> X)"), 3)
+    graph = game._explore(["w_0"], True, True)
+    assert graph.topo_order() == range(len(graph))
+    win = graph.solve((0,))[0][0]
+    game._build_rows(graph, game._reopen(graph, win), win == _E, win == _A)
+    assert not _forward(graph)
+    _assert_topological(graph, graph.topo_order())
 
 
 @settings(max_examples=100)
