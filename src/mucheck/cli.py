@@ -8,6 +8,7 @@ exceeded, 12 compare stopped at a resource cap, 13 self-check failed,
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -19,7 +20,8 @@ from . import variants
 from .game import (ABELARD, DEFAULT_MAX_POSITIONS, ELOISE, EvalGame,
                    GameLimitError, _strategy_move_index, first_move_player,
                    format_move, interactive_player)
-from .kripke import FAMILIES, ModelError, generate_family, load_model_file
+from .kripke import (FAMILIES, ModelError, gc_paused, generate_family,
+                     load_model_file)
 from .semantics import OMEGA, BoundError
 from .variants import FBoundedGame
 
@@ -291,12 +293,43 @@ _positive_int = _int_at_least(1, "a positive")
 _nonnegative_int = _int_at_least(0, "a non-negative")
 
 
-def build_parser():
+def _nonnegative_seconds(text):
+    """An argparse type for a finite number of seconds, 0 or more."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0 <= value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative number of seconds, got {text!r}")
+    return value
+
+
+COMMANDS = ("eval", "play", "reduce", "compare", "gen")
+
+
+def build_parser(command=None):
+    """The ``mucheck`` argument parser.
+
+    With ``command`` one of COMMANDS it holds that command's subparser
+    alone, which is all that parsing a command line starting with it
+    needs.  Otherwise (no command, ``-h``, an unknown word) it holds all
+    five, so that the help and the usage errors list every command.  A
+    subparser's prog and help do not depend on its siblings, and the
+    usage line names all five commands either way, so both parsers print
+    the same help and errors for the same command line.
+    """
     parser = argparse.ArgumentParser(
         prog="mucheck",
         description="Modal mu-calculus model checking with clock-bounded "
                     "evaluation games.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = (command,) if command in COMMANDS else COMMANDS
+    # Without the metavar, one subparser would make the usage line read
+    # "{eval}".  With all five it stays unset: errors about the command
+    # word itself name the argument "command".
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None)
 
     def add_common(p, with_state=True):
         p.add_argument("--model", required=True, help="model JSON file")
@@ -310,97 +343,119 @@ def build_parser():
                        default=DEFAULT_MAX_POSITIONS,
                        help="solver position cap")
 
-    p = sub.add_parser("eval", help="evaluate a sentence at a state")
-    add_common(p)
-    p.add_argument("--semantics", default="standard",
-                   help="standard | bounded:N | omega | fbounded:K | free")
-    p.add_argument("--mode", choices=("greedy", "exhaustive"),
-                   default="greedy", help="clock choice policy")
-    p.add_argument("--trace", action="store_true",
-                   help="print a winning play")
-    p.add_argument("--strategy", action="store_true",
-                   help="print the winning strategy")
-    p.add_argument("--check", action="store_true",
-                   help="cross-check engines on this instance")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_eval)
+    if "eval" in names:
+        p = sub.add_parser("eval", help="evaluate a sentence at a state")
+        add_common(p)
+        p.add_argument("--semantics", default="standard",
+                       help="standard | bounded:N | omega | fbounded:K | "
+                            "free")
+        p.add_argument("--mode", choices=("greedy", "exhaustive"),
+                       default="greedy", help="clock choice policy")
+        p.add_argument("--trace", action="store_true",
+                       help="print a winning play")
+        p.add_argument("--strategy", action="store_true",
+                       help="print the winning strategy")
+        p.add_argument("--check", action="store_true",
+                       help="cross-check engines on this instance")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("play", help="play the evaluation game interactively")
-    add_common(p)
-    p.add_argument("--gamma", required=True, help="clock bound: N or omega")
-    p.add_argument("--as", dest="side", default="eloise",
-                   choices=("eloise", "abelard", "both"),
-                   help="side(s) played by the human")
-    p.add_argument("--mode", choices=("greedy", "exhaustive"),
-                   default="greedy")
-    p.set_defaults(func=cmd_play)
+    if "play" in names:
+        p = sub.add_parser("play",
+                           help="play the evaluation game interactively")
+        add_common(p)
+        p.add_argument("--gamma", required=True,
+                       help="clock bound: N or omega")
+        p.add_argument("--as", dest="side", default="eloise",
+                       choices=("eloise", "abelard", "both"),
+                       help="side(s) played by the human")
+        p.add_argument("--mode", choices=("greedy", "exhaustive"),
+                       default="greedy")
+        p.set_defaults(func=cmd_play)
 
-    p = sub.add_parser("reduce",
-                       help="export the game as an alternating-reachability "
-                            "model")
-    add_common(p)
-    p.add_argument("--gamma", required=True,
-                   help="clock bound: N, omega, or auto")
-    p.add_argument("--tree", action="store_true",
-                   help="unfold the position DAG into the game tree")
-    p.add_argument("--out", default="-", help="output file (default stdout)")
-    p.set_defaults(func=cmd_reduce)
+    if "reduce" in names:
+        p = sub.add_parser("reduce",
+                           help="export the game as an "
+                                "alternating-reachability model")
+        add_common(p)
+        p.add_argument("--gamma", required=True,
+                       help="clock bound: N, omega, or auto")
+        p.add_argument("--tree", action="store_true",
+                       help="unfold the position DAG into the game tree")
+        p.add_argument("--out", default="-",
+                       help="output file (default stdout)")
+        p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("compare", help="run the engine-agreement sweeps")
-    p.add_argument("--max-states", type=_positive_int, default=2)
-    p.add_argument("--max-binders", type=_nonnegative_int, default=2)
-    p.add_argument("--gammas", default="1,2,3,4,omega",
-                   help="comma-separated clock bounds")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-nodes", type=_positive_int, default=5,
-                   help="node budget of the exhaustive sentence corpus")
-    p.add_argument("--random-count", type=_nonnegative_int, default=200,
-                   help="seeded random sentences added to the corpus")
-    p.add_argument("--ar-max-states", type=_positive_int, default=3)
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help="worker processes, at most one per job and per CPU "
-                        "(default: one per CPU, at most 8)")
-    p.add_argument("--budget", type=float, default=None,
-                   help="wall-clock budget in seconds (partial report when "
-                        "exceeded)")
-    p.add_argument("--no-minimize", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_compare)
+    if "compare" in names:
+        p = sub.add_parser("compare",
+                           help="run the engine-agreement sweeps")
+        p.add_argument("--max-states", type=_positive_int, default=2)
+        p.add_argument("--max-binders", type=_nonnegative_int, default=2)
+        p.add_argument("--gammas", default="1,2,3,4,omega",
+                       help="comma-separated clock bounds")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--max-nodes", type=_positive_int, default=5,
+                       help="node budget of the exhaustive sentence corpus")
+        p.add_argument("--random-count", type=_nonnegative_int, default=200,
+                       help="seeded random sentences added to the corpus")
+        p.add_argument("--ar-max-states", type=_positive_int, default=3)
+        p.add_argument("--workers", type=_positive_int, default=None,
+                       help="worker processes, at most one per job and per "
+                            "CPU (default: one per CPU, at most 8)")
+        p.add_argument("--budget", type=_nonnegative_seconds, default=None,
+                       help="wall-clock budget in seconds (partial report "
+                            "when exceeded)")
+        p.add_argument("--no-minimize", action="store_true")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("gen", help="generate an example-model file")
-    p.add_argument("family", choices=FAMILIES)
-    p.add_argument("n", type=int)
-    p.add_argument("--out", default="-", help="output file (default stdout)")
-    p.set_defaults(func=cmd_gen)
+    if "gen" in names:
+        p = sub.add_parser("gen", help="generate an example-model file")
+        p.add_argument("family", choices=FAMILIES)
+        p.add_argument("n", type=int)
+        p.add_argument("--out", default="-",
+                       help="output file (default stdout)")
+        p.set_defaults(func=cmd_gen)
 
     return parser
 
 
 def main(argv=None):
+    """Run one command line (``sys.argv[1:]`` by default) and return its
+    exit code.
+
+    Only the parser of the command named by the first word is built
+    (build_parser).  The command runs with the cyclic GC paused
+    (gc_paused): its games and models are acyclic, so reference counting
+    frees them, and the collector's state is restored on every exit.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, which reads as "undetermined".
         return EXIT_ERROR if exc.code else exc.code
-    try:
-        return args.func(args)
-    except GameLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ModelError, BoundError, F.FormulaError, OSError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except Exception as exc:
-        # Without this an uncaught exception exits with 1, which reads as
-        # the verdict "false".
-        detail = " ".join(str(exc).split())
-        print(f"error: internal: {type(exc).__name__}: {detail}",
-              file=sys.stderr)
-        return EXIT_INTERNAL
+    with gc_paused():
+        try:
+            return args.func(args)
+        except GameLimitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CAP
+        except CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.code
+        except (ModelError, BoundError, F.FormulaError, OSError,
+                ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+        except Exception as exc:
+            # Without this an uncaught exception exits with 1, which reads
+            # as the verdict "false".
+            detail = " ".join(str(exc).split())
+            print(f"error: internal: {type(exc).__name__}: {detail}",
+                  file=sys.stderr)
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

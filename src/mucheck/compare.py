@@ -43,7 +43,6 @@ ones at which it fails there.
 """
 
 import functools
-import gc
 import json
 import os
 import random
@@ -56,7 +55,7 @@ from . import semantics
 from . import variants
 from .game import (EvalGame, GameCore, GameLimitError, Position, _E, _TURN_A,
                    _TURN_E, _WON_A, _WON_E)
-from .kripke import KripkeModel
+from .kripke import KripkeModel, gc_paused
 from .semantics import OMEGA
 
 MAIN_PROPERTIES = (
@@ -660,7 +659,7 @@ def _run_sweep(properties, worker, items, workers, min_parallel, *args,
     ``chunks_per_worker`` jobs.  Jobs run in a fork pool of one process
     per worker, job and CPU, whichever is fewest, when that is more than
     one, and in this process otherwise, each with the cyclic GC paused
-    (_gc_paused).  So the job split depends on ``workers`` alone, and a
+    (_run_job).  So the job split depends on ``workers`` alone, and a
     huge ``workers`` starts no more processes than there are CPUs.
     """
     if workers is None:
@@ -671,7 +670,7 @@ def _run_sweep(properties, worker, items, workers, min_parallel, *args,
         chunk = max(1, -(-len(items) // (workers * chunks_per_worker)))
     jobs = [(items[i:i + chunk], i, *args)
             for i in range(0, len(items), chunk)]
-    run = functools.partial(_gc_paused, worker)
+    run = functools.partial(_run_job, worker)
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes <= 1:
         results = map(run, jobs)
@@ -688,18 +687,12 @@ def _run_sweep(properties, worker, items, workers, min_parallel, *args,
     return tallies
 
 
-def _gc_paused(worker, job):
-    """``worker(job)`` with the cyclic garbage collector paused, and its
-    state restored on return and on error.  A job allocates millions of
-    small acyclic objects (positions, rows, masks), which would otherwise
-    set off a collection every few hundred thousand allocations."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+def _run_job(worker, job):
+    """``worker(job)`` with the cyclic GC paused (gc_paused): a job
+    allocates millions of small acyclic objects.  A module-level function,
+    so that a pool can pickle it."""
+    with gc_paused():
         return worker(job)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 SWEEP_MAX_POSITIONS = 1_000_000  # position cap of one main-sweep game

@@ -2,6 +2,7 @@
 
 import gc
 import json
+from contextlib import contextmanager
 from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add, mul
@@ -9,6 +10,25 @@ from operator import add, mul
 
 class ModelError(Exception):
     """Raised for malformed model data."""
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector for the body, and restore the
+    state it was in (enabled or disabled) on return and on error.
+
+    For code that allocates many small acyclic objects (JSON trees,
+    positions, rows, masks): reference counting frees them all, and with
+    the collector running they would set off a collection every few
+    hundred thousand allocations.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _json_block(key, brackets, items, depth):
@@ -251,17 +271,11 @@ def load_model(data):
     reduced-model files (which add "root" and "backmap") stay loadable.
 
     The cyclic garbage collector is paused while the model is parsed and
-    built: a JSON tree holds no cycles, and a multi-MB file would
-    otherwise set off hundreds of collections over it.  The collector's
-    state is restored on return and on error.
+    built (gc_paused): a JSON tree holds no cycles, and a multi-MB file
+    would otherwise set off hundreds of collections over it.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         return _load_model(data)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _load_model(data):

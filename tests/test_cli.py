@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON schema, pipelines, the REPL."""
 
+import gc
 import io
 import itertools
 import json
@@ -341,6 +342,78 @@ def test_compare_rejects_sizes_that_would_pass_vacuously(capsys, option,
     assert len(errors) == 1 and option in errors[0]
 
 
+@pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf", "abc"])
+def test_compare_budget_must_be_finite_and_non_negative(capsys, value):
+    """A negative budget would stop every sweep at once, and nan or inf
+    would never stop one; all are usage errors."""
+    code, out, err = run(["compare", "--budget", value], capsys)
+    assert code == 10 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--budget" in errors[0]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_pauses_the_collector_and_restores_its_state(
+        m1_path, capsys, monkeypatch, enabled):
+    """The command body runs with the cyclic GC paused, and the state
+    found is restored after a verdict, a usage error, a CliError, a cap
+    hit and an internal error alike."""
+    from mucheck import cli
+    seen = []
+    real = cli.generate_family
+
+    def probe(family, n):
+        seen.append(gc.isenabled())
+        if family == "clique":
+            raise RuntimeError("injected")
+        return real(family, n)
+
+    monkeypatch.setattr(cli, "generate_family", probe)
+    formula = ["--formula", "nu X. [] mu Y. (<>Y | (p & X))"]
+    cases = [
+        (["gen", "chain", "1"], 0),
+        (["eval", "--model", m1_path, "--state", "a", "--bogus"] + formula,
+         10),
+        (["eval", "--model", m1_path, "--state", "a", "--trace"] + formula,
+         10),
+        (["eval", "--model", m1_path, "--state", "a", "--semantics",
+          "bounded:3", "--max-positions", "5"] + formula, 11),
+        (["gen", "clique", "2"], 70),
+    ]
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        for argv, code in cases:
+            assert run(argv, capsys)[0] == code, argv
+            assert gc.isenabled() is enabled, argv
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen == [False, False]
+
+
+def test_a_paused_command_leaves_no_game_in_reference_cycles(star3_path,
+                                                              capsys):
+    """What a command builds while the collector is paused must be freed
+    by reference counting alone: the cycles a collection finds after it
+    are argparse's, never a game, a strategy or a model."""
+    from mucheck.game import GameCore, Strategy, _Graph
+    from mucheck.kripke import KripkeModel
+    common = ["--model", star3_path, "--state", "w_0", "--formula",
+              "nu X. [] mu Y. (<>Y | (p & X))"]
+    kept = (_Graph, GameCore, Strategy, KripkeModel)
+    for argv in (["eval", "--semantics", "omega", "--strategy"] + common,
+                 ["reduce", "--gamma", "2"] + common):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert run(argv, capsys)[0] == 0
+            gc.collect()
+            assert not [o for o in gc.garbage if isinstance(o, kept)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+
 HUGE_BOUND = "100000000000000000000"
 
 
@@ -650,6 +723,38 @@ def test_gen_output_is_pinned(tmp_path, capsys):
                         capsys)
     assert code == 0 and info == f"wrote starN(3): 4 states -> {out_path}\n"
     assert out_path.read_bytes() == golden_bytes(name).partition(b"\n")[2]
+
+
+# Help, usage and usage-error output of the parser, recorded while every
+# call still built all five subparsers: a call that builds only its own
+# command's parser must print exactly these bytes.
+GOLDEN_CLI_CASES = {
+    "help": ["--help"],
+    "h_eval": ["-h", "eval"],
+    **{f"{cmd}_help": [cmd, "--help"]
+       for cmd in ("eval", "play", "reduce", "compare", "gen")},
+    "no_args": [],
+    "nonsense": ["nonsense"],
+    "eval_no_state": ["eval", "--model", "m.json", "--formula", "p"],
+    "eval_max_positions_0": ["eval", "--model", "m.json", "--formula", "p",
+                             "--state", "a", "--max-positions", "0"],
+    "eval_bogus": ["eval", "--model", "m.json", "--formula", "p", "--state",
+                   "a", "--bogus"],
+    "compare_workers_0": ["compare", "--workers", "0"],
+}
+
+
+def cli_golden_output(case, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(GOLDEN_CLI_CASES[case], capsys)
+    return (f"cli_{case}.txt",
+            f"exit: {code}\n--- stdout\n{out}--- stderr\n{err}")
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CLI_CASES))
+def test_cli_help_and_usage_output_is_pinned(case, monkeypatch, capsys):
+    name, out = cli_golden_output(case, monkeypatch, capsys)
+    assert out.encode("utf-8") == golden_bytes(name)
 
 
 def test_gen_families(tmp_path, capsys):
