@@ -2,8 +2,9 @@
 
 Exit codes: 0 true / Eloise wins, 1 false / Abelard wins, 2 undetermined,
 3 interactive session aborted, 10 usage or input errors, 11 position cap
-exceeded, 12 compare stopped at a resource cap, 13 self-check failed,
-70 internal error (an unexpected exception; never a verdict).
+exceeded or memory ran out, 12 compare stopped at a resource cap, 13
+self-check failed, 70 internal error (an unexpected exception; never a
+verdict).
 """
 
 import argparse
@@ -441,6 +442,13 @@ def main(argv=None):
             return args.func(args)
         except GameLimitError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CAP
+        except MemoryError:
+            # A resource cap, not a fault; only eval, play and reduce have
+            # a position cap to suggest.
+            hint = ("; a smaller --max-positions stops the game before it "
+                    "does" if "max_positions" in vars(args) else "")
+            print(f"error: memory ran out{hint}", file=sys.stderr)
             return EXIT_CAP
         except CliError as exc:
             print(f"error: {exc}", file=sys.stderr)

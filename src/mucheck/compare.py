@@ -10,9 +10,11 @@ normalization soundness.
 
 The main and clock-policy sweeps group the models by card and play one
 game per (sentence, card group), on the disjoint union of the group's
-models.  Play follows the model's edges and never leaves a component, so
-that game is the disjoint union of the models' games, and its results
-map back to each model.  The main sweep runs the compositional engines
+models.  One job function drives both: it calls the sweep's per-group
+check on every card group of each sentence's vocabulary.  Play follows
+the model's edges and never leaves a component, so that game is the
+disjoint union of the models' games, and its results map back to each
+model.  The main sweep runs the compositional engines
 on that union too, once per bound, and keeps their results as state
 bitmasks; states get names only in a counterexample.  Bookkeeping is
 per card group: each property adds the group's instances at once and
@@ -401,12 +403,6 @@ def _model_classes(max_states, vocab_key, seed=0, samples_per_size=60,
     return out
 
 
-# The proposition subsets a sentence can mention; models are enumerated
-# once per subset.
-_VOCABS = (frozenset(), frozenset({"p"}), frozenset({"q"}),
-           frozenset({"p", "q"}))
-
-
 def _sentence_vocab(sent):
     used = set()
     for nid, kind in enumerate(sent.kind):
@@ -450,53 +446,31 @@ def _card_groups(pairs):
             for members in by_card.values()]
 
 
-def _check_sentence(sent, sent_idx, groups_by_vocab, gammas, max_positions,
-                    tallies):
-    """All main-sweep properties for one sentence across its model classes,
-    per card group: the compositional engines run once on the group's
-    union model (semantics.eval_group), one call per distinct bound, and
-    _check_games compares their state bitmasks with the game."""
-    dual_sent = F.dual(sent)
-    for union, members in groups_by_vocab[_sentence_vocab(sent)]:
-        model0 = members[0][1]
-        std = semantics.eval_group(union, model0, sent)
-        dual = semantics.eval_group(union, model0, dual_sent)
-        # Keyed by bound, not by iteration count: the standard result is
-        # never derived from a bounded one, nor one bound's from another's.
-        bounded = {}
-        for g in (max(1, model0.card), OMEGA) + gammas:
-            if g not in bounded:
-                bounded[g] = semantics.eval_group(union, model0, sent, g)
-        _check_games(sent, sent_idx, union, members, (std, dual, bounded),
-                     gammas, max_positions, tallies)
-
-
 def _columns(digits, width):
     """Per bit b < width, the mask whose bit u is bit ``u * width + b`` of
     the binary numeral ``digits``, whose length is a multiple of width."""
     return [int(digits[width - 1 - b::width], 2) for b in range(width)]
 
 
-def _check_games(sent, sent_idx, union, members, truth, gammas,
-                 max_positions, tallies):
+def _check_games(sent, sent_idx, union, members, tallies, gammas,
+                 max_positions):
     """The main-sweep properties of one sentence on one card group, from
     one game on the group's union model.
 
-    ``members`` lists the group's ``(model_idx, model, mult)``, and
-    ``truth`` holds the compositional results on the union as state
-    bitmasks: ``(std, dual, bounded)``, the standard truth of the
-    sentence and of its dual, and the truth per bound.  Each property
-    adds its instances for the whole group at once, and its failures are
-    the set bits of one union-state mask per bound, which _record maps
-    back to members and states.  When the union's game trips the
-    position cap or has a cycle, the group runs again one member at a
-    time, so termination and the cap stay per (sentence, model): there a
-    cycle fails termination, and a cap hit propagates.
+    ``members`` lists the group's ``(model_idx, model, mult)``.  The
+    compositional engines run on the union too (semantics.eval_group):
+    one call for the sentence, one for its dual and one per distinct
+    bound, each giving a union-state bitmask.  Each property adds its
+    instances for the whole group at once, and its failures are the set
+    bits of one union-state mask per bound, which _record maps back to
+    members and states.  When the union's game trips the position cap
+    or has a cycle, the group runs again one member at a time, so
+    termination and the cap stay per (sentence, model): there a cycle
+    fails termination, and a cap hit propagates.
     """
     nb = len(gammas)
     model0 = members[0][1]
     card = model0.card
-    std, dual, bounded = truth
     # Bit b < nb of the replay masks is gammas[b]; bit nb is the collapse
     # bound.  The game at the largest cap holds every smaller cap's game
     # as the edges whose announced clock value lies below that cap.
@@ -513,21 +487,24 @@ def _check_games(sent, sent_idx, union, members, truth, gammas,
         graph.topo_order()
         acyclic = True
     except (RuntimeError, GameLimitError) as exc:
-        if len(members) == 1 and isinstance(exc, GameLimitError):
+        if len(members) > 1:
+            for member in members:
+                _check_games(sent, sent_idx, member[1], [member], tallies,
+                             gammas, max_positions)
+            return
+        if isinstance(exc, GameLimitError):
             raise GameLimitError(
                 f"{exc}: {F.render(sent)} on the model "
                 f"{json.dumps(model0.to_json_dict())}") from None
         acyclic = False
-    if not acyclic and len(members) > 1:
-        full = model0._full_mask
-        for k, member in enumerate(members):
-            shift = k * card
-            _check_games(sent, sent_idx, member[1], [member],
-                         (std >> shift & full, dual >> shift & full,
-                          {g: m >> shift & full
-                           for g, m in bounded.items()}),
-                         gammas, max_positions, tallies)
-        return
+    std = semantics.eval_group(union, model0, sent)
+    dual = semantics.eval_group(union, model0, F.dual(sent))
+    # Keyed by bound, not by iteration count: the standard result is never
+    # derived from a bounded one, nor one bound's from another's.
+    bounded = {}
+    for g in (cap0, OMEGA) + gammas:
+        if g not in bounded:
+            bounded[g] = semantics.eval_group(union, model0, sent, g)
     record = functools.partial(_record, tallies, members, sent, sent_idx)
     mults = sum(mult for _, _, mult in members)
     full = union._full_mask
@@ -543,19 +520,19 @@ def _check_games(sent, sent_idx, union, members, truth, gammas,
     flags = (None, None) if _flags_agree(game) \
         else reduction._position_valuation(game, graph)
     tags = _edge_tags(game, graph)
-    inits = [graph.pos_id[game._root(u)] for u in range(union.card)]
+    # The explorer numbers the roots first: position u starts at state u.
+    n = union.card
     win, ar, diff = _replay(graph, tags, caps, *flags, card)
-    bad = _playouts(graph, tags, caps, win, inits, card)
+    bad = _playouts(graph, tags, caps, win, range(n), card)
     # Per cap b, masks over union states: bit u of column b is bit b of
     # the value at state u.
     ncaps = nb + 1
     digits = f"{{:0{ncaps}b}}".format
-    wins = [win[i] for i in inits]
-    ars = [ar[i] for i in inits]
+    wins, ars = win[:n], ar[:n]
     win_cols = _columns("".join(map(digits, reversed(wins))), ncaps)
     ar_cols = win_cols if ars == wins \
         else _columns("".join(map(digits, reversed(ars))), ncaps)
-    bad_cols = _columns(f"{bad:0{len(inits) * ncaps}b}", ncaps) if bad \
+    bad_cols = _columns(f"{bad:0{n * ncaps}b}", ncaps) if bad \
         else [0] * ncaps
     # diff marks cap b in component c at bit c * ncaps + b; it fails
     # every state of that component.
@@ -614,35 +591,26 @@ def _new_tallies(names):
     return {name: _Tally() for name, _ in names}
 
 
-class _Lazy(dict):
-    """A dict that builds a missing key's value with ``build(key)`` the
-    first time it is read."""
-
-    def __init__(self, build):
-        super().__init__()
-        self._build = build
-
-    def __missing__(self, key):
-        value = self[key] = self._build(key)
-        return value
-
-
-def _groups_by_vocab(max_states, seed=0, samples_per_size=60, extra=()):
-    """Per proposition subset, the card groups of its model classes, built
-    the first time a sentence needs them."""
-    return _Lazy(lambda vocab: _card_groups(_model_classes(
-        max_states, vocab, seed, samples_per_size, extra)))
-
-
-def _main_worker(args):
-    (trees, start_idx, max_states, gammas, max_positions, seed,
-     samples_per_size) = args
-    groups_by_vocab = _groups_by_vocab(max_states, seed, samples_per_size)
-    tallies = _new_tallies(MAIN_PROPERTIES)
+def _union_job(args):
+    """One job of the main or clock-policy sweep: for each sentence of its
+    chunk, ``check(sent, sent_idx, union, members, tallies, *check_args)``
+    on every card group of the sentence's vocabulary, into tallies of
+    ``properties``.  Each vocabulary's groups are built once per job, the
+    first time a sentence needs them, from
+    ``_model_classes(max_states, vocab, **model_kw)``."""
+    (trees, start_idx, properties, check, max_states, model_kw,
+     *check_args) = args
+    groups_by_vocab = {}
+    tallies = _new_tallies(properties)
     for k, tree in enumerate(trees):
         sent = F.Sentence(tree)
-        _check_sentence(sent, start_idx + k, groups_by_vocab, gammas,
-                        max_positions, tallies)
+        vocab = _sentence_vocab(sent)
+        groups = groups_by_vocab.get(vocab)
+        if groups is None:
+            groups = groups_by_vocab[vocab] = _card_groups(
+                _model_classes(max_states, vocab, **model_kw))
+        for union, members in groups:
+            check(sent, start_idx + k, union, members, tallies, *check_args)
     return tallies
 
 
@@ -702,20 +670,11 @@ def run_main_sweep(sentences, max_states=2, gammas=(1, 2, 3, 4, OMEGA),
                    workers=None, max_positions=SWEEP_MAX_POSITIONS, seed=0,
                    samples_per_size=60):
     """Main-sweep tallies over the given sentence corpus."""
-    return _run_sweep(MAIN_PROPERTIES, _main_worker,
+    return _run_sweep(MAIN_PROPERTIES, _union_job,
                       [s.tree() for s in sentences], workers, 64,
-                      max_states, gammas, max_positions, seed,
-                      samples_per_size)
-
-
-def _start_winners(graph, starts):
-    """Winner codes at the positions ``starts`` of ``graph``, solved from
-    those positions only, once the whole graph is checked for a cycle:
-    a sweep asserts termination of every game it explores."""
-    graph.topo_order()
-    ids = [graph.pos_id[p] for p in starts]
-    win = graph.solve(ids)[0]
-    return [win[i] for i in ids]
+                      MAIN_PROPERTIES, _check_games, max_states,
+                      {"seed": seed, "samples_per_size": samples_per_size},
+                      gammas, max_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -741,11 +700,11 @@ def _check_ar(model, key, tallies):
         model.card, ar_set == chi_set, key,
         (model, chi_sent, None, None, "ar-chi"))
     # Counters start at f for every state, so one graph per clock policy
-    # holds every start state's game.
+    # holds every start state's game.  Every sweep asserts termination of
+    # each graph it explores, and winners() checks the whole graph.
     fb = variants.FBoundedGame(model, model.states[0], chi_sent, 1)
-    starts = [fb._root(si) for si in range(model.card)]
-    unit_win = _start_winners(fb._explore(model.states, True, True), starts)
-    full_win = (_start_winners(fb._explore(model.states), starts)
+    unit_win = fb._explore(model.states, True, True).winners(model.card)
+    full_win = (fb._explore(model.states).winners(model.card)
                 if model.card <= DECREMENT_MAX_STATES else None)
     for si, state in enumerate(model.states):
         verdict_e = unit_win[si] == _E
@@ -904,56 +863,44 @@ class _FullMapGame(EvalGame):
         return ("set-clock", dst // self._unit[binder] % self._R)
 
 
-def _mode_worker(args):
-    trees, start_idx, max_states, extra, gammas = args
-    groups_by_vocab = _groups_by_vocab(max_states, extra=extra)
-    tallies = _new_tallies(MODE_PROPERTIES)
-    for k, tree in enumerate(trees):
-        sent = F.Sentence(tree)
-        for union, members in groups_by_vocab[_sentence_vocab(sent)]:
-            for gi, g in enumerate(gammas):
-                _check_policies(sent, start_idx + k, union, members, gi, g,
-                                tallies)
-    return tallies
-
-
-def _check_policies(sent, sent_idx, union, members, gi, g, tallies):
+def _check_policies(sent, sent_idx, union, members, tallies, gammas):
     """Greedy against exhaustive and canonical against full-map winners
-    of one sentence at ``gammas[gi] = g`` on one card group, from one
-    graph of each kind on the group's union model.  When one of them
-    trips its position cap or has a cycle, the group runs again one
-    member at a time, where the error propagates as it always has.
-    Each property adds its instances for the whole group at once, and
-    _record takes its failures from the mask of the union states where
-    its winner differs from the exhaustive one."""
+    of one sentence at every bound of ``gammas`` on one card group, from
+    one graph of each kind per bound on the group's union model.  When
+    one of them trips its position cap or has a cycle, the group runs
+    again one member at a time, where the error propagates as it always
+    has; so every graph is explored before any tally changes.  Each
+    property adds its instances for the whole group at once, and _record
+    takes its failures from the mask of the union states where its
+    winner differs from the exhaustive one."""
     model0 = members[0][1]
-    cap = semantics.clock_cap(g, model0)  # OMEGA means the member's card
-    game = EvalGame(union, union.states[0], sent, cap)
-    fm = _FullMapGame(union, union.states[0], sent, cap,
-                      FULLMAP_MAX_POSITIONS)
-    units = range(len(union.states))
-    starts = [game._root(u) for u in units]
+    n = union.card
+    wins = []
     try:
-        win_g = _start_winners(game._explore(union.states, True, True),
-                               starts)
-        win_f = _start_winners(game._explore(union.states, False, False),
-                               starts)
-        win_m = _start_winners(fm._explore(union.states),
-                               [fm._root(u) for u in units])
+        for g in gammas:
+            cap = semantics.clock_cap(g, model0)  # OMEGA: the member's card
+            game = EvalGame(union, union.states[0], sent, cap)
+            fm = _FullMapGame(union, union.states[0], sent, cap,
+                              FULLMAP_MAX_POSITIONS)
+            wins.append((game._explore(union.states, True, True).winners(n),
+                         game._explore(union.states).winners(n),
+                         fm._explore(union.states).winners(n)))
     except (RuntimeError, GameLimitError):
         if len(members) == 1:
             raise
         for member in members:
-            _check_policies(sent, sent_idx, member[1], [member], gi, g,
-                            tallies)
+            _check_policies(sent, sent_idx, member[1], [member], tallies,
+                            gammas)
         return
     count = model0.card * sum(mult for _, _, mult in members)
-    for name, wins in (("greedy-exhaustive", win_g),
-                       ("canonical-fullmap", win_m)):
-        tallies[name].instances += count
-        if wins != win_f:
-            _record(tallies, members, sent, sent_idx, name,
-                    sum(1 << u for u in units if wins[u] != win_f[u]), g, gi)
+    for gi, (g, (win_g, win_f, win_m)) in enumerate(zip(gammas, wins)):
+        for name, win in (("greedy-exhaustive", win_g),
+                          ("canonical-fullmap", win_m)):
+            tallies[name].instances += count
+            if win != win_f:
+                _record(tallies, members, sent, sent_idx, name,
+                        sum(1 << u for u in range(n) if win[u] != win_f[u]),
+                        g, gi)
 
 
 def run_mode_sweep(sentences, max_states=2, extra_models=(),
@@ -963,9 +910,10 @@ def run_mode_sweep(sentences, max_states=2, extra_models=(),
     ``extra_models`` supplies sampled larger models as (code, props)
     pairs, run after the main sweep's model classes up to ``max_states``.
     """
-    return _run_sweep(MODE_PROPERTIES, _mode_worker,
-                      [s.tree() for s in sentences], workers, 8, max_states,
-                      tuple(extra_models), gammas)
+    return _run_sweep(MODE_PROPERTIES, _union_job,
+                      [s.tree() for s in sentences], workers, 8,
+                      MODE_PROPERTIES, _check_policies, max_states,
+                      {"extra": tuple(extra_models)}, gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -985,9 +933,7 @@ def run_normalize_checks(sentences, models, gammas=(2,)):
                 ok = ok and semantics.eval_bounded(model, shadowed, g) == bset
                 if ok:
                     game = EvalGame(model, model.states[0], shadowed, g)
-                    win = _start_winners(
-                        game._explore(model.states),
-                        [game._root(si) for si in range(model.card)])
+                    win = game._explore(model.states).winners(model.card)
                     ok = all((w == _E) == (state in bset)
                              for w, state in zip(win, model.states))
             tallies["normalize-soundness"].add(
@@ -1018,15 +964,14 @@ def _rerun(cex):
     prop = cex["property"]
     gamma = cex["gamma"]
     bound = None if gamma is None else semantics.parse_bound(gamma)
-    groups = _card_groups([(model, 1)])
+    group = _card_groups([(model, 1)])[0]
     if prop in dict(MAIN_PROPERTIES):
         tallies = _new_tallies(MAIN_PROPERTIES)
-        _check_sentence(sent, 0, {_sentence_vocab(sent): groups},
-                        () if bound is None else (bound,),
-                        SWEEP_MAX_POSITIONS, tallies)
+        _check_games(sent, 0, *group, tallies,
+                     () if bound is None else (bound,), SWEEP_MAX_POSITIONS)
     elif prop in dict(MODE_PROPERTIES):
         tallies = _new_tallies(MODE_PROPERTIES)
-        _check_policies(sent, 0, *groups[0], 0, bound, tallies)
+        _check_policies(sent, 0, *group, tallies, (bound,))
     elif prop in dict(AR_PROPERTIES):
         tallies = _new_tallies(AR_PROPERTIES)
         _check_ar(model, 0, tallies)

@@ -1072,11 +1072,16 @@ class _Graph:
         del pick[len(status):]
         return win, pick
 
-    def winners(self):
-        """Winner codes (0 Eloise, 1 Abelard) of every position, after
-        checking the whole graph for a cycle."""
+    def winners(self, count=None):
+        """Winner codes (0 Eloise, 1 Abelard) of the first ``count``
+        positions, or of every position, solved from those alone once the
+        whole graph is checked for a cycle.  ``GameCore._explore``
+        numbers the distinct roots first, so a sweep reads its start
+        states' winners as ``winners(card)``."""
         self.topo_order()
-        return self.solve(range(len(self.status)))[0]
+        if count is None:
+            count = len(self.status)
+        return self.solve(range(count))[0][:count]
 
 
 def _attractor(status, succs, player_code):

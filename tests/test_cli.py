@@ -470,8 +470,9 @@ def test_two_counter_label_rows_check_the_cap_before_they_allocate(
     """At fbounded:40 on chain(3) an every-choice label row would list
     one move per counter value, up to 4**40 * 5 of them: the row compares
     that count with the position cap before it is built.  The child runs
-    under a 1 GiB address-space limit, so a row built first ends in
-    MemoryError rather than in exhausting the machine."""
+    under a 1 GiB address-space limit, so a row built first runs out of
+    memory rather than exhausting the machine, and exits 11 with an error
+    line that does not name the position cap."""
     path = tmp_path / "chain3.json"
     save_model(generate_family("chain", 3), path)
 
@@ -497,7 +498,8 @@ def test_a_huge_fbounded_exponent_is_refused_before_the_power(tmp_path):
     """At fbounded:10**20 on chain(3) the counter start 4**(10**20) * 5
     could not even be printed: it is refused by its bit length before
     the power is taken.  The child runs under a 1 GiB address-space
-    limit, so a power taken first ends in MemoryError and exit 70."""
+    limit, so a power taken first runs out of memory and exits 11, not
+    10."""
     path = tmp_path / "chain3.json"
     save_model(generate_family("chain", 3), path)
 
@@ -551,8 +553,8 @@ def test_gen_checks_the_family_size_before_it_allocates(family, n):
     """clique(100000) has about 10**10 edges and starN(10**11) about
     3 * 10**11: gen compares the closed-form count of states plus edges
     with the family limit before it builds anything.  The child runs
-    under a 1 GiB address-space limit, so a model built first ends in
-    MemoryError rather than in exhausting the machine."""
+    under a 1 GiB address-space limit, so a model built first runs out of
+    memory rather than exhausting the machine, and exits 11, not 10."""
 
     def limit_memory():
         import resource
@@ -568,6 +570,63 @@ def test_gen_checks_the_family_size_before_it_allocates(family, n):
     assert proc.returncode == 10 and proc.stdout == ""
     assert len(errors) == 1 and "states plus edges" in errors[0]
     assert elapsed < 5  # about 0.2 s, most of it interpreter start-up
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("collapse", "standard and bounded:card semantics disagree"),
+    ("bound-3", "game and compositional verdicts disagree")])
+def test_eval_check_exits_13_on_an_engine_fault(m1_path, monkeypatch,
+                                                capsys, fault, message):
+    """``eval --check`` reruns the compositional engines: a bounded
+    engine that drops a state at the collapse bound card(M) = 2, or that
+    answers the complement at the requested bound 3, fails the check
+    with exit 13, one error line and no verdict."""
+    from mucheck import semantics
+    real = semantics.eval_bounded
+
+    def broken(model, sent, bound, *args):
+        states = real(model, sent, bound, *args)
+        if fault == "collapse" and bound == 2:
+            return states - {sorted(states)[0]}
+        if fault == "bound-3" and bound == 3:
+            return frozenset(model.states) - states
+        return states
+
+    monkeypatch.setattr(semantics, "eval_bounded", broken)
+    code, out, err = run(["eval", "--model", m1_path, "--formula",
+                          "mu X. (p | []X)", "--state", "a", "--semantics",
+                          "bounded:3", "--check"], capsys)
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert (code, out) == (13, "")
+    assert errors == [f"error: self-check failed: {message}"]
+
+
+def test_running_out_of_memory_is_a_resource_cap(tmp_path):
+    """starN(150) at omega needs far more than 256 MiB of positions under
+    the default position cap: the MemoryError exits 11, as a cap does,
+    with one error line that suggests a lower --max-positions and does
+    not claim that the position cap was hit."""
+    path = tmp_path / "star150.json"
+    save_model(generate_family("starN", 150), path)
+
+    def limit_memory():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mucheck.cli", "eval", "--semantics",
+         "omega", "--model", str(path), "--state", "w_0", "--formula",
+         "nu X. [] mu Y. (<>Y | (p & X))"],
+        capture_output=True, text=True, preexec_fn=limit_memory,
+        timeout=120)
+    elapsed = time.perf_counter() - t0
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert proc.returncode == 11 and proc.stdout == ""
+    assert len(errors) == 1 and "memory ran out" in errors[0]
+    assert "--max-positions" in errors[0]
+    assert "position cap" not in errors[0]
+    assert elapsed < 10  # about 1 s
 
 
 def test_play_as_abelard_machine_wins(star3_path, capsys, monkeypatch):

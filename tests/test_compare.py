@@ -172,8 +172,7 @@ def _fullmap_winner(model, w, sent, gamma,
     """Winner code at ``w`` of the full-clock-map game, solved as the
     clock-policy sweep solves it."""
     game = compare._FullMapGame(model, w, sent, gamma, max_positions)
-    root = game._root(model.state_index(w))
-    return compare._start_winners(game._explore([w]), [root])[0]
+    return game._explore([w]).winners(1)[0]
 
 
 def test_fullmap_winner_matches_solver(m1, afp):
@@ -494,9 +493,9 @@ def test_an_ar_disagreement_fails_every_state_of_its_model(monkeypatch):
              for edges, val, mult in ((0b0001, 0b01, 1), (0b0110, 0b10, 4),
                                       (0b1111, 0b11, 2))]
     tallies = compare._new_tallies(compare.MAIN_PROPERTIES)
-    compare._check_sentence(F.parse("p"), 0,
-                            {frozenset({"p"}): compare._card_groups(pairs)},
-                            (1, 2), compare.SWEEP_MAX_POSITIONS, tallies)
+    for union, members in compare._card_groups(pairs):
+        compare._check_games(F.parse("p"), 0, union, members, tallies,
+                             (1, 2), compare.SWEEP_MAX_POSITIONS)
     t = tallies["reduction-J"]
     assert (t.instances, t.failures, t.cex_key) == (7 * 2 * 2, 4 * 2,
                                                     (0, 1, 0, 0))
@@ -505,17 +504,24 @@ def test_an_ar_disagreement_fails_every_state_of_its_model(monkeypatch):
 
 def test_a_sweep_job_leaves_no_reference_cycles():
     """Sweep jobs run with the cyclic GC paused, so what a job builds must
-    be freed by reference counting alone: after a main-sweep job, a
-    collection finds nothing unreachable."""
+    be freed by reference counting alone: after a main-sweep job and
+    after a clock-policy job, a collection finds nothing unreachable."""
     import gc
     trees = [s.tree() for s in small_sentences()[:20]]
+    extra = (((3, 0b101100011, 0b011010), ("p", "q")),)
+    jobs = [(trees, 0, compare.MAIN_PROPERTIES, compare._check_games, 2,
+             {"seed": 0, "samples_per_size": 60}, (1, 2, OMEGA),
+             compare.SWEEP_MAX_POSITIONS),
+            (trees, 0, compare.MODE_PROPERTIES, compare._check_policies, 2,
+             {"extra": extra}, (1, 2, OMEGA))]
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        compare._main_worker((trees, 0, 2, (1, 2, OMEGA),
-                              compare.SWEEP_MAX_POSITIONS, 0, 60))
-        assert gc.collect() == 0
+        for job in jobs:
+            tallies = compare._union_job(job)
+            assert gc.collect() == 0
+            assert all(t.instances for t in tallies.values())
     finally:
         if enabled:
             gc.enable()
@@ -845,12 +851,13 @@ def test_main_sweep_evaluates_once_per_card_group(monkeypatch):
     gammas = (1, 2, OMEGA)
     per_model = [_count_calls(monkeypatch, name, semantics)
                  for name in ("eval_standard", "eval_bounded")]
-    sentences = _count_calls(monkeypatch, "_check_sentence")
+    groups = _count_calls(monkeypatch, "_check_games")
     per_group = {}
     real = semantics.eval_group
 
     def counted(union, member, sent, bound=None):
-        key = (len(sentences), id(union), member.card)
+        # The sent_idx of the _check_games call under way.
+        key = (groups[-1][1], id(union), member.card)
         per_group[key] = per_group.get(key, 0) + 1
         return real(union, member, sent, bound)
 
@@ -858,7 +865,7 @@ def test_main_sweep_evaluates_once_per_card_group(monkeypatch):
     compare.run_main_sweep(small_sentences()[:10], max_states=2,
                            gammas=gammas, workers=1)
     assert per_model == [[], []]
-    assert len(sentences) == 10
+    assert len({args[1] for args in groups}) == 10
     assert len(per_group) == 10 * 2  # cards 1 and 2
     for (_, _, card), calls in per_group.items():
         assert 0 < calls <= 2 + len({max(1, card), OMEGA, *gammas})
@@ -917,8 +924,9 @@ def test_union_from_rows_matches_the_union_by_names(seed, card, count):
 
 
 def test_start_winners_check_the_whole_graph():
-    """The sweeps solve from their start positions only, but a cycle
-    anywhere in an explored graph still fails the sweep."""
+    """The sweeps solve from their start positions only, the first ones
+    numbered, but a cycle anywhere in an explored graph still fails the
+    sweep."""
     from mucheck.game import _Graph
     # "s" and "t" are won terminals; "x" and "y" form a cycle that no
     # start reaches.
@@ -927,6 +935,6 @@ def test_start_winners_check_the_whole_graph():
     graph = _Graph(pos, {p: i for i, p in enumerate(pos)}, status,
                    [(), (), (3,), (2,)])
     with pytest.raises(RuntimeError):
-        compare._start_winners(graph, ["t", "s"])
+        graph.winners(2)
     graph.succs[3] = ()
-    assert compare._start_winners(graph, ["t", "s"]) == [0, 1]
+    assert graph.winners(2) == [1, 0]

@@ -20,8 +20,8 @@ from naive_oracles import (EvalTuples, FBoundedTuples, FreeTuples,
                            reference_refine)
 
 from mucheck import formula as F
-from mucheck.compare import _FullMapGame, _start_winners
-from mucheck.corpus import random_model, random_sentence
+from mucheck.compare import _FullMapGame
+from mucheck.corpus import random_model, random_sentence, random_sentences
 from mucheck.formula import parse
 from mucheck.game import (EvalGame, GameLimitError, Position, _A, _E,
                           _TURN_E)
@@ -130,7 +130,7 @@ def test_a_cycle_through_the_explorer_still_raises():
     with pytest.raises(RuntimeError):
         graph.topo_order()
     with pytest.raises(RuntimeError):
-        _start_winners(graph, graph.pos_list[:1])
+        graph.winners(1)
 
 
 def test_rebuilt_rows_drop_the_numbering_as_order():
@@ -145,6 +145,34 @@ def test_rebuilt_rows_drop_the_numbering_as_order():
     game._build_rows(graph, game._reopen(graph, win), win == _E, win == _A)
     assert not _forward(graph)
     _assert_topological(graph, graph.topo_order())
+
+
+def test_explored_clock_prefixes_are_canonical():
+    """Every position an EvalGame explores, under each of the four clock
+    policies, holds one clock digit per active ancestor of its node and
+    none beyond: ``rest < R ** len(active_ancestors[node])``.  A codec
+    fault that writes a digit past the binder's slot (a label jump that
+    keeps too much of the prefix, say) builds positions outside that
+    range while most verdicts stay right."""
+    rng = random.Random(9)
+    sentences = random_sentences(30, 11, 9, 3)
+    models = [random_model(rng, rng.randint(2, 4)) for _ in range(4)]
+    graphs = 0
+    for sent in sentences:
+        for model in models:
+            for bound in (2, 3, OMEGA):
+                game = EvalGame(model, model.states[0], sent, bound)
+                S, N, R = game._S, game._N, game._R
+                limit = [R ** len(anc)
+                         for anc in game.index.active_ancestors]
+                for policy in ((False, False), (True, True), (True, False),
+                               (False, True)):
+                    graph = game._explore(model.states, *policy)
+                    bad = [p for p in graph.pos_list
+                           if p // (S * N) >= limit[p // S % N]]
+                    assert not bad, (F.render(sent), bound, policy, bad[0])
+                    graphs += 1
+    assert graphs == 30 * 4 * 3 * 4
 
 
 @settings(max_examples=100)

@@ -16,8 +16,8 @@ from mucheck import formula as F
 from mucheck.corpus import all_sentences, random_model, random_sentences
 from mucheck.formula import parse
 from mucheck.game import (ABELARD, ELOISE, EvalGame, GameLimitError,
-                          GameStatus, Position, StrategyError, _Graph,
-                          _TURN_E, _UNSET, _WON_A,
+                          GameStatus, Position, Strategy, StrategyError,
+                          _Graph, _TURN_E, _UNSET, _WON_A,
                           first_move_player, solve)
 from mucheck.kripke import KripkeModel, generate_family
 from mucheck.semantics import OMEGA, eval_bounded, eval_standard
@@ -192,6 +192,35 @@ def test_strategy_wins_all_playouts(m1, afp, phi_star):
             winner, strategy = game.solve(mode)
             visited = game.validate_strategy(winner, strategy)
             assert visited >= 1
+
+
+def test_validator_rejects_a_move_swapped_to_a_losing_one(m1, afp):
+    """Eloise wins ``mu X. (p | []X)`` at a, where p is false: a strategy
+    with her right disjunct swapped for the left one, p at a, reaches a
+    terminal she has lost."""
+    game = EvalGame(m1, "a", afp, 2)
+    winner, solved = game.solve("exhaustive")
+    moves = dict(solved.moves)
+    pos = Position("a", 1, (1,))
+    assert winner == ELOISE and moves[pos] == ("pick-right",)
+    assert ("pick-left",) in [m for m, _ in game.legal_moves(pos)]
+    game.validate_strategy(winner, Strategy(winner, moves))
+    moves[pos] = ("pick-left",)
+    with pytest.raises(StrategyError, match="reached a position lost"):
+        game.validate_strategy(winner, Strategy(winner, moves))
+
+
+def test_validator_rejects_an_illegal_move(m1, afp):
+    """At the label X with clock 1 the only legal move sets the clock to
+    0; a strategy that sets it to 1 names a move that is not there."""
+    game = EvalGame(m1, "a", afp, 2)
+    winner, solved = game.solve("exhaustive")
+    moves = dict(solved.moves)
+    pos = Position("b", 4, (1,))
+    assert [m for m, _ in game.legal_moves(pos)] == [("set-clock", 0)]
+    moves[pos] = ("set-clock", 1)
+    with pytest.raises(StrategyError, match="is illegal"):
+        game.validate_strategy(winner, Strategy(winner, moves))
 
 
 def test_trace_round_trip(m1, afp):
