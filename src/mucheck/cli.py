@@ -186,17 +186,14 @@ def cmd_play(args):
     human = interactive_player(sys.stdin, sys.stdout)
 
     def machine_for(player):
-        if winner == player:
-            def move(g, pos, moves):
-                k = _strategy_move_index(strategy, pos, moves)
-                print(f"{player} plays: {format_move(moves[k][0])}")
-                return k
-            return move
-
-        def fallback(g, pos, moves):
-            print(f"{player} plays: {format_move(moves[0][0])}")
-            return 0
-        return fallback
+        # The expected winner plays its strategy, the other side its first
+        # legal move.
+        def move(g, pos, moves):
+            k = _strategy_move_index(strategy, pos, moves) \
+                if winner == player else 0
+            print(f"{player} plays: {format_move(moves[k][0])}")
+            return k
+        return move
 
     if args.side == "eloise":
         eloise, abelard = human, machine_for(ABELARD)

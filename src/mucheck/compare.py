@@ -27,7 +27,7 @@ with one bit per bound, so one backward pass yields the winners and AR
 membership under all bounds and one forward pass replays every winning
 strategy.  The AR recurrence runs on its own only where the game's
 statuses and the position model's p_B / q_B flags disagree; elsewhere
-it is the game's own recurrence.  The full-clock-map oracle is a
+it is the game's own recurrence.  The full-clock-map oracle is only a
 position codec for the shared game explorer.  Every sweep shares one
 model enumerator and one sweep runner, which cuts the sweep's items
 into jobs, runs them in this process or a fork pool and merges their
@@ -270,19 +270,18 @@ def _replay(graph, tags, caps, p_flags=None, q_flags=None, card=None):
     mask marks cap b in component c.
 
     The AR rule is the game rule of a status code: p_B wins, q_B is a
-    disjunction, and any other position a conjunction.  Where every
-    position's (status, p_B, q_B) triple agrees, or the flags are None
-    because the caller found the game's tables to agree, the two
-    recurrences are the same function (by induction over the
-    topological order), so the AR masks are a copy of the winners and
-    nothing differs; otherwise the AR recurrence runs on its own.
+    disjunction, and any other position a conjunction.  The flags are
+    None when the caller found the game's tables to agree with them
+    (_flags_agree); then the two recurrences are the same function (by
+    induction over the topological order), so the AR masks are a copy
+    of the winners and nothing differs.  Given flags, the AR recurrence
+    runs on its own.
     """
     full = (1 << len(caps)) - 1
     admit = _admit_masks(tuple(caps))
     block = [full ^ m for m in admit]
     win = _backward(graph, tags, admit, block, full, graph.status)
-    if p_flags is None or _AGREE.issuperset(zip(graph.status, p_flags,
-                                                 q_flags)):
+    if p_flags is None:
         return win, list(win), 0
     ar = _backward(graph, tags, admit, block, full,
                    [_WON_E if p else _TURN_E if q else _TURN_A
@@ -743,95 +742,53 @@ def run_ar_sweep(max_states=3, workers=None, seed=0):
 FULLMAP_MAX_POSITIONS = 500_000
 
 
-class _FullMapGame(EvalGame):
-    """The evaluation game over explicit clock maps of every binder.
+class _FullMapGame(GameCore):
+    """The evaluation game over explicit clock maps of every binder, as a
+    plain position codec for the shared explorer.
 
     A position keeps one clock slot per Mu/Nu node, in pre-order, and an
-    untouched slot holds the clock cap: its codec keeps every slot in
-    ``rest``, slot k with weight ``(cap + 1)**k``.  A binder writes its
-    own slot; a label jump writes its binder's slot and resets the slots
-    of every binder inside the binder's body.  This is the literal clock
-    bookkeeping that the canonical truncated tuples compress, kept as an
-    oracle for them: it owns its label rules and shares only the
-    clock-free rules of GameCore, so binder and label rows both come from
-    its ``_decision_row``.  Only winners are read from it, so it always
-    offers every clock choice.  Its public positions carry every slot,
-    the untouched ones at the clock cap, so ``play``, ``status`` and
-    ``validate_strategy`` start from its own root, ``make_position``
-    builds them at any node, and its descriptions name each touched
-    slot's binder.
+    untouched slot holds the clock cap ``cap``: ``rest`` keeps slot k
+    with weight ``(cap + 1)**k``, and ``_root`` starts every slot at the
+    cap.  A binder writes its own slot; a label jump writes its binder's
+    slot and resets the slots of every binder inside the binder's body.
+    This is the literal clock bookkeeping that the canonical truncated
+    tuples compress, kept as an oracle for them: it shares only the
+    clock-free rules of GameCore, so binder and label rows both come
+    from its ``_decision_row``.  Only the winners of its explored graphs
+    are read, so it always offers every clock choice.  It has no public
+    position API: ``_public`` decodes a position for the tests, and
+    GameCore's ``status``, ``legal_moves``, ``play`` and
+    ``validate_strategy`` raise AttributeError, since it gives no
+    ``_internal`` or ``initial_position``.
     """
 
-    def __init__(self, model, state, sentence, bound, max_positions):
-        super().__init__(model, state, sentence, bound, max_positions)
+    _decision_kinds = (F.MU, F.NU, F.LABEL)
+
+    def __init__(self, model, state, sentence, cap, max_positions):
+        super().__init__(model, state, sentence, max_positions)
+        self.clock_cap = cap
+        self._R = R = cap + 1
         binders = self.index.mu_nu_nodes
         anc = self.index.active_ancestors
         # The position unit of each binder's slot.
-        self._unit = {b: self._SN * self._R ** k
-                      for k, b in enumerate(binders)}
+        self._unit = {b: self._SN * R ** k for k, b in enumerate(binders)}
         self._resets = {b: tuple(self._unit[x] for x in binders
                                  if b in anc[x])
                         for b in binders}
-        self._top = sum(self.clock_cap * u for u in self._unit.values())
+        self._top = cap * sum(self._unit.values())
 
     def _root(self, si):
         return si + self._top
-
-    def initial_position(self):
-        return self._public(self._root(self.model.state_index(self.start)))
-
-    def make_position(self, state, node, clocks=None):
-        """Build a Position from a clock map keyed by binder label name
-        (or binder node id), with one slot per binder in pre-order;
-        binders left out, or given None, carry the untouched bound."""
-        clocks = dict(clocks or {})
-        values = []
-        for b in self._unit:
-            if b in clocks:
-                v = clocks.pop(b)
-            else:
-                v = clocks.pop(self._name[b], None)
-            values.append(self.clock_cap if v is None else v)
-        if clocks:
-            raise ValueError(
-                f"clock entries {sorted(map(str, clocks))} do not name "
-                f"binders of the sentence")
-        pos = Position(state, node, tuple(values))
-        self._internal(pos)  # validate
-        return pos
-
-    def _internal(self, pos):
-        si = self.model.state_index(pos.state)
-        if not 0 <= pos.node < self._N:
-            raise ValueError(f"node {pos.node} is not in the sentence")
-        clocks = tuple(pos.clocks)
-        if len(clocks) != len(self._unit):
-            raise ValueError(f"a full-map position needs {len(self._unit)} "
-                             f"clock values, got {len(clocks)}")
-        cap = self.clock_cap
-        if any(not isinstance(v, int) or not 0 <= v <= cap for v in clocks):
-            raise ValueError(f"full-map clock values must be integers from "
-                             f"0 to {cap}, the untouched bound")
-        return si + self._S * pos.node + sum(
-            v * u for v, u in zip(clocks, self._unit.values()))
 
     def _public(self, p):
         q, si = divmod(p, self._S)
         return Position(self.model.states[si], q % self._N,
                         tuple(p // u % self._R for u in self._unit.values()))
 
-    def clock_dict(self, pos):
-        return {self._name[b]: v for b, v in zip(self._unit, pos.clocks)
-                if v != self.clock_cap}
-
-    # The shared clock-free rules and no jump table, with this class's
-    # own label rule, so that nothing done to EvalGame's rules reaches
-    # this oracle.
-    _status_row = GameCore._status_row
-    _label_jump = GameCore._label_jump
-
     def _label_rule(self, node):
         # The binder's own slot decides: 0 loses for the label's owner.
+        # The codes are written out here, so that the oracle shares no
+        # label rule with the canonical game it checks.
         codes = (_WON_A, _TURN_E) if self._rf_is_mu[node] \
             else (_WON_E, _TURN_A)
         return self._unit[self._rf[node]], self._R, codes
@@ -856,11 +813,6 @@ class _FullMapGame(EvalGame):
             base = self._S * (self._children[node][0] - node)
         base -= p // unit % R * unit  # the slot is overwritten
         return [base + g * unit for g in range(top - 1, -1, -1)]
-
-    def _decision_label(self, p, dst):
-        node = p // self._S % self._N
-        binder = self._rf[node] if self._kind[node] == F.LABEL else node
-        return ("set-clock", dst // self._unit[binder] % self._R)
 
 
 def _check_policies(sent, sent_idx, union, members, tallies, gammas):

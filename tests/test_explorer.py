@@ -175,6 +175,53 @@ def test_explored_clock_prefixes_are_canonical():
     assert graphs == 30 * 4 * 3 * 4
 
 
+def test_every_codec_explores_in_range_and_within_its_bound():
+    """The other codecs' positions, on the sentences and models of the
+    test above and under the same four clock policies: every position
+    ``p`` of the two-counter game at k=1 has ``0 <= p // (S*N) <
+    (f + 1)**2``, every full-map position ``0 <= p // (S*N) <
+    R**binders``, and every free position ``p // (S*N) == 0``.  Each
+    graph, the canonical game's too, holds at most its closed-form count
+    of positions.  That count is also the game's position cap, so a fault
+    that builds positions without end stops there."""
+    rng = random.Random(9)
+    sentences = random_sentences(30, 11, 9, 3)
+    models = [random_model(rng, rng.randint(2, 4)) for _ in range(4)]
+    graphs = 0
+    for sent in sentences:
+        for model in models:
+            start = model.states[0]
+            # (game, the bound on p // (S*N) or None, positions per state)
+            games = []
+            for bound in (2, 3, OMEGA):
+                game = EvalGame(model, start, sent, bound)
+                R = game._R
+                games.append((game, None, sum(
+                    R ** len(anc) for anc in game.index.active_ancestors)))
+                game = _FullMapGame(model, start, sent, game.clock_cap,
+                                    10 ** 6)
+                hi = R ** len(game.index.mu_nu_nodes)
+                games.append((game, hi, game._N * hi))
+            game = FBoundedGame(model, start, sent, 1)
+            hi = (game.f + 1) ** 2
+            games.append((game, hi, game._N * hi))
+            game = _free_game(model, start, sent)
+            games.append((game, 1, game._N))
+            for game, hi, per_state in games:
+                game.max_positions = limit = model.card * per_state
+                SN = game._SN
+                for policy in ((False, False), (True, True), (True, False),
+                               (False, True)):
+                    graph = game._explore(model.states, *policy)
+                    assert len(graph) <= limit
+                    bad = [p for p in graph.pos_list
+                           if hi is not None and not 0 <= p // SN < hi]
+                    assert not bad, (type(game).__name__, F.render(sent),
+                                     policy, bad[0])
+                    graphs += 1
+    assert graphs == 30 * 4 * (3 * 2 + 2) * 4
+
+
 @settings(max_examples=100)
 @given(st.integers(0, 2 ** 32), st.sampled_from(BOUNDS))
 def test_codecs_invert(seed, bound):

@@ -4,8 +4,9 @@ Greedy ``solve()`` answers from one depth-first search of the game where
 both players make only the largest clock or counter choice.  The
 one-sided re-solve, its agreement check and the two-counter game's
 position bound run the first time the strategy is read.  These tests
-count the searches, inject faults into the deferred half, and hold the
-verdicts of the one search to the compositional bounded semantics.
+count the searches, inject faults into the deferred half, hold the
+verdicts of the one search to the compositional bounded semantics, and
+validate both modes' strategies on random instances.
 """
 
 import io
@@ -19,7 +20,7 @@ from mucheck import formula as F
 from mucheck.cli import main
 from mucheck.compare import _sentence_vocab
 from mucheck.corpus import (all_models, all_sentences, random_model,
-                            random_sentence)
+                            random_sentence, random_sentences)
 from mucheck.game import ELOISE, EvalGame, GameCore, _Graph, first_move_player
 from mucheck.kripke import generate_family, save_model
 from mucheck.semantics import OMEGA, eval_bounded
@@ -175,3 +176,38 @@ def test_verdicts_at_three_binders_equal_the_bounded_semantics():
                         bound, mode)
                     instances += 1
     assert instances == 792 + 6 * (2 + 3) * 3 * 2
+
+
+def test_printed_strategies_validate_on_random_instances():
+    """What ``eval --strategy`` prints, on 150 seeded random sentences with
+    up to three binders and four seeded random 2-4 state models: at bounds
+    2, 3 and omega each mode's winner is the bounded compositional verdict
+    and its strategy wins every opponent playout; at ``fbounded:1`` greedy
+    and exhaustive name the same winner and both strategies validate.  A
+    greedy strategy is the one-sided re-solve's, so a fault that only
+    breaks the moves greedy play makes shows here even where every
+    verdict stays right."""
+    rng = random.Random(1)
+    models = [random_model(rng, rng.randint(2, 4)) for _ in range(4)]
+    games = 0
+    for sent in random_sentences(150, 1, 9, 3):
+        for model in models:
+            start = model.states[0]
+            case = (F.render(sent), model.to_json_dict())
+            for bound in (2, 3, OMEGA):
+                truth = start in eval_bounded(model, sent, bound)
+                for mode in ("greedy", "exhaustive"):
+                    game = EvalGame(model, start, sent, bound)
+                    winner, strategy = game.solve(mode)
+                    assert (winner == ELOISE) == truth, case + (bound, mode)
+                    game.validate_strategy(winner, strategy)
+                    games += 1
+            winners = set()
+            for mode in ("greedy", "exhaustive"):
+                game = FBoundedGame(model, start, sent, 1)
+                winner, strategy = game.solve(mode)
+                game.validate_strategy(winner, strategy)
+                winners.add(winner)
+                games += 1
+            assert len(winners) == 1, case
+    assert games == 150 * 4 * (3 + 1) * 2
