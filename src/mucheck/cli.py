@@ -21,8 +21,8 @@ from . import variants
 from .game import (ABELARD, DEFAULT_MAX_POSITIONS, ELOISE, EvalGame,
                    GameLimitError, _strategy_move_index, first_move_player,
                    format_move, interactive_player)
-from .kripke import (FAMILIES, ModelError, gc_paused, generate_family,
-                     load_model_file)
+from .kripke import (FAMILIES, ModelError, _json_document, gc_paused,
+                     generate_family, load_model_file, save_model)
 from .semantics import OMEGA, BoundError
 from .variants import FBoundedGame
 
@@ -221,14 +221,7 @@ def cmd_reduce(args):
         reduced = reduction.build_position_model(
             model, args.state, sent, bound, tree=args.tree,
             max_positions=args.max_positions)
-    payload = reduced.json_text()
-    if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        info = sys.stdout
-    else:
-        sys.stdout.write(payload)
-        info = sys.stderr
+    info = sys.stdout if _write_model(reduced, args.out) else sys.stderr
     print(f"root: {reduced.root}", file=info)
     print(f"positions: {reduced.positions}", file=info)
     return EXIT_TRUE
@@ -262,15 +255,21 @@ def cmd_compare(args):
 
 def cmd_gen(args):
     model = generate_family(args.family, args.n)
-    payload = model.json_text()
-    if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    if _write_model(model, args.out):
         print(f"wrote {args.family}({args.n}): {model.card} states "
               f"-> {args.out}")
-    else:
-        sys.stdout.write(payload)
     return EXIT_TRUE
+
+
+def _write_model(model, out):
+    """Write the model file of ``model`` (a ``KripkeModel`` or a
+    ``ReducedModel``) one member at a time, to the path ``out``, or to
+    stdout when ``out`` is "-" or unset.  True when it went to a file."""
+    if out and out != "-":
+        save_model(model, out)
+        return True
+    sys.stdout.writelines(_json_document(model._json_members()))
+    return False
 
 
 def _int_at_least(low, what):

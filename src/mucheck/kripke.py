@@ -4,12 +4,17 @@ import gc
 import json
 from contextlib import contextmanager
 from itertools import chain, compress, count, repeat
+from json.decoder import WHITESPACE, scanstring as _scanstring
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add, mul
 
 
 class ModelError(Exception):
     """Raised for malformed model data."""
+
+
+_ws = WHITESPACE.match  # JSON whitespace from an index on
+_scan = json.JSONDecoder().scan_once  # one JSON value at an index
 
 
 @contextmanager
@@ -115,18 +120,16 @@ class KripkeModel:
 
     def __init__(self, states, edges, valuation):
         states = tuple(states)
-        if not states:
-            raise ModelError("a Kripke model needs at least one state")
-        n = len(states)
-        index = dict(zip(states, range(n)))
-        if len(index) != n:
-            raise ModelError("duplicate state identifiers")
+        index = dict(zip(states, range(len(states))))
+        _check_states(states, index)
+        self._build(states, index,
+                    _edge_ids(index, chain.from_iterable(edges)), valuation)
 
-        names = list(chain.from_iterable(edges))  # src, dst, src, ...
-        ids = list(map(index.get, names))
-        if None in ids:
-            w = names[ids.index(None)]
-            raise ModelError(f"edge references unknown state {w!r}")
+    def _build(self, states, index, ids, valuation):
+        """Fill in the model on checked ``states`` and their ``index``,
+        from the ``ids`` of the edge ends (src, dst, src, ...) and the
+        valuation's names."""
+        n = len(states)
         src, dst = ids[0::2], ids[1::2]
         keys = dict.fromkeys(map(add, map(mul, src, repeat(n)), dst))
         if len(keys) < len(src):  # keep the first of repeated edges
@@ -263,6 +266,60 @@ class KripkeModel:
         return f"KripkeModel(states={self.card}, edges={len(self._edges[0])})"
 
 
+def _check_states(states, index):
+    """Raise for an empty ``states`` or one that repeats a name (then
+    ``index``, the id of each name, is shorter than ``states``)."""
+    if not states:
+        raise ModelError("a Kripke model needs at least one state")
+    if len(index) != len(states):
+        raise ModelError("duplicate state identifiers")
+
+
+def _edge_ids(index, names):
+    """The id in ``index`` of each edge end in ``names`` (src, dst,
+    src, ...)."""
+    names = list(names)
+    ids = list(map(index.get, names))
+    if None in ids:
+        w = names[ids.index(None)]
+        raise ModelError(f"edge references unknown state {w!r}")
+    return ids
+
+
+def _edges_shaped(edges):
+    """True when the list ``edges`` holds only 2-arrays of strings."""
+    return (_all_of(edges, list) and set(map(len, edges)) <= {2}
+            and _all_of(chain.from_iterable(edges), str))
+
+
+def _edge_names(edges):
+    """The edge ends (src, dst, src, ...) of an "edges" member: an array
+    of 2-arrays of names, or the pair of their ids and the states those
+    ids index (see _resolve)."""
+    if type(edges) is tuple:
+        ids, states = edges
+        return map(states.__getitem__, ids)
+    return chain.from_iterable(edges)
+
+
+def _resolve(edges, states, index):
+    """The "edges" member ``edges`` with its names turned into ids through
+    ``states`` (an array of strings) and their ``index``.
+
+    The result is the pair (ids of src, dst, src, ...; ``states``) when
+    ``edges`` is an array of 2-arrays of names in ``index``, or is such a
+    pair made through earlier states whose names are all in ``index``.
+    Otherwise it is ``edges`` unchanged, for the checks that run once the
+    whole text is read.  A JSON value is never a tuple, so the two kinds
+    of result cannot be confused.
+    """
+    if type(edges) is not tuple and not (type(edges) is list
+                                         and _edges_shaped(edges)):
+        return edges
+    ids = list(map(index.get, _edge_names(edges)))
+    return edges if None in ids else (ids, states)
+
+
 def load_model(data):
     """Build a validated model from JSON text or bytes.
 
@@ -270,49 +327,115 @@ def load_model(data):
     "val": {prop: [...]}}.  Unknown top-level keys are ignored so that
     reduced-model files (which add "root" and "backmap") stay loadable.
 
+    The top-level object is read one member at a time, each value by the
+    json module's own scanner, so the whole text is checked as JSON but
+    its whole tree is never held: a member other than "states", "edges"
+    and "val" is dropped as soon as it is parsed, and "edges" is turned
+    into state ids, and its names freed, as soon as it and a well-formed
+    "states" have both been read.  A repeated key's last value wins, as
+    with ``json.loads``.  Shape and name errors are raised only after the
+    whole text has parsed, so invalid JSON anywhere is reported first.
+
     The cyclic garbage collector is paused while the model is parsed and
     built (gc_paused): a JSON tree holds no cycles, and a multi-MB file
     would otherwise set off hundreds of collections over it.
     """
     with gc_paused():
-        return _load_model(data)
+        return _load_model(_text(data))
 
 
-def _load_model(data):
+def _text(data):
+    """``data`` as text: bytes are decoded as UTF-8."""
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8")
+            return data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ModelError(f"model file is not UTF-8: {exc}") from None
+    return data
+
+
+def _json_error(text):
+    """The ModelError for ``text``, which does not hold one JSON object:
+    ``json.loads``'s own message for invalid JSON."""
     try:
-        obj = json.loads(data)
+        json.loads(text)
     except ValueError as exc:  # bad syntax, or an int past the digit limit
-        raise ModelError(f"invalid JSON: {exc}") from None
+        return ModelError(f"invalid JSON: {exc}")
     except RecursionError:
-        raise ModelError("invalid JSON: nested too deeply") from None
-    # json.loads yields exact dicts, lists and strs, so shapes are checked
-    # with ``type(x) is``, a whole array at a time.
-    if type(obj) is not dict:
-        raise ModelError("model file must contain a JSON object")
+        return ModelError("invalid JSON: nested too deeply")
+    return ModelError("model file must contain a JSON object")
+
+
+def _load_model(text):
+    found = {}  # the last "states", "edges" and "val" read
+    index = None  # the id of each name in found["states"], if well-formed
+    try:
+        end = _ws(text, 0).end()
+        if text[end:end + 1] != "{":
+            raise _json_error(text)
+        end = _ws(text, end + 1).end()
+        while text[end:end + 1] != "}":
+            if text[end:end + 1] != '"':
+                raise _json_error(text)
+            key, end = _scanstring(text, end + 1)
+            end = _ws(text, end).end()
+            if text[end:end + 1] != ":":
+                raise _json_error(text)
+            value, end = _scan(text, _ws(text, end + 1).end())
+            if key == "states":
+                index = None
+                if type(value) is list and _all_of(value, str):
+                    index = dict(zip(value, range(len(value))))
+                    if "edges" in found:
+                        found["edges"] = _resolve(found["edges"], value,
+                                                  index)
+                found[key] = value
+            elif key == "edges":
+                found[key] = (value if index is None else
+                              _resolve(value, found["states"], index))
+            elif key == "val":
+                found[key] = value
+            del value  # free a dropped member before the next is parsed
+            end = _ws(text, end).end()
+            if text[end:end + 1] == ",":
+                end = _ws(text, end + 1).end()
+                if text[end:end + 1] != '"':
+                    raise _json_error(text)
+            elif text[end:end + 1] != "}":
+                raise _json_error(text)
+        if _ws(text, end + 1).end() != len(text):
+            raise _json_error(text)
+    except (ValueError, StopIteration, RecursionError):
+        raise _json_error(text) from None
+
     for key in ("states", "edges"):
-        if key not in obj:
+        if key not in found:
             raise ModelError(f"model file is missing the {key!r} key")
-    states = obj["states"]
-    edges = obj["edges"]
-    val = obj.get("val", {})
-    if type(states) is not list or not _all_of(states, str):
+    states = found["states"]
+    edges = found["edges"]
+    val = found.get("val", {})
+    # The json scanner yields exact dicts, lists and strs, so shapes are
+    # checked with ``type(x) is``, a whole array at a time.
+    if index is None:
         raise ModelError("'states' must be an array of strings")
-    if type(edges) is not list:
-        raise ModelError("'edges' must be an array")
-    if not (_all_of(edges, list) and set(map(len, edges)) <= {2}
-            and _all_of(chain.from_iterable(edges), str)):
-        raise ModelError("every edge must be a 2-array of state names")
+    if type(edges) is not tuple:
+        if type(edges) is not list:
+            raise ModelError("'edges' must be an array")
+        if not _edges_shaped(edges):
+            raise ModelError("every edge must be a 2-array of state names")
     if type(val) is not dict:
         raise ModelError("'val' must be an object")
     for p, ws in val.items():
         if type(ws) is not list or not _all_of(ws, str):
             raise ModelError(f"valuation of {p!r} must be an array of states")
-    return KripkeModel(states, edges, val)
+    _check_states(states, index)
+    if type(edges) is tuple and edges[1] is states:
+        ids = edges[0]
+    else:  # not resolved through the last "states"; raises if unknown
+        ids = _edge_ids(index, _edge_names(edges))
+    model = KripkeModel.__new__(KripkeModel)
+    model._build(tuple(states), index, ids, val)
+    return model
 
 
 def _all_of(items, cls):
@@ -321,8 +444,11 @@ def _all_of(items, cls):
 
 
 def load_model_file(path):
+    """``load_model`` on the file at ``path``; its bytes are freed once
+    decoded, before the text is parsed."""
     with open(path, "rb") as fh:
-        return load_model(fh.read())
+        text = _text(fh.read())
+    return load_model(text)
 
 
 def save_model(model, path):
@@ -372,29 +498,21 @@ def generate_family(name, n):
     if size > FAMILY_MAX_SIZE:
         raise ModelError(f"{name}({n}) has more than {FAMILY_MAX_SIZE:,} "
                          f"states plus edges")
-    if name == "starN" or name == "daggerN":
-        states = [f"w_{i}" for i in range(n + 1)]
-        edges = [("w_0", f"w_{i}") for i in range(1, n + 1)]
-        edges += [(f"w_{i + 1}", f"w_{i}") for i in range(n)]
-        val = {"p": ["w_0"] if name == "starN" else ["w_1"]}
-        return KripkeModel(states, edges, val)
-    if name == "chain":
-        states = [f"w_{i}" for i in range(n + 1)]
-        edges = [(f"w_{i}", f"w_{i + 1}") for i in range(n)]
-        return KripkeModel(states, edges, {"p": [f"w_{n}"]})
-    if name == "clique":
-        states = [f"w_{i}" for i in range(n + 1)]
-        edges = [(a, b) for a in states for b in states]
-        return KripkeModel(states, edges, {"p": ["w_0"]})
+    # Successor rows in state order, as the edges were always listed.
     if name == "ar-grid":
         states = [f"g{i}_{j}" for i in range(n) for j in range(n)]
-        edges = []
-        for i in range(n):
-            for j in range(n):
-                if i + 1 < n:
-                    edges.append((f"g{i}_{j}", f"g{i + 1}_{j}"))
-                if j + 1 < n:
-                    edges.append((f"g{i}_{j}", f"g{i}_{j + 1}"))
-        q = [f"g{i}_{j}" for i in range(n) for j in range(n) if (i + j) % 2 == 0]
-        p = [f"g{n - 1}_{n - 1}"]
-        return KripkeModel(states, edges, {"p_B": p, "q_B": q})
+        # State k = i * n + j steps down to k + n, then right to k + 1.
+        rows = [(k + n,) * (k < n * (n - 1)) + (k + 1,) * (k % n < n - 1)
+                for k in range(n * n)]
+        val = {"p_B": 1 << (n * n - 1), "q_B": _mask(
+            (k for k in range(n * n) if (k // n + k % n) % 2 == 0), n * n)}
+        return KripkeModel._from_rows(states, rows, val)
+    states = [f"w_{i}" for i in range(n + 1)]
+    if name == "chain":
+        rows, val = [*zip(range(1, n + 1)), ()], {"p": 1 << n}
+    elif name == "clique":
+        rows, val = [range(n + 1)] * (n + 1), {"p": 1}
+    else:  # starN, daggerN
+        rows = [range(1, n + 1), *zip(range(n))]
+        val = {"p": 1 if name == "starN" else 2}
+    return KripkeModel._from_rows(states, rows, val)

@@ -5,10 +5,13 @@ over full clock dictionaries, with no memoization, canonicalization, or
 graph sharing.  Only usable on tiny instances.
 """
 
+import json
+from itertools import chain
+
 from mucheck import formula as F
 from mucheck.formula import BINDER_KINDS
 from mucheck.game import ABELARD, ELOISE
-from mucheck.kripke import KripkeModel
+from mucheck.kripke import KripkeModel, ModelError
 from mucheck.variants import UNDETERMINED
 
 TOP = "top"
@@ -545,3 +548,77 @@ def reference_replay(graph, tags, caps, p_flags, q_flags, card=None):
                 c = graph.pos_list[i] % graph.states // card if card else 0
                 diff |= 1 << (c * len(caps) + b)
     return win, ar, diff
+
+
+def naive_generate_family(name, n):
+    """``generate_family(name, n)`` built from name pairs, as the families
+    are defined, without the size check."""
+    if name == "starN" or name == "daggerN":
+        states = [f"w_{i}" for i in range(n + 1)]
+        edges = [("w_0", f"w_{i}") for i in range(1, n + 1)]
+        edges += [(f"w_{i + 1}", f"w_{i}") for i in range(n)]
+        val = {"p": ["w_0"] if name == "starN" else ["w_1"]}
+        return KripkeModel(states, edges, val)
+    if name == "chain":
+        states = [f"w_{i}" for i in range(n + 1)]
+        edges = [(f"w_{i}", f"w_{i + 1}") for i in range(n)]
+        return KripkeModel(states, edges, {"p": [f"w_{n}"]})
+    if name == "clique":
+        states = [f"w_{i}" for i in range(n + 1)]
+        edges = [(a, b) for a in states for b in states]
+        return KripkeModel(states, edges, {"p": ["w_0"]})
+    if name == "ar-grid":
+        states = [f"g{i}_{j}" for i in range(n) for j in range(n)]
+        edges = []
+        for i in range(n):
+            for j in range(n):
+                if i + 1 < n:
+                    edges.append((f"g{i}_{j}", f"g{i + 1}_{j}"))
+                if j + 1 < n:
+                    edges.append((f"g{i}_{j}", f"g{i}_{j + 1}"))
+        q = [f"g{i}_{j}" for i in range(n) for j in range(n)
+             if (i + j) % 2 == 0]
+        p = [f"g{n - 1}_{n - 1}"]
+        return KripkeModel(states, edges, {"p_B": p, "q_B": q})
+    raise ValueError(name)
+
+
+def naive_load_model(data):
+    """``load_model`` on the whole JSON tree: one ``json.loads``, the
+    shape checks, then ``KripkeModel(states, edges, val)``."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelError(f"model file is not UTF-8: {exc}") from None
+    try:
+        obj = json.loads(data)
+    except ValueError as exc:
+        raise ModelError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelError("invalid JSON: nested too deeply") from None
+    if type(obj) is not dict:
+        raise ModelError("model file must contain a JSON object")
+    for key in ("states", "edges"):
+        if key not in obj:
+            raise ModelError(f"model file is missing the {key!r} key")
+    states = obj["states"]
+    edges = obj["edges"]
+    val = obj.get("val", {})
+    if type(states) is not list or not _all_of(states, str):
+        raise ModelError("'states' must be an array of strings")
+    if type(edges) is not list:
+        raise ModelError("'edges' must be an array")
+    if not (_all_of(edges, list) and set(map(len, edges)) <= {2}
+            and _all_of(chain.from_iterable(edges), str)):
+        raise ModelError("every edge must be a 2-array of state names")
+    if type(val) is not dict:
+        raise ModelError("'val' must be an object")
+    for p, ws in val.items():
+        if type(ws) is not list or not _all_of(ws, str):
+            raise ModelError(f"valuation of {p!r} must be an array of states")
+    return KripkeModel(states, edges, val)
+
+
+def _all_of(items, cls):
+    return set(map(type, items)) <= {cls}

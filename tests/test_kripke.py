@@ -17,6 +17,7 @@ from mucheck.kripke import (KripkeModel, ModelError, _mask, generate_family,
                             load_model, save_model)
 from mucheck.reduction import solve_ar
 from mucheck.semantics import OMEGA, eval_standard
+from naive_oracles import naive_generate_family
 
 
 def test_load_model_basic():
@@ -262,6 +263,19 @@ def test_family_size_limit_is_met_exactly_at_the_limit(monkeypatch):
         monkeypatch.setattr(kripke, "FAMILY_MAX_SIZE", size - 1)
         with pytest.raises(ModelError, match="states plus edges"):
             generate_family(fam, 3)
+
+
+@pytest.mark.parametrize("fam", ["starN", "daggerN", "chain", "clique",
+                                 "ar-grid"])
+def test_families_equal_the_name_built_families(fam):
+    """generate_family builds each family from successor rows and
+    valuation masks; the model is the one built from name pairs."""
+    for n in range(1, 7):
+        model, ref = generate_family(fam, n), naive_generate_family(fam, n)
+        assert model == ref
+        assert model.relation == ref.relation
+        assert model.valuation == ref.valuation
+        assert model.json_text() == ref.json_text()
 
 
 def test_family_determinism():
