@@ -19,7 +19,7 @@ from . import reduction
 from . import semantics
 from . import variants
 from .game import (ABELARD, DEFAULT_MAX_POSITIONS, ELOISE, EvalGame,
-                   GameLimitError, _strategy_move_index, first_move_player,
+                   GameLimitError, StrategyError, first_move_player,
                    format_move, interactive_player)
 from .kripke import (FAMILIES, ModelError, _json_document, gc_paused,
                      generate_family, load_model_file, save_model)
@@ -187,12 +187,16 @@ def cmd_play(args):
 
     def machine_for(player):
         # The expected winner plays its strategy, the other side its first
-        # legal move.
+        # legal move.  A strategy move that is not legal is a fault of the
+        # solver, so it raises StrategyError, an internal error.
         def move(g, pos, moves):
-            k = _strategy_move_index(strategy, pos, moves) \
-                if winner == player else 0
-            print(f"{player} plays: {format_move(moves[k][0])}")
-            return k
+            labels = [m for m, _ in moves]
+            want = strategy[pos] if winner == player else labels[0]
+            if want not in labels:
+                raise StrategyError(f"strategy move {want} is illegal at "
+                                    f"{pos}")
+            print(f"{player} plays: {format_move(want)}")
+            return labels.index(want)
         return move
 
     if args.side == "eloise":

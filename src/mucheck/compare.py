@@ -757,9 +757,13 @@ class _FullMapGame(GameCore):
     from its ``_decision_row``.  Only the winners of its explored graphs
     are read, so it always offers every clock choice.  It has no public
     position API: ``_public`` decodes a position for the tests, and
-    GameCore's ``status``, ``legal_moves``, ``play`` and
-    ``validate_strategy`` raise AttributeError, since it gives no
-    ``_internal`` or ``initial_position``.
+    GameCore's ``status`` and ``legal_moves``, and ``play`` with a
+    callable player, raise AttributeError, since it gives no
+    ``_internal``.  ``validate_strategy`` and ``play`` with strategies
+    walk its ints from ``_root`` and look moves up through ``_public``,
+    so they raise StrategyError at the first winner's turn that the
+    strategy leaves out, and AttributeError where it names a binder or
+    label move, since it gives no ``_decision_label`` to match it with.
     """
 
     _decision_kinds = (F.MU, F.NU, F.LABEL)

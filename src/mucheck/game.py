@@ -42,7 +42,10 @@ a label's status is a code indexed by the digit of ``rest`` that holds
 its binder's clock, and its greedy move lowers that digit.  They call
 the codec per position only for a row that depends on ``rest`` under
 every choice.
-Public positions are decoded from the ints, so output is unchanged.
+Play and strategy validation walk the ints too.  Public positions are
+decoded from them only for output, for strategy lookups (a strategy is
+keyed by public positions) and for error messages, and encoded only
+where the public ``status`` and ``legal_moves`` are called.
 ``_attractor`` is the one attractor, for the free game and alternating
 reachability.
 """
@@ -88,6 +91,11 @@ class Position(NamedTuple):
 class GameStatus(NamedTuple):
     kind: str  # "turn" or "won"
     player: str
+
+
+# The GameStatus of each internal status code.
+_STATUS = (GameStatus("won", ELOISE), GameStatus("won", ABELARD),
+           GameStatus("turn", ELOISE), GameStatus("turn", ABELARD))
 
 
 class Strategy:
@@ -227,15 +235,6 @@ def format_move(move):
     return f"{move[0]}({move[1]})"
 
 
-def _strategy_move_index(strategy, pos, moves):
-    """Index into the legal ``moves`` at ``pos`` of the strategy's move."""
-    move = strategy[pos]
-    for k, (m, _) in enumerate(moves):
-        if m == tuple(move):
-            return k
-    raise StrategyError(f"strategy move {move} is illegal at {pos}")
-
-
 class GameCore:
     """Exploration, solving, play and validation shared by every game.
 
@@ -254,9 +253,12 @@ class GameCore:
     and which numbers a position's successors when it first enters it,
     and the breadth-first builder ``_build_rows``, which ``_explore``
     runs over the whole reachable graph for the sweeps, the free game
-    and the position-model export.  The clock-free rules (literals,
-    or/and, modal moves, stuck movers) are shared here.  A game supplies
-    only its codec:
+    and the position-model export.  ``play`` and ``validate_strategy``
+    walk internal positions with ``_status`` and ``_successors`` and
+    decode through ``_public`` only for the trace, the strategy's move
+    (``_strategy_index``) and their errors.  The clock-free rules
+    (literals, or/and, modal moves, stuck movers) are shared here.  A
+    game supplies only its codec:
 
     * ``_root(si)``, the start position at state index ``si``, and
       ``_internal``/``_public`` between public and internal positions;
@@ -451,12 +453,7 @@ class GameCore:
             f"{type(self).__name__} gives every row in its tables")
 
     def status(self, pos):
-        code = self._status(self._internal(pos))
-        if code == _WON_E:
-            return GameStatus("won", ELOISE)
-        if code == _WON_A:
-            return GameStatus("won", ABELARD)
-        return GameStatus("turn", ELOISE if code == _TURN_E else ABELARD)
+        return _STATUS[self._status(self._internal(pos))]
 
     def legal_moves(self, pos, mode="exhaustive"):
         """All (move, position) pairs available at ``pos``, in move order:
@@ -479,6 +476,16 @@ class GameCore:
         if kind == F.DIAMOND or kind == F.BOX:
             return ("go-to-state", self.model.states[dst % self._S])
         return self._decision_label(p, dst)
+
+    def _strategy_index(self, strategy, p, succs):
+        """Index into ``succs``, the successors of ``p`` in move order, of
+        the move that ``strategy`` prescribes at ``p``."""
+        pos = self._public(p)
+        move = strategy[pos]
+        for k, dst in enumerate(succs):
+            if self._move_label(p, dst, k) == tuple(move):
+                return k
+        raise StrategyError(f"strategy move {move} is illegal at {pos}")
 
     def _explore(self, start_states, eloise_greedy=False, abelard_greedy=False):
         """Breadth-first reachable position graph from the given states.
@@ -686,52 +693,53 @@ class GameCore:
         """Play the game out and return the Trace.
 
         Each player is a Strategy or a callable ``(game, position, moves)
-        -> index`` into the legal move list.
+        -> index`` into the legal move list.  Play runs on internal
+        positions and decodes each one once, for its round of the trace.
         """
-        pos = self.initial_position()
+        p = self._root(self.model.state_index(self.start))
         steps = []
         for _ in range(max_rounds):
-            status = self.status(pos)
+            pos = self._public(p)
+            status = _STATUS[self._status(p)]
             if status.kind == "won":
                 steps.append((pos, status, None))
                 return Trace(steps, status.player)
-            moves = self.legal_moves(pos)
+            succs = self._successors(p)
             player = eloise if status.player == ELOISE else abelard
             if isinstance(player, Strategy):
-                chosen = _strategy_move_index(player, pos, moves)
+                chosen = self._strategy_index(player, p, succs)
             else:
-                chosen = player(self, pos, moves)
-                if not 0 <= chosen < len(moves):
+                chosen = player(self, pos, self.legal_moves(pos))
+                if not 0 <= chosen < len(succs):
                     raise ValueError(f"move index {chosen} out of range")
-            move, nxt = moves[chosen]
-            steps.append((pos, status, move))
-            pos = nxt
+            steps.append((pos, status,
+                          self._move_label(p, succs[chosen], chosen)))
+            p = succs[chosen]
         raise RuntimeError("play did not terminate within the round cap")
 
     def validate_strategy(self, winner, strategy):
         """Check the strategy wins every opponent playout; returns the
-        number of distinct positions visited."""
-        start = self.initial_position()
+        number of distinct positions visited.  The walk runs on internal
+        positions and decodes one only to look up the strategy's move at
+        a winner's turn, or to name it in an error."""
         seen = set()
-        stack = [start]
+        stack = [self._root(self.model.state_index(self.start))]
         while stack:
-            pos = stack.pop()
-            if pos in seen:
+            p = stack.pop()
+            if p in seen:
                 continue
-            seen.add(pos)
-            status = self.status(pos)
-            if status.kind == "won":
-                if status.player != winner:
-                    raise StrategyError(
-                        f"strategy reached a position lost at {pos}")
+            seen.add(p)
+            kind, player = _STATUS[self._status(p)]
+            if kind == "won":
+                if player != winner:
+                    raise StrategyError("strategy reached a position lost "
+                                        f"at {self._public(p)}")
                 continue
-            moves = self.legal_moves(pos)
-            if status.player == winner:
-                stack.append(
-                    moves[_strategy_move_index(strategy, pos, moves)][1])
+            succs = self._successors(p)
+            if player == winner:
+                stack.append(succs[self._strategy_index(strategy, p, succs)])
             else:
-                for _, dst in moves:
-                    stack.append(dst)
+                stack.extend(succs)
         return len(seen)
 
 

@@ -10,7 +10,7 @@ from itertools import chain
 
 from mucheck import formula as F
 from mucheck.formula import BINDER_KINDS
-from mucheck.game import ABELARD, ELOISE
+from mucheck.game import ABELARD, ELOISE, StrategyError
 from mucheck.kripke import KripkeModel, ModelError
 from mucheck.variants import UNDETERMINED
 
@@ -496,6 +496,47 @@ def reference_refine(graph, win_code, decision_kinds):
     graph.expand([i for i, ip in enumerate(graph.pos_list)
                   if graph.status[i] == loser and kind[ip[1]] in decision_kinds],
                  win_code == 0, win_code == 1)
+
+
+# ---------------------------------------------------------------------------
+# Reference strategy validation over public positions.
+
+def _strategy_move_index(strategy, pos, moves):
+    """Index into the legal ``moves`` at ``pos`` of the strategy's move."""
+    move = strategy[pos]
+    for k, (m, _) in enumerate(moves):
+        if m == tuple(move):
+            return k
+    raise StrategyError(f"strategy move {move} is illegal at {pos}")
+
+
+def reference_validate_strategy(game, winner, strategy):
+    """``game.validate_strategy(winner, strategy)`` as a walk over public
+    positions through the game's public ``status`` and ``legal_moves``,
+    which encode every position and decode every successor: the number
+    of distinct positions visited, or the same StrategyError."""
+    start = game.initial_position()
+    seen = set()
+    stack = [start]
+    while stack:
+        pos = stack.pop()
+        if pos in seen:
+            continue
+        seen.add(pos)
+        status = game.status(pos)
+        if status.kind == "won":
+            if status.player != winner:
+                raise StrategyError(
+                    f"strategy reached a position lost at {pos}")
+            continue
+        moves = game.legal_moves(pos)
+        if status.player == winner:
+            stack.append(
+                moves[_strategy_move_index(strategy, pos, moves)][1])
+        else:
+            for _, dst in moves:
+                stack.append(dst)
+    return len(seen)
 
 
 # ---------------------------------------------------------------------------

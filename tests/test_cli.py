@@ -668,6 +668,59 @@ def test_play_both_interactive_referee(m1_path, capsys, monkeypatch):
     assert "wins" in out
 
 
+# `mucheck play` sessions with scripted input, byte for byte: the exit
+# code, then stdout (prompts, machine moves, the result), then stderr.
+# "eloise" and "abelard" face a machine player that plays the solver's
+# strategy; "eof" runs out of input at the first prompt.
+GOLDEN_PLAY_CASES = {
+    "eloise": ("star3", PHI_STAR, "w_0", "1", "eloise", "1\n" * 10),
+    "abelard": ("star3", PHI_STAR, "w_0", "omega", "abelard", "1\n" * 14),
+    "both": ("m1", "mu X. (p | []X)", "a", "2", "both",
+             "1\n2\n1\n1\n1\n1\n1\n1\n"),
+    "eof": ("m1", "mu X. (p | []X)", "a", "2", "eloise", ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_PLAY_CASES))
+def test_play_output_is_pinned(case, m1_path, star3_path, monkeypatch,
+                               capsys):
+    model, formula, state, gamma, side, stdin = GOLDEN_PLAY_CASES[case]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run(["play", "--model",
+                          {"m1": m1_path, "star3": star3_path}[model],
+                          "--formula", formula, "--state", state, "--gamma",
+                          gamma, "--as", side], capsys)
+    assert (f"exit: {code}\n--- stdout\n{out}--- stderr\n{err}"
+            ).encode("utf-8") == golden_bytes(f"play_{case}.txt")
+
+
+@pytest.mark.parametrize("moves", ["illegal", "absent"])
+def test_a_faulty_machine_strategy_is_an_internal_error(
+        moves, star3_path, monkeypatch, capsys):
+    """The machine player's strategy names a move that is not legal, or
+    none at all, at its first turn: play stops with one internal error,
+    exit 70, never with a usage error or a verdict code."""
+    from mucheck import cli
+    from mucheck.game import EvalGame, Strategy
+
+    class FaultyGame(EvalGame):
+        def solve(self, mode="greedy"):
+            winner, strategy = super().solve(mode)
+            bad = {} if moves == "absent" else {
+                pos: ("go-to-state", "nowhere") for pos in strategy.moves}
+            return winner, Strategy(winner, bad)
+
+    monkeypatch.setattr(cli, "EvalGame", FaultyGame)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1\n" * 14))
+    code, _, err = run(["play", "--model", star3_path, "--formula",
+                        PHI_STAR, "--state", "w_0", "--gamma", "omega",
+                        "--as", "abelard"], capsys)
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert code == 70
+    assert errors == [errors[0]] and errors[0].startswith(
+        "error: internal: StrategyError: strategy ")
+
+
 def test_reduce_pipeline(m1_path, tmp_path, capsys):
     out_path = str(tmp_path / "red.json")
     code, out, _ = run(["reduce", "--model", m1_path, "--formula",
