@@ -267,8 +267,9 @@ def cmd_gen(args):
 
 def _write_model(model, out):
     """Write the model file of ``model`` (a ``KripkeModel`` or a
-    ``ReducedModel``) one member at a time, to the path ``out``, or to
-    stdout when ``out`` is "-" or unset.  True when it went to a file."""
+    ``ReducedModel``) one chunk of a member at a time, to the path
+    ``out``, or to stdout when ``out`` is "-" or unset.  True when it
+    went to a file."""
     if out and out != "-":
         save_model(model, out)
         return True

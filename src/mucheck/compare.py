@@ -28,10 +28,17 @@ membership under all bounds and one forward pass replays every winning
 strategy.  The AR recurrence runs on its own only where the game's
 statuses and the position model's p_B / q_B flags disagree; elsewhere
 it is the game's own recurrence.  The full-clock-map oracle is only a
-position codec for the shared game explorer.  Every sweep shares one
-model enumerator and one sweep runner, which cuts the sweep's items
-into jobs, runs them in this process or a fork pool and merges their
-tallies.
+position codec for the shared game explorer.  The AR sweep's
+every-decrement graphs and the clock-policy sweep's exhaustive graphs
+are not explored on their own: each is its greedy graph refined in place
+(``GameCore._refine``), which reopens the decision rows and builds them
+under every choice.  The greedy ids stay, so the start states stay the
+first positions, and the numbering stays the topological order when
+every rebuilt row points forward; otherwise ``topo_order`` runs Kahn's
+pass.  The full-clock-map graphs are still explored on their own.
+Every sweep shares one model enumerator and one sweep runner, which cuts
+the sweep's items into jobs, runs them in this process or a fork pool
+and merges their tallies.
 
 Models that agree on the propositions a sentence actually mentions are
 indistinguishable to every engine, so the sweep runs one representative
@@ -193,8 +200,9 @@ def _edge_tags(game, graph):
     ``p % (S * N)``."""
     S = game._S
     choices = game._clock_choices
-    by_key = [choices if kind in F.BINDER_KINDS else None
-              for kind in game._kind for _ in range(S)]
+    by_key = []
+    for kind in game._kind:
+        by_key += [choices if kind in F.BINDER_KINDS else None] * S
     return list(map(by_key.__getitem__,
                     map(game._SN.__rmod__, graph.pos_list)))
 
@@ -699,11 +707,13 @@ def _check_ar(model, key, tallies):
         model.card, ar_set == chi_set, key,
         (model, chi_sent, None, None, "ar-chi"))
     # Counters start at f for every state, so one graph per clock policy
-    # holds every start state's game.  Every sweep asserts termination of
+    # holds every start state's game, and the every-decrement graph is the
+    # unit graph refined in place.  Every sweep asserts termination of
     # each graph it explores, and winners() checks the whole graph.
     fb = variants.FBoundedGame(model, model.states[0], chi_sent, 1)
-    unit_win = fb._explore(model.states, True, True).winners(model.card)
-    full_win = (fb._explore(model.states).winners(model.card)
+    graph = fb._explore(model.states, True, True)
+    unit_win = graph.winners(model.card)
+    full_win = (fb._refine(graph).winners(model.card)
                 if model.card <= DECREMENT_MAX_STATES else None)
     for si, state in enumerate(model.states):
         verdict_e = unit_win[si] == _E
@@ -816,13 +826,14 @@ class _FullMapGame(GameCore):
             top = cap
             base = self._S * (self._children[node][0] - node)
         base -= p // unit % R * unit  # the slot is overwritten
-        return [base + g * unit for g in range(top - 1, -1, -1)]
+        return range(base + (top - 1) * unit, base - unit, -unit)
 
 
 def _check_policies(sent, sent_idx, union, members, tallies, gammas):
     """Greedy against exhaustive and canonical against full-map winners
     of one sentence at every bound of ``gammas`` on one card group, from
-    one graph of each kind per bound on the group's union model.  When
+    one graph of each kind per bound on the group's union model; the
+    exhaustive graph is the greedy one refined in place.  When
     one of them trips its position cap or has a cycle, the group runs
     again one member at a time, where the error propagates as it always
     has; so every graph is explored before any tally changes.  Each
@@ -838,8 +849,9 @@ def _check_policies(sent, sent_idx, union, members, tallies, gammas):
             game = EvalGame(union, union.states[0], sent, cap)
             fm = _FullMapGame(union, union.states[0], sent, cap,
                               FULLMAP_MAX_POSITIONS)
-            wins.append((game._explore(union.states, True, True).winners(n),
-                         game._explore(union.states).winners(n),
+            graph = game._explore(union.states, True, True)
+            win_g = graph.winners(n)
+            wins.append((win_g, game._refine(graph).winners(n),
                          fm._explore(union.states).winners(n)))
     except (RuntimeError, GameLimitError):
         if len(members) == 1:

@@ -18,7 +18,8 @@ players make only the largest clock choice; the one-sided re-solve that
 makes the strategy answer every opponent choice also runs only when the
 strategy is read.  The sweeps and the position-model export explore
 whole graphs with a breadth-first builder, since they need every
-position, and solve them with the same search.
+position, and solve them with the same search; the sweeps' every-choice
+graphs are their greedy graphs with the decision rows rebuilt in place.
 
 Rules in brief:
 
@@ -253,12 +254,17 @@ class GameCore:
     and which numbers a position's successors when it first enters it,
     and the breadth-first builder ``_build_rows``, which ``_explore``
     runs over the whole reachable graph for the sweeps, the free game
-    and the position-model export.  ``play`` and ``validate_strategy``
-    walk internal positions with ``_status`` and ``_successors`` and
-    decode through ``_public`` only for the trace, the strategy's move
-    (``_strategy_index``) and their errors.  The clock-free rules
-    (literals, or/and, modal moves, stuck movers) are shared here.  A
-    game supplies only its codec:
+    and the position-model export.  Both reuse a greedy graph for a less
+    greedy policy: ``_reopen`` unsets the decision rows that the policy
+    changes, greedy mode's deferred re-solve searches again from there,
+    and ``_refine`` rebuilds every decision row with the builder, which
+    gives the sweeps their every-choice graphs; the greedy numbering
+    stays the order when every rebuilt row points forward.  ``play``
+    and ``validate_strategy`` walk internal positions with ``_status``
+    and ``_successors`` and decode through ``_public`` only for the
+    trace, the strategy's move (``_strategy_index``) and their errors.
+    The clock-free rules (literals, or/and, modal moves, stuck movers)
+    are shared here.  A game supplies only its codec:
 
     * ``_root(si)``, the start position at state index ``si``, and
       ``_internal``/``_public`` between public and internal positions;
@@ -535,10 +541,11 @@ class GameCore:
         graph's cached topological order.  Returns whether every row it
         built points only to ids above its own: a newly numbered position
         always does, so only a successor numbered before can point back.
-        Rows it did not build are not checked, so only a caller that has
-        every row built here (``_explore_roots``) may take the numbering
-        as the order.  Raises GameLimitError when the graph would outgrow
-        the cap."""
+        Rows it did not build are not checked, so only a caller that knows
+        those rows point forward may take the numbering as the order:
+        ``_explore_roots`` builds every row here, and ``_refine`` keeps
+        rows of a graph whose numbering was an order.  Raises
+        GameLimitError when the graph would outgrow the cap."""
         graph._topo = None
         forward = True
         pos_list = graph.pos_list
@@ -599,19 +606,41 @@ class GameCore:
             f"the busiest node is {self.index.node_path[node]} "
             f"({F.render(self.sentence, node)}) with {count} positions")
 
-    def _reopen(self, graph, win_code):
-        """Unset the rows of the loser's clock and counter decisions, so
-        that they are built again under the one-sided policy; returns
-        their ids.  Every other row is the same under both policies."""
-        loser_turn = _TURN_A if win_code == _E else _TURN_E
+    def _reopen(self, graph, eloise_greedy, abelard_greedy):
+        """Unset the rows of the clock and counter decisions whose mover
+        does not play greedy under the given clock policy, so that they
+        are built again under it; returns their ids.  A greedy choice is
+        the first of the full choices, so on a graph built under a policy
+        that is greedy wherever this one is, every other row is the same
+        under both: greedy mode's one-sided re-solve reopens the loser's
+        decisions, and ``_refine`` every decision."""
+        # Whether to reopen, by status code: only a non-greedy turn.
+        reopen = (False, False, not eloise_greedy, not abelard_greedy)
         decides = [kind in self._decision_kinds for kind in self._kind]
         S, N = self._S, self._N
         redo = [i for i, (p, st) in enumerate(zip(graph.pos_list,
                                                   graph.status))
-                if st == loser_turn and decides[p // S % N]]
+                if reopen[st] and decides[p // S % N]]
         for i in redo:
             graph.succs[i] = None
         return redo
+
+    def _refine(self, graph):
+        """Refine in place a whole graph that ``_explore`` built under a
+        greedy policy into the every-choice graph, and return it: reopen
+        every decision row (``_reopen``) and build those rows, and the
+        positions they reach, under every choice (``_build_rows``).  The
+        greedy positions keep their ids, so the start states' roots stay
+        first, and the new positions are numbered after them.  Every
+        greedy edge is an every-choice edge too, so the numbering is an
+        order exactly when the greedy numbering was one and every rebuilt
+        row points forward; then ``range(n)`` stays the cached order."""
+        forward = isinstance(graph._topo, range)
+        redo = self._reopen(graph, False, False)
+        if self._build_rows(graph, redo, False, False) and forward:
+            graph._topo = range(len(graph.pos_list))
+        self.last_explored = len(graph.pos_list)
+        return graph
 
     def _check_explored(self):
         """Called after each search that ``_solve`` runs, greedy mode's
@@ -679,8 +708,9 @@ class GameCore:
         position of the greedy search lies in the one-sided game, and
         every row not reopened is the same under both policies.  Returns
         the finished search for the strategy walk."""
-        self._reopen(graph, win_code)
-        win, pick = graph.solve((0,), self, win_code == _E, win_code == _A)
+        policy = (win_code == _E, win_code == _A)
+        self._reopen(graph, *policy)
+        win, pick = graph.solve((0,), self, *policy)
         if win[0] != win_code:
             raise RuntimeError(
                 "greedy policy disagreed with its one-sided "
@@ -901,7 +931,7 @@ class EvalGame(GameCore):
         unit = self._slot_unit[self._rf_slot[node]]
         top = p // unit % self._R  # the cap digit for None: every choice
         base = p % unit - p + self._S * (self._rf_body[node] - node)
-        return [base + g * unit for g in range(top - 1, -1, -1)]
+        return range(base + (top - 1) * unit, base - unit, -unit)
 
     def solve(self, mode="greedy"):
         """Winner of the game plus a winning strategy for that player.
@@ -924,7 +954,8 @@ class _Graph:
 
     A turn position's row is None until it is built: ``solve``, given
     the game, builds it on demand inside its search, and ``_explore``'s
-    breadth-first builder builds every row.  ``states`` is the model's
+    breadth-first builder builds every row (``_refine`` rebuilds the
+    decision rows in place).  ``states`` is the model's
     card S when the positions are a game's ints: position ``p`` then
     lies at state index ``p % states``.
     """
@@ -945,10 +976,11 @@ class _Graph:
     def topo_order(self):
         """Topological order; raises if the graph has a cycle.
 
-        The order is cached.  ``GameCore._explore_roots`` caches the
-        numbering itself, ``range(n)``, when every edge of the graph goes
-        to a higher id, which no cycle can do; any other graph, and any
-        graph whose rows were rebuilt since, gets Kahn's pass."""
+        The order is cached.  ``GameCore._explore_roots`` and
+        ``GameCore._refine`` cache the numbering itself, ``range(n)``,
+        when every edge of the graph goes to a higher id, which no cycle
+        can do.  ``GameCore._build_rows`` drops the cached order, so any
+        other graph gets Kahn's pass."""
         if self._topo is not None:
             return self._topo
         n = len(self.pos_list)

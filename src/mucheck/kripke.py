@@ -3,7 +3,7 @@
 import gc
 import json
 from contextlib import contextmanager
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from json.decoder import WHITESPACE, scanstring as _scanstring
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add, mul
@@ -36,43 +36,65 @@ def gc_paused():
             gc.enable()
 
 
+# Items per chunk of a written member, so that a long member (a large
+# model's edges, a position model's back-map) is never held whole.
+_SLICE = 4096
+
+
 def _json_block(key, brackets, items, depth):
-    """Encoded ``items`` laid out as ``json.dumps(..., indent=2)`` lays
-    out a list (``brackets`` "[]") or an object ("{}", each item already
-    "key: value") that opens at nesting ``depth``, after ``key`` (the
-    encoded member key and ": ", or "")."""
+    """Chunks of encoded ``items`` laid out as ``json.dumps(..., indent=2)``
+    lays out a list (``brackets`` "[]") or an object ("{}", each item
+    already "key: value") that opens at nesting ``depth``, after ``key``
+    (the encoded member key and ": ", or ""), with at most _SLICE items
+    per chunk."""
     pad = "\n" + "  " * (depth + 1)
-    body = ("," + pad).join(items)
-    if not body:
-        return key + brackets
-    return f"{key}{brackets[0]}{pad}{body}\n{'  ' * depth}{brackets[1]}"
+    sep = "," + pad
+    items = iter(items)
+    chunk = list(islice(items, _SLICE))
+    if not chunk:
+        yield key + brackets
+        return
+    head = f"{key}{brackets[0]}{pad}"
+    while chunk:
+        yield head + sep.join(chunk)
+        head = sep
+        chunk = list(islice(items, _SLICE))
+    yield f"\n{'  ' * depth}{brackets[1]}"
 
 
 def _json_document(members):
-    """Chunks of the file holding one JSON object with the encoded
-    ``members`` (at least one), as ``json.dumps(..., indent=2)`` lays it
-    out, plus a newline."""
+    """Chunks of the file holding one JSON object with the ``members``
+    (at least one), each an iterable of the chunks of one encoded member,
+    as ``json.dumps(..., indent=2)`` lays it out, plus a newline."""
     sep = "{\n  "
     for member in members:
         yield sep
-        yield member
+        yield from member
         sep = ",\n  "
     yield "\n}\n"
 
 
 def _json_edges(srcs, dsts, count):
-    """The "edges" member for ``count`` pairs of encoded names, laid out
-    as ``json.dumps(..., indent=2)`` lays it out at nesting 1: names and
-    separators go into one flat list by slice assignment, joined once."""
+    """Chunks of the "edges" member for ``count`` pairs of encoded names,
+    laid out as ``json.dumps(..., indent=2)`` lays it out at nesting 1,
+    with at most _SLICE edges per chunk: a chunk's names and separators
+    go into one flat list by slice assignment, joined once."""
     if not count:
-        return '"edges": []'
-    parts = [",\n      "] * (4 * count)
-    parts[0::4] = srcs
-    parts[2::4] = dsts
-    parts[3::4] = ["\n    ],\n    [\n      "] * count
-    parts[-1] = "\n    ]\n  ]"
-    parts[0] = '"edges": [\n    [\n      ' + parts[0]
-    return "".join(parts)
+        yield '"edges": []'
+        return
+    srcs, dsts = iter(srcs), iter(dsts)
+    head = '"edges": [\n    [\n      '
+    for start in range(0, count, _SLICE):
+        k = min(_SLICE, count - start)
+        parts = [",\n      "] * (4 * k)
+        parts[0::4] = islice(srcs, k)
+        parts[2::4] = islice(dsts, k)
+        parts[3::4] = ["\n    ],\n    [\n      "] * k
+        if start + k == count:
+            parts[-1] = "\n    ]\n  ]"
+        parts[0] = head + parts[0]
+        head = ""
+        yield "".join(parts)
 
 
 def _ids(mask):
@@ -92,15 +114,16 @@ def _mask(ids, n):
 
 
 def _model_members(quoted, srcs, dsts, n_edges, val_mask):
-    """The encoded "states", "edges" and "val" members of a model file:
-    ``quoted`` holds the encoded state names, ``srcs`` and ``dsts`` the
-    encoded names of the ``n_edges`` edges, and ``val_mask`` a state mask
-    per proposition."""
+    """The chunks of the encoded "states", "edges" and "val" members of a
+    model file, member by member: ``quoted`` holds the encoded state
+    names, ``srcs`` and ``dsts`` the encoded names of the ``n_edges``
+    edges, and ``val_mask`` a state mask per proposition."""
     name = quoted.__getitem__
     yield _json_block('"states": ', "[]", quoted, 1)
     yield _json_edges(srcs, dsts, n_edges)
     yield _json_block('"val": ', "{}", (
-        _json_block(_quote(p) + ": ", "[]", map(name, _ids(mask)), 2)
+        "".join(_json_block(_quote(p) + ": ", "[]", map(name, _ids(mask)),
+                            2))
         for p, mask in sorted(val_mask.items())), 1)
 
 
@@ -246,7 +269,8 @@ class KripkeModel:
         return "".join(_json_document(self._json_members()))
 
     def _json_members(self):
-        """The encoded members of the model file, one at a time."""
+        """The members of the model file, one at a time, each as the
+        chunks of its encoded text."""
         quoted = list(map(_quote, self.states))
         name = quoted.__getitem__
         src, dst = self._edges
@@ -452,8 +476,8 @@ def load_model_file(path):
 
 
 def save_model(model, path):
-    """Write ``model.json_text()`` one member at a time; ``model`` may be
-    a ``ReducedModel`` too."""
+    """Write ``model.json_text()`` one chunk of a member at a time;
+    ``model`` may be a ``ReducedModel`` too."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_json_document(model._json_members()))
 

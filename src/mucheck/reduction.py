@@ -147,7 +147,7 @@ class ReducedModel:
             quoted, chain.from_iterable(map(repeat, quoted, map(len, rows))),
             map(quoted.__getitem__, chain.from_iterable(rows)),
             sum(map(len, rows)), self._val_mask)
-        yield '"root": ' + _quote(self.root)
+        yield ('"root": ' + _quote(self.root),)
         entries = _backmap_entries(self._game, self._positions)
         yield _json_block('"backmap": ', "{}", map(
             add, quoted, map(entries.__getitem__, self._pos_of)), 1)
@@ -170,7 +170,8 @@ def _backmap_entries(game, positions):
     # every clock value has a key of its own.
     templates = [
         ',\n      "node": ' + _quote(paths[node]) + ',\n      "clocks": '
-        + _json_block("", "{}", (_quote(name[b]) + ": %d" for b in anc), 3)
+        + "".join(_json_block("", "{}", (_quote(name[b]) + ": %d"
+                                         for b in anc), 3))
         + "\n    }"
         for node, anc in enumerate(game.index.active_ancestors)]
     sis, qs, prefix = positions

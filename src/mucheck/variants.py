@@ -147,7 +147,7 @@ class FBoundedGame(GameCore):
             raise GameLimitError(
                 f"counter value {top} gives a label more choices than the "
                 f"position cap {self.max_positions}")
-        return [base - k * unit for k in range(1, top + 1)]
+        return range(base - unit, base - (top + 1) * unit, -unit)
 
     def solve(self, mode="greedy"):
         """Winner plus a winning strategy, as in the clock-bounded game.

@@ -63,20 +63,21 @@ def test_ar_sweep_small():
 
 def _flip_arbitrary_decrements(monkeypatch):
     """A two-counter game whose every-choice graph gives each terminal to
-    the player who should lose it; the unit-decrement graph is sound."""
+    the player who should lose it; the unit-decrement graph is sound.
+    The sweep refines its unit graph into the every-choice graph after it
+    has read the unit winners, so the fault flips what the refinement
+    returns."""
     from mucheck.game import _WON_A, _WON_E
     from mucheck.variants import FBoundedGame
-    real = FBoundedGame._explore
+    real = FBoundedGame._refine
     flip = {_WON_E: _WON_A, _WON_A: _WON_E}
 
-    def broken(self, start_states, eloise_greedy=False,
-               abelard_greedy=False):
-        graph = real(self, start_states, eloise_greedy, abelard_greedy)
-        if not (eloise_greedy or abelard_greedy):
-            graph.status = [flip.get(st, st) for st in graph.status]
+    def broken(self, graph):
+        graph = real(self, graph)
+        graph.status = [flip.get(st, st) for st in graph.status]
         return graph
 
-    monkeypatch.setattr(FBoundedGame, "_explore", broken)
+    monkeypatch.setattr(FBoundedGame, "_refine", broken)
 
 
 @pytest.mark.parametrize("fault", [False, True])

@@ -78,8 +78,8 @@ def test_int_explorer_matches_the_tuple_explorer(seed, card, bound):
         graph = game._explore(model.states, True, True)
         ref = reference_explore(codec, roots, True, True)
         win = graph.solve((0,))[0][0]
-        game._build_rows(graph, game._reopen(graph, win), win == _E,
-                         win == _A)
+        policy = (win == _E, win == _A)
+        game._build_rows(graph, game._reopen(graph, *policy), *policy)
         reference_refine(ref, win, game._decision_kinds)
         _assert_same(game, graph, ref)
 
@@ -142,7 +142,8 @@ def test_rebuilt_rows_drop_the_numbering_as_order():
     graph = game._explore(["w_0"], True, True)
     assert graph.topo_order() == range(len(graph))
     win = graph.solve((0,))[0][0]
-    game._build_rows(graph, game._reopen(graph, win), win == _E, win == _A)
+    policy = (win == _E, win == _A)
+    game._build_rows(graph, game._reopen(graph, *policy), *policy)
     assert not _forward(graph)
     _assert_topological(graph, graph.topo_order())
 
@@ -302,7 +303,7 @@ def test_explorer_calls_the_codec_only_at_labels(monkeypatch):
             win = graph.solve((0,))[0][0]
             policy = (win == _E, win == _A)
             policies.add(policy)
-            game._build_rows(graph, game._reopen(graph, win), *policy)
+            game._build_rows(graph, game._reopen(graph, *policy), *policy)
         # Every label row of the graph was last built under ``policy``.
         free_rows += sum(game._kind[p // S % N] == F.LABEL
                          and not policy[st - _TURN_E]

@@ -11,12 +11,16 @@ valuations, and on the exports of random small instances, DAG and tree.
 import json
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mucheck import kripke
 from mucheck.corpus import random_model, random_sentences
+from mucheck.formula import parse
 from mucheck.game import GameLimitError
-from mucheck.kripke import KripkeModel, load_model, save_model
+from mucheck.kripke import (KripkeModel, generate_family, load_model,
+                            save_model)
 from mucheck.reduction import build_position_model, reduce_mc
 from mucheck.semantics import OMEGA
 
@@ -104,3 +108,29 @@ def test_reduced_model_save_writes_its_text(tmp_path, m1, phi_star):
     reduced = build_position_model(m1, "a", phi_star, 2)
     reduced.save(tmp_path / "r.json")
     assert (tmp_path / "r.json").read_bytes() == dumps(reduced).encode()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_files_written_in_slices_are_json_dumps(tmp_path, monkeypatch,
+                                                size):
+    """A member is written in chunks of ``kripke._SLICE`` items.  With
+    chunks of one, two and three items, so that the states, edges,
+    valuation and back-map members all break between chunks and in
+    every phase, the file is still ``json.dumps`` of the dict."""
+    monkeypatch.setattr(kripke, "_SLICE", size)
+    model = KripkeModel(["a", "b", "c", "d"],
+                        [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"),
+                         ("d", "d"), ("b", "a"), ("c", "d")],
+                        {"q": [], "p": ["c", "a", "d"], "r": ["b"]})
+    phi_star = parse("nu X. [] mu Y. (<>Y | (p & X))")
+    exports = [model,
+               build_position_model(generate_family("starN", 3), "w_0",
+                                    phi_star, OMEGA),
+               build_position_model(generate_family("daggerN", 3), "w_0",
+                                    phi_star, 2, tree=True),
+               reduce_mc(generate_family("daggerN", 2), "w_0", phi_star)]
+    for k, exported in enumerate(exports):
+        expected = dumps(exported)
+        assert exported.json_text() == expected
+        save_model(exported, tmp_path / f"{k}.json")
+        assert (tmp_path / f"{k}.json").read_bytes() == expected.encode()

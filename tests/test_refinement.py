@@ -64,8 +64,8 @@ def test_refined_graph_is_a_fresh_one_sided_exploration():
         graph = game._explore([game.start], True, True)
         greedy_size = len(graph)
         win = graph.winners()[0]
-        game._build_rows(graph, game._reopen(graph, win), win == _E,
-                         win == _A)
+        policy = (win == _E, win == _A)
+        game._build_rows(graph, game._reopen(graph, *policy), *policy)
         fresh = game._explore([game.start], win == _E, win == _A)
         assert len(graph) == len(fresh)
         assert graph.pos_list[0] == fresh.pos_list[0]
@@ -110,8 +110,8 @@ def test_strategy_is_the_first_winning_move_of_the_whole_graph(mode):
         graph = game._explore([game.start], greedy, greedy)
         win = graph.winners()[0]
         if greedy:
-            game._build_rows(graph, game._reopen(graph, win), win == _E,
-                             win == _A)
+            policy = (win == _E, win == _A)
+            game._build_rows(graph, game._reopen(graph, *policy), *policy)
         expected = _first_winning_moves(game, graph, win)
         winner, strategy = game.solve(mode)
         assert winner == strategy.player == ("Eloise", "Abelard")[win]

@@ -109,8 +109,8 @@ def test_lazy_walk_is_the_first_winning_move_of_the_whole_graph(walks, mode):
         graph = game._explore([game.start], greedy, greedy)
         win = graph.winners()[0]
         if greedy:
-            game._build_rows(graph, game._reopen(graph, win), win == _E,
-                             win == _A)
+            policy = (win == _E, win == _A)
+            game._build_rows(graph, game._reopen(graph, *policy), *policy)
         expected = _first_winning_moves(game, graph, win)
         del walks[:]
         _, strategy = game.solve(mode)
