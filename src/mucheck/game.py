@@ -43,10 +43,12 @@ a label's status is a code indexed by the digit of ``rest`` that holds
 its binder's clock, and its greedy move lowers that digit.  They call
 the codec per position only for a row that depends on ``rest`` under
 every choice.
-Play and strategy validation walk the ints too.  Public positions are
-decoded from them only for output, for strategy lookups (a strategy is
-keyed by public positions) and for error messages, and encoded only
-where the public ``status`` and ``legal_moves`` are called.
+Play and strategy validation walk the ints too, and read a solver's
+strategy as its pick table over them, ``{position: (move index,
+successor)}``.  Public positions are decoded from the ints only for
+output, for a strategy given as a public ``moves`` dict and for error
+messages, and encoded only where the public ``status`` and
+``legal_moves`` are called.
 ``_attractor`` is the one attractor, for the free game and alternating
 reachability.
 """
@@ -107,39 +109,39 @@ class Strategy:
     statuses and rows, the search's picks and the winner code.  The
     callable may run deferred solver work first (greedy mode's one-sided
     re-solve), so it and the strategy walk (``_strategy_walk``) run the
-    first time ``len``, ``repr``, ``moves``, ``[]`` or ``in`` reads the
-    strategy, and the graph is dropped after them; the public ``moves``
-    dict is built from the walk on first access, so ``len`` and ``repr``
-    never build it.  If the callable raises, the next read calls it
+    first time the strategy is read, and the graph is dropped after
+    them.  The walk gives the pick table over the solving game's
+    internal positions, which the strategy keeps: ``len``, ``repr``, and
+    ``play`` and ``validate_strategy`` on that game read it.  The public
+    ``moves`` dict is built from the table only when ``moves``, ``[]`` or
+    ``in`` reads it.  If the callable raises, the next read calls it
     again.
     """
 
-    __slots__ = ("player", "_moves", "_size", "_game", "_walk", "_search")
+    __slots__ = ("player", "_moves", "_game", "_walk", "_search")
 
     def __init__(self, player, moves=None, game=None, search=None):
         self.player = player
         self._moves = moves
-        self._size = None if moves is None else len(moves)
         self._game = game
         self._walk = None
         self._search = search
 
-    def _walked(self):
-        """Run the search callable and the walk if they have not run."""
-        if self._size is None:
+    def _table(self):
+        """The pick table, after running the search callable and the
+        walk if they have not run."""
+        if self._walk is None:
             self._walk = _strategy_walk(*self._search())
-            self._size = len(self._walk)
             self._search = None
+        return self._walk
 
     @property
     def moves(self):
         if self._moves is None:
-            self._walked()
             public = self._game._public
             label = self._game._move_label
             self._moves = {public(p): label(p, dst, k)
-                           for p, k, dst in self._walk}
-            self._game = self._walk = None
+                           for p, (k, dst) in self._table().items()}
         return self._moves
 
     def __contains__(self, pos):
@@ -152,8 +154,7 @@ class Strategy:
             raise StrategyError(f"strategy has no move for {pos}") from None
 
     def __len__(self):
-        self._walked()
-        return self._size
+        return len(self._moves if self._game is None else self._table())
 
     def __repr__(self):
         return f"Strategy({self.player}, {len(self)} positions)"
@@ -161,14 +162,14 @@ class Strategy:
 
 def _strategy_walk(pos_list, status, succs, pick, win_code):
     """The first-winning-move strategy of a solved graph over the
-    positions reachable under it, as the (internal position, move index,
-    successor) of every prescribed position, in walk order: the winner
-    takes the recorded pick, the loser every move.  The search built
-    every row this reads: a winner's turn was solved through its pick,
-    and a loser's turn that the winner wins through every successor."""
+    positions reachable under it, as its pick table ``{internal position:
+    (move index, successor)}`` in walk order: the winner takes the
+    recorded pick, the loser every move.  The search built every row
+    this reads: a winner's turn was solved through its pick, and a
+    loser's turn that the winner wins through every successor."""
     mover_code = _TURN_E + win_code
     loser_code = _TURN_A - win_code
-    walk = []
+    walk = {}
     seen = {0}
     stack = [0]
     while stack:
@@ -183,7 +184,7 @@ def _strategy_walk(pos_list, status, succs, pick, win_code):
             if k < 0:
                 raise RuntimeError("no winning move at a won position")
             j = row[k]
-            walk.append((pos_list[i], k, pos_list[j]))
+            walk[pos_list[i]] = k, pos_list[j]
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
@@ -261,8 +262,10 @@ class GameCore:
     gives the sweeps their every-choice graphs; the greedy numbering
     stays the order when every rebuilt row points forward.  ``play``
     and ``validate_strategy`` walk internal positions with ``_status``
-    and ``_successors`` and decode through ``_public`` only for the
-    trace, the strategy's move (``_strategy_index``) and their errors.
+    and ``_successors``.  ``_strategy_index`` reads a strategy that this
+    game solved from its pick table, checking the recorded successor,
+    so they decode through ``_public`` only for the trace, for a
+    strategy given as a ``moves`` dict and for their errors.
     The clock-free rules (literals, or/and, modal moves, stuck movers)
     are shared here.  A game supplies only its codec:
 
@@ -485,13 +488,24 @@ class GameCore:
 
     def _strategy_index(self, strategy, p, succs):
         """Index into ``succs``, the successors of ``p`` in move order, of
-        the move that ``strategy`` prescribes at ``p``."""
-        pos = self._public(p)
-        move = strategy[pos]
-        for k, dst in enumerate(succs):
-            if self._move_label(p, dst, k) == tuple(move):
+        the move that ``strategy`` prescribes at ``p``.  A strategy that
+        this game solved is read from its pick table, whose move is legal
+        only if it leads to the recorded successor; a position outside
+        the table, or any other strategy, is looked up at the public
+        position and the move's label matched."""
+        pick = strategy._game is self and strategy._table().get(p)
+        if pick:
+            k, dst = pick
+            if k < len(succs) and succs[k] == dst:
                 return k
-        raise StrategyError(f"strategy move {move} is illegal at {pos}")
+            move = self._move_label(p, dst, k)
+        else:
+            move = strategy[self._public(p)]
+            for k, dst in enumerate(succs):
+                if self._move_label(p, dst, k) == tuple(move):
+                    return k
+        raise StrategyError(f"strategy move {move} is illegal at "
+                            f"{self._public(p)}")
 
     def _explore(self, start_states, eloise_greedy=False, abelard_greedy=False):
         """Breadth-first reachable position graph from the given states.
@@ -750,8 +764,9 @@ class GameCore:
     def validate_strategy(self, winner, strategy):
         """Check the strategy wins every opponent playout; returns the
         number of distinct positions visited.  The walk runs on internal
-        positions and decodes one only to look up the strategy's move at
-        a winner's turn, or to name it in an error."""
+        positions and reads the strategy's move at a winner's turn through
+        ``_strategy_index``; it decodes a position only to look up a
+        ``moves`` dict, or to name it in an error."""
         seen = set()
         stack = [self._root(self.model.state_index(self.start))]
         while stack:

@@ -148,9 +148,12 @@ class ReducedModel:
             map(quoted.__getitem__, chain.from_iterable(rows)),
             sum(map(len, rows)), self._val_mask)
         yield ('"root": ' + _quote(self.root),)
-        entries = _backmap_entries(self._game, self._positions)
+        state, sis, tail, qs = _backmap_entries(self._game, self._positions)
+        pos_of = self._pos_of
         yield _json_block('"backmap": ', "{}", map(
-            add, quoted, map(entries.__getitem__, self._pos_of)), 1)
+            add, map(add, quoted, map(state.__getitem__,
+                                      map(sis.__getitem__, pos_of))),
+            map(tail.__getitem__, map(qs.__getitem__, pos_of))), 1)
 
     def save(self, path):
         save_model(self, path)
@@ -160,9 +163,12 @@ class ReducedModel:
 
 
 def _backmap_entries(game, positions):
-    """The encoded back-map value of every explored position, after the
-    ": " that follows its key: the state part per state, and the rest
-    once per node and clock prefix, from one %-template per syntax node."""
+    """The parts of the encoded back-map values, after the ": " that
+    follows a key: ``(state, sis, tail, qs)``, where explored position i
+    has the value ``state[sis[i]] + tail[qs[i]]``.  The state part is
+    encoded once per state, and the rest once per node and clock prefix,
+    from one %-template per syntax node; the writer joins the values one
+    slice at a time."""
     paths = game.index.node_path
     name = game.sentence.name
     # Node paths and binder names hold no "%".  A game's binder names are
@@ -178,8 +184,7 @@ def _backmap_entries(game, positions):
     tail = {q: templates[node] % clocks
             for q, (node, clocks) in prefix.items()}
     state = [': {\n      "state": ' + _quote(w) for w in game.model.states]
-    return list(map(add, map(state.__getitem__, sis),
-                    map(tail.__getitem__, qs)))
+    return state, sis, tail, qs
 
 
 def _valuation_tables(game):

@@ -10,6 +10,7 @@ valuations, and on the exports of random small instances, DAG and tree.
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -134,3 +135,21 @@ def test_files_written_in_slices_are_json_dumps(tmp_path, monkeypatch,
         assert exported.json_text() == expected
         save_model(exported, tmp_path / f"{k}.json")
         assert (tmp_path / f"{k}.json").read_bytes() == expected.encode()
+
+
+def test_export_writer_peak_stays_under_its_text():
+    """The writer holds one slice of each member, not its whole values:
+    writing the daggerN(12) nu-mu omega export to a sink that drops every
+    chunk peaks, traced, below the length of the text it writes."""
+    reduced = build_position_model(generate_family("daggerN", 12), "w_0",
+                                   parse("nu X. ([]X & mu Y. (p | <>Y))"),
+                                   OMEGA)
+    length = len(reduced.json_text())
+    tracemalloc.start()
+    try:
+        for _ in kripke._json_document(reduced._json_members()):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < length
