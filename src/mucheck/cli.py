@@ -333,14 +333,13 @@ def build_parser(command=None):
         dest="command", required=True,
         metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None)
 
-    def add_common(p, with_state=True):
+    def add_common(p):
         p.add_argument("--model", required=True, help="model JSON file")
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--formula", help="formula text")
         group.add_argument("--formula-file", help="file with formula text")
-        if with_state:
-            p.add_argument("--state", required=True,
-                           help="start state in the model")
+        p.add_argument("--state", required=True,
+                       help="start state in the model")
         p.add_argument("--max-positions", type=_positive_int,
                        default=DEFAULT_MAX_POSITIONS,
                        help="solver position cap")

@@ -770,14 +770,14 @@ class _FullMapGame(GameCore):
     GameCore's ``status`` and ``legal_moves``, and ``play`` with a
     callable player, raise AttributeError, since it gives no
     ``_internal``.  ``validate_strategy`` and ``play`` with strategies
-    walk its ints from ``_root``.  A strategy that its own ``_solve``
-    returns is read as its pick table of ints, with no ``_public`` or
-    ``_decision_label``, unless an illegal binder or label move must be
-    named, which raises AttributeError.  A strategy given as a ``moves``
-    dict is looked up through ``_public``, so they raise StrategyError
-    at the first winner's turn that it leaves out, and AttributeError
-    where it names a binder or label move, since the oracle gives no
-    ``_decision_label`` to match it with.
+    walk its ints from ``_root``.  It has no public ``solve``; a strategy
+    that ``GameCore._solve`` returns for it is read as its pick table of
+    ints, with no ``_public`` or ``_decision_label``, unless an illegal
+    binder or label move must be named, which raises AttributeError.  A
+    strategy given as a ``moves`` dict is looked up through ``_public``,
+    so they raise StrategyError at the first winner's turn that it leaves
+    out, and AttributeError where it names a binder or label move, since
+    the oracle gives no ``_decision_label`` to match it with.
     """
 
     _decision_kinds = (F.MU, F.NU, F.LABEL)

@@ -251,16 +251,17 @@ class GameCore:
     table gives each position's successors as deltas to add to it (a
     modal row when play first reaches its state), and the jump table
     the one move of a label whose owner plays greedy.  Two loops read
-    them: ``_Graph.solve``'s depth-first search, which ``_solve`` runs
-    and which numbers a position's successors when it first enters it,
-    and the breadth-first builder ``_build_rows``, which ``_explore``
-    runs over the whole reachable graph for the sweeps, the free game
-    and the position-model export.  Both reuse a greedy graph for a less
-    greedy policy: ``_reopen`` unsets the decision rows that the policy
-    changes, greedy mode's deferred re-solve searches again from there,
-    and ``_refine`` rebuilds every decision row with the builder, which
-    gives the sweeps their every-choice graphs; the greedy numbering
-    stays the order when every rebuilt row points forward.  ``play``
+    them: ``_Graph.solve``'s depth-first search, which ``_solve`` (the
+    clock and counter games' public ``solve``) runs and which numbers a
+    position's successors when it first enters it, and the breadth-first
+    builder ``_build_rows``, which ``_explore`` runs over the whole
+    reachable graph for the sweeps, the free game and the position-model
+    export.  Both reuse a greedy graph for a less greedy policy:
+    ``_reopen`` unsets the decision rows that the policy changes, greedy
+    mode's deferred re-solve searches again from there, and ``_refine``
+    rebuilds every decision row with the builder, which gives the sweeps
+    their every-choice graphs; the greedy numbering stays the order when
+    every rebuilt row points forward.  ``play``
     and ``validate_strategy`` walk internal positions with ``_status``
     and ``_successors``.  ``_strategy_index`` reads a strategy that this
     game solved from its pick table, checking the recorded successor,
@@ -282,7 +283,7 @@ class GameCore:
       one successor ``p % keep + delta``, or None;
     * ``_decision_row(p, node)``, the deltas of a binder or label
       position that neither table gives, such as a label whose owner
-      chooses freely;
+      chooses freely; a codec whose tables give every row has none;
     * ``_decision_label``, the name of a binder or label move
       (``_move_label`` names every move), and ``_decision_kinds``, the
       node kinds whose moves depend on the clock or counter policy;
@@ -456,10 +457,6 @@ class GameCore:
                 return [p % jump[0] + jump[1]]
             deltas = self._missing_row(rows, p)
         return [p + d for d in deltas]
-
-    def _decision_row(self, p, node):
-        raise NotImplementedError(
-            f"{type(self).__name__} gives every row in its tables")
 
     def status(self, pos):
         return _STATUS[self._status(self._internal(pos))]
@@ -660,24 +657,30 @@ class GameCore:
         """Called after each search that ``_solve`` runs, greedy mode's
         deferred re-solve included, with ``last_explored`` set to the
         positions it numbered; a game whose position count has a known
-        bound checks it here."""
+        bound checks it here, as the two-counter game checks
+        card(M) * size * (f+1)^2."""
 
-    def _solve(self, mode):
-        """Winner of the game from ``start`` plus a winning strategy.
+    def _solve(self, mode="greedy"):
+        """Winner of the game from ``start`` plus a winning strategy for
+        that player.  ``EvalGame`` and ``FBoundedGame`` give it as their
+        public ``solve``.
 
         The graph is explored on demand: ``_Graph.solve``'s depth-first
         search, given this game and its clock policy, numbers a
         position's successors from the game's tables the first time it
         enters the position, so ``last_explored`` counts the positions
         the search discovered, not the whole reachable graph.
-        Exhaustive mode solves with every choice.  Greedy mode solves
-        the subgame where both players only ever make the largest legal
-        clock or counter choice, and its winner is the verdict: every
-        play is finite, so the search's answer at the start is exact for
-        that subgame, and criterion 8 holds it equal to the exhaustive
-        winner.
+        Exhaustive mode solves with every clock or counter choice.
+        Greedy mode solves the subgame where both players only ever make
+        the largest legal choice: announce the largest clock value and
+        lower a clock or counter by exactly one.  Its winner is the
+        verdict: every play is finite, so the search's answer at the
+        start is exact for that subgame, and criterion 8 holds it equal
+        to the exhaustive winner.  The codec's ``_check_explored`` runs
+        after every search.
 
-        The strategy is not computed here.  The returned ``Strategy``
+        The strategy is total against arbitrary opponent play in both
+        modes, but it is not computed here.  The returned ``Strategy``
         holds a callable that gives it the finished search (the graph's
         positions, statuses and rows, the picks and the winner code),
         and walks it (``_strategy_walk``) the first time it is read, so a
@@ -948,17 +951,7 @@ class EvalGame(GameCore):
         base = p % unit - p + self._S * (self._rf_body[node] - node)
         return range(base + (top - 1) * unit, base - unit, -unit)
 
-    def solve(self, mode="greedy"):
-        """Winner of the game plus a winning strategy for that player.
-
-        Greedy mode determines the winner on the subgame where both
-        players only ever announce the largest legal clock value and lower
-        clocks by exactly one; exhaustive mode explores every clock
-        choice.  The returned strategy is total against arbitrary opponent
-        play in both modes; in greedy mode the re-solve that makes it so
-        runs, and may hit the position cap, when it is first read.
-        """
-        return self._solve(mode)
+    solve = GameCore._solve
 
     def _decision_label(self, p, dst):
         return ("set-clock", self._public(dst).clocks[-1])
@@ -1030,12 +1023,14 @@ class _Graph:
         status.  So a game is explored on demand, only as far as the
         search reads it, and the cap and its error are the builder's.  A
         fully built graph, solved without a game, has no unset row.
-        Returns ``(win, pick)``: ``win[i]`` is the winner code (0 Eloise,
-        1 Abelard) of every position the search solved and ``_UNSET``
-        elsewhere; ``pick[i]`` is the row index of the first successor
-        won by the mover, or -1 where the mover loses.  Raises
-        RuntimeError on meeting a position already on the search stack,
-        which is a cycle.
+        Each numbered position appends one entry to ``win`` and ``pick``
+        as to the graph's lists, so all five have the graph's length at
+        every step.  Returns ``(win, pick)``: ``win[i]`` is the winner
+        code (0 Eloise, 1 Abelard) of every position the search solved
+        and ``_UNSET`` elsewhere; ``pick[i]`` is the row index of the
+        first successor won by the mover, or -1 where the mover loses.
+        Raises RuntimeError on meeting a position already on the search
+        stack, which is a cycle.
         """
         pos_list = self.pos_list
         status = self.status
@@ -1049,9 +1044,8 @@ class _Graph:
             labels = game._label_table()
             rows, jumps = game._rows(eloise_greedy, abelard_greedy)
             missing_row = game._missing_row
-        room = len(status)  # the length of win and pick
-        win = [_UNSET] * room
-        pick = [-1] * room
+        win = [_UNSET] * len(status)
+        pick = [-1] * len(status)
         stack = []
         for r in roots:
             # Enter r from a sentinel parent, -1, whose row is (r,) and
@@ -1107,24 +1101,16 @@ class _Graph:
                                     st = codes[digit if digit < top else top]
                                 status.append(st)
                                 succs.append(None if st >= _TURN_E else ())
+                                win.append(_UNSET)
+                                pick.append(-1)
                             row.append(di)
                         succs[j] = row = tuple(row)
-                        if len(pos_list) > room:
-                            # Room for the positions just numbered, and as
-                            # much again, so that the lists grow in few
-                            # steps.
-                            grow = 2 * len(pos_list) - room
-                            win += [_UNSET] * grow
-                            pick += [-1] * grow
-                            room += grow
                     i, k, mover = j, 0, sj - _TURN_E
                     continue
                 if not stack:
                     break  # back at the sentinel
                 win[i] = mover if pick[i] >= 0 else 1 - mover
                 i, row, k, mover = stack.pop()
-        del win[len(status):]
-        del pick[len(status):]
         return win, pick
 
     def winners(self, count=None):

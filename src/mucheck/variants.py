@@ -149,16 +149,7 @@ class FBoundedGame(GameCore):
                 f"position cap {self.max_positions}")
         return range(base - unit, base - (top + 1) * unit, -unit)
 
-    def solve(self, mode="greedy"):
-        """Winner plus a winning strategy, as in the clock-bounded game.
-
-        Greedy mode lowers counters by exactly one; exhaustive mode
-        explores every allowed decrement.  The visited position count is
-        checked against card(M) * size * (f+1)^2 after every search: the
-        solve's own, and in greedy mode also the one-sided re-solve that
-        runs when the strategy is first read (``_check_explored``).
-        """
-        return self._solve(mode)
+    solve = GameCore._solve
 
     def _check_explored(self):
         if self.last_explored > self._position_limit:
