@@ -19,8 +19,8 @@ from . import reduction
 from . import semantics
 from . import variants
 from .game import (ABELARD, DEFAULT_MAX_POSITIONS, ELOISE, EvalGame,
-                   GameLimitError, StrategyError, first_move_player,
-                   format_move, interactive_player)
+                   GameLimitError, first_move_player, format_move,
+                   interactive_player)
 from .kripke import (FAMILIES, ModelError, _json_document, gc_paused,
                      generate_family, load_model_file, save_model)
 from .semantics import OMEGA, BoundError
@@ -136,11 +136,10 @@ def cmd_eval(args):
                                "verdicts disagree", EXIT_CHECK)
 
     if args.trace and game is not None:
-        winner_strat = strategy
-        if winner_strat.player == ELOISE:
-            trace = game.play(winner_strat, first_move_player)
+        if strategy.player == ELOISE:
+            trace = game.play(strategy, first_move_player)
         else:
-            trace = game.play(first_move_player, winner_strat)
+            trace = game.play(first_move_player, strategy)
 
     code, word = _verdict_exit(verdict)
     if args.json:
@@ -187,16 +186,16 @@ def cmd_play(args):
 
     def machine_for(player):
         # The expected winner plays its strategy, the other side its first
-        # legal move.  A strategy move that is not legal is a fault of the
-        # solver, so it raises StrategyError, an internal error.
+        # legal move.  The kernel reads the strategy's pick table; a
+        # strategy move that is not legal is a fault of the solver, so it
+        # raises StrategyError, an internal error.
         def move(g, pos, moves):
-            labels = [m for m, _ in moves]
-            want = strategy[pos] if winner == player else labels[0]
-            if want not in labels:
-                raise StrategyError(f"strategy move {want} is illegal at "
-                                    f"{pos}")
-            print(f"{player} plays: {format_move(want)}")
-            return labels.index(want)
+            k = 0
+            if winner == player:
+                p = g._internal(pos)
+                k = g._strategy_index(strategy, p, g._successors(p))
+            print(f"{player} plays: {format_move(moves[k][0])}")
+            return k
         return move
 
     if args.side == "eloise":

@@ -471,9 +471,10 @@ def _check_games(sent, sent_idx, union, members, tallies, gammas,
     instances for the whole group at once, and its failures are the set
     bits of one union-state mask per bound, which _record maps back to
     members and states.  When the union's game trips the position cap
-    or has a cycle, the group runs again one member at a time, so
-    termination and the cap stay per (sentence, model): there a cycle
-    fails termination, and a cap hit propagates.
+    or has a cycle, the error propagates and _union_job runs the group
+    again one member at a time, so termination and the cap stay per
+    (sentence, model): there a cycle fails termination, and a cap hit
+    propagates with the model.
     """
     nb = len(gammas)
     model0 = members[0][1]
@@ -495,10 +496,7 @@ def _check_games(sent, sent_idx, union, members, tallies, gammas,
         acyclic = True
     except (RuntimeError, GameLimitError) as exc:
         if len(members) > 1:
-            for member in members:
-                _check_games(sent, sent_idx, member[1], [member], tallies,
-                             gammas, max_positions)
-            return
+            raise
         if isinstance(exc, GameLimitError):
             raise GameLimitError(
                 f"{exc}: {F.render(sent)} on the model "
@@ -604,7 +602,13 @@ def _union_job(args):
     on every card group of the sentence's vocabulary, into tallies of
     ``properties``.  Each vocabulary's groups are built once per job, the
     first time a sentence needs them, from
-    ``_model_classes(max_states, vocab, **model_kw)``."""
+    ``_model_classes(max_states, vocab, **model_kw)``.
+
+    When ``check`` raises RuntimeError or GameLimitError on the union of
+    two or more models (a cycle, or a position cap), the group runs again
+    one member at a time, where the error propagates.  Both checks raise
+    only before they change a tally, so the rerun counts every instance
+    once."""
     (trees, start_idx, properties, check, max_states, model_kw,
      *check_args) = args
     groups_by_vocab = {}
@@ -617,7 +621,15 @@ def _union_job(args):
             groups = groups_by_vocab[vocab] = _card_groups(
                 _model_classes(max_states, vocab, **model_kw))
         for union, members in groups:
-            check(sent, start_idx + k, union, members, tallies, *check_args)
+            try:
+                check(sent, start_idx + k, union, members, tallies,
+                      *check_args)
+            except (RuntimeError, GameLimitError):
+                if len(members) == 1:
+                    raise
+                for member in members:
+                    check(sent, start_idx + k, member[1], [member], tallies,
+                          *check_args)
     return tallies
 
 
@@ -837,33 +849,24 @@ def _check_policies(sent, sent_idx, union, members, tallies, gammas):
     """Greedy against exhaustive and canonical against full-map winners
     of one sentence at every bound of ``gammas`` on one card group, from
     one graph of each kind per bound on the group's union model; the
-    exhaustive graph is the greedy one refined in place.  When
-    one of them trips its position cap or has a cycle, the group runs
-    again one member at a time, where the error propagates as it always
-    has; so every graph is explored before any tally changes.  Each
-    property adds its instances for the whole group at once, and _record
-    takes its failures from the mask of the union states where its
-    winner differs from the exhaustive one."""
+    exhaustive graph is the greedy one refined in place.  Every graph
+    is explored before any tally changes, so a position cap or a cycle
+    raises first (_union_job then runs the group one member at a time).
+    Each property adds its instances for the whole group at once, and
+    _record takes its failures from the mask of the union states where
+    its winner differs from the exhaustive one."""
     model0 = members[0][1]
     n = union.card
     wins = []
-    try:
-        for g in gammas:
-            cap = semantics.clock_cap(g, model0)  # OMEGA: the member's card
-            game = EvalGame(union, union.states[0], sent, cap)
-            fm = _FullMapGame(union, union.states[0], sent, cap,
-                              FULLMAP_MAX_POSITIONS)
-            graph = game._explore(union.states, True, True)
-            win_g = graph.winners(n)
-            wins.append((win_g, game._refine(graph).winners(n),
-                         fm._explore(union.states).winners(n)))
-    except (RuntimeError, GameLimitError):
-        if len(members) == 1:
-            raise
-        for member in members:
-            _check_policies(sent, sent_idx, member[1], [member], tallies,
-                            gammas)
-        return
+    for g in gammas:
+        cap = semantics.clock_cap(g, model0)  # OMEGA: the member's card
+        game = EvalGame(union, union.states[0], sent, cap)
+        fm = _FullMapGame(union, union.states[0], sent, cap,
+                          FULLMAP_MAX_POSITIONS)
+        graph = game._explore(union.states, True, True)
+        win_g = graph.winners(n)
+        wins.append((win_g, game._refine(graph).winners(n),
+                     fm._explore(union.states).winners(n)))
     count = model0.card * sum(mult for _, _, mult in members)
     for gi, (g, (win_g, win_f, win_m)) in enumerate(zip(gammas, wins)):
         for name, win in (("greedy-exhaustive", win_g),
@@ -895,7 +898,8 @@ def run_normalize_checks(sentences, models, gammas=(2,)):
     """Evaluate shadowed-binder variants against their normal forms."""
     tallies = _new_tallies(EXTRA_PROPERTIES)
     for sent_idx, sent in enumerate(sentences):
-        shadowed = _shadow_binders(sent)
+        # Every binder renamed to X, references kept.
+        shadowed = F._rename_binders(sent, lambda name: "X")
         norm = F.normalize(shadowed)
         for model_idx, model in enumerate(models):
             ok = (semantics.eval_standard(model, shadowed)
@@ -912,11 +916,6 @@ def run_normalize_checks(sentences, models, gammas=(2,)):
                 1, ok, (sent_idx, model_idx),
                 (model, shadowed, None, None, "normalize-soundness"))
     return tallies
-
-
-def _shadow_binders(sent):
-    """Rename every binder to the same label, keeping references intact."""
-    return F._rename_binders(sent, lambda name: "X")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import json
 from itertools import chain
 
 from mucheck import formula as F
+from mucheck.corpus import LABEL_POOL
 from mucheck.formula import BINDER_KINDS
 from mucheck.game import ABELARD, ELOISE, StrategyError
 from mucheck.kripke import KripkeModel, ModelError
@@ -663,3 +664,54 @@ def naive_load_model(data):
 
 def _all_of(items, cls):
     return set(map(type, items)) <= {cls}
+
+
+def random_alternating_sentence(rng, binders, max_nodes, props=("p", "q")):
+    """A random sentence of ``binders`` nested binders, each in the body of
+    the last and alternating between mu and nu, with at most ``max_nodes``
+    nodes.  Every binder's label occurs under a modality inside the
+    innermost binder, so every clock is live there; the nodes left over go
+    to random atoms, modalities and connectives beside the binders.
+    Raises ValueError when ``max_nodes`` is below the ``4 * binders - 1``
+    nodes that this takes."""
+    spare = max_nodes - (4 * binders - 1)
+    if binders < 1 or spare < 0:
+        raise ValueError(f"{binders} binders need {4 * binders - 1} nodes")
+    labels = LABEL_POOL[:binders]
+    kinds = rng.choice(((F.MU, F.NU), (F.NU, F.MU)))
+
+    def filler(size, scope):
+        # A random subtree of exactly ``size`` nodes.
+        if size == 1:
+            return rng.choice([(kind, p, ()) for p in props
+                               for kind in (F.PROP, F.NEGPROP)]
+                              + [(F.LABEL, lab, ()) for lab in scope])
+        if size == 2 or rng.random() < 0.5:
+            return (rng.choice((F.DIAMOND, F.BOX)), None,
+                    (filler(size - 1, scope),))
+        left = rng.randint(1, size - 2)
+        return (rng.choice((F.OR, F.AND)), None,
+                (filler(left, scope), filler(size - 1 - left, scope)))
+
+    def beside(tree, scope):
+        # Join a random filler to ``tree`` now and then, from the spare.
+        nonlocal spare
+        if spare < 2 or rng.random() < 0.4:
+            return tree
+        size = rng.randint(1, min(spare - 1, 4))
+        spare -= size + 1
+        pair = [tree, filler(size, scope)]
+        rng.shuffle(pair)
+        return (rng.choice((F.OR, F.AND)), None, tuple(pair))
+
+    guarded = [(rng.choice((F.DIAMOND, F.BOX)), None, ((F.LABEL, lab, ()),))
+               for lab in labels]
+    rng.shuffle(guarded)
+    tree = guarded[0]
+    for other in guarded[1:]:
+        tree = beside((rng.choice((F.OR, F.AND)), None, (tree, other)),
+                      labels)
+    for i in reversed(range(binders)):
+        tree = beside((kinds[i % 2], labels[i],
+                       (beside(tree, labels[:i + 1]),)), labels[:i])
+    return F.Sentence(tree)

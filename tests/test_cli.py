@@ -694,6 +694,31 @@ def test_play_output_is_pinned(case, m1_path, star3_path, monkeypatch,
             ).encode("utf-8") == golden_bytes(f"play_{case}.txt")
 
 
+def test_play_reads_the_pick_table(star3_path, monkeypatch, capsys):
+    """The machine player asks the game for its strategy move, which reads
+    the solver's pick table: a session never builds the strategy's public
+    moves dict, and prints what it always has."""
+    from mucheck import cli
+    from mucheck.game import EvalGame
+
+    solved = []
+
+    class KeepingGame(EvalGame):
+        def solve(self, mode="greedy"):
+            winner, strategy = super().solve(mode)
+            solved.append(strategy)
+            return winner, strategy
+
+    monkeypatch.setattr(cli, "EvalGame", KeepingGame)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1\n" * 14))
+    code, out, err = run(["play", "--model", star3_path, "--formula",
+                          PHI_STAR, "--state", "w_0", "--gamma", "omega",
+                          "--as", "abelard"], capsys)
+    assert [strategy._moves for strategy in solved] == [None]
+    assert (f"exit: {code}\n--- stdout\n{out}--- stderr\n{err}"
+            ).encode("utf-8") == golden_bytes("play_abelard.txt")
+
+
 @pytest.mark.parametrize("moves", ["illegal", "absent"])
 def test_a_faulty_machine_strategy_is_an_internal_error(
         moves, star3_path, monkeypatch, capsys):

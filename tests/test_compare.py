@@ -912,6 +912,20 @@ def test_mode_union_over_the_fullmap_cap_runs_one_model_at_a_time(
                                workers=1)
 
 
+def test_a_group_of_one_over_the_cap_is_not_run_again(monkeypatch):
+    """A card group of one model is its own union: when its check trips
+    a cap, _union_job lets the error propagate at once."""
+    calls = _count_calls(monkeypatch, "_check_policies")
+    monkeypatch.setattr(compare, "FULLMAP_MAX_POSITIONS", 2)
+    extra = (((3, 0b101100011, 0b011010), ("p", "q")),)
+    from mucheck.formula import parse
+    from mucheck.game import GameLimitError
+    with pytest.raises(GameLimitError):
+        compare.run_mode_sweep([parse("mu X. (p | <>X)")], max_states=0,
+                               extra_models=extra, gammas=(1,), workers=1)
+    assert [len(args[3]) for args in calls] == [1]
+
+
 @settings(max_examples=200)
 @given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 5))
 def test_union_from_rows_matches_the_union_by_names(seed, card, count):

@@ -430,3 +430,45 @@ def test_solve_raises_on_the_cycles_it_meets(graph):
         g.solve(roots)
     with pytest.raises(RuntimeError):
         g.solve(roots + [a])
+
+
+def test_greedy_label_moves_are_the_first_every_choice_move():
+    """At a label whose owner plays greedy, ``legal_moves(pos, "greedy")``
+    takes the jump table's one move: the binder's clock one lower, or the
+    largest clock where the binder holds the untouched bound, with every
+    clock of an inner binder dropped.  It is the first move of
+    ``legal_moves(pos)`` at every label position that is not won, as an
+    internal position too, where a kept inner clock would show."""
+    g = EvalGame(generate_family("starN", 3), "w_0",
+                 parse("mu X. nu Y. (<>X | (p & []Y))"), OMEGA)
+    labels = [n for n in range(g.sentence.size) if g._kind[n] == F.LABEL]
+    x_label, y_label = labels
+    assert g.index.active_ancestors[x_label] == (0, 1)
+    # Both clocks set: X's jump to its body drops Y's clock.
+    pos = g.make_position("w_1", x_label, {"X": 2, "Y": 3})
+    assert g.legal_moves(pos, "greedy") == [
+        (("set-clock", 1), Position("w_1", 1, (1,)))]
+    # X untouched (None): the largest clock, below the cap of card + 1.
+    pos = g.make_position("w_1", x_label, {"Y": 1})
+    assert pos.clocks == (None, 1)
+    assert g.legal_moves(pos, "greedy") == [
+        (("set-clock", 4), Position("w_1", 1, (4,)))]
+    # A clock map keyed by binder node id names the same position.
+    assert g.make_position("w_2", y_label, {1: 2}) \
+        == g.make_position("w_2", y_label, {"Y": 2}) \
+        == Position("w_2", y_label, (None, 2))
+    checked = 0
+    values = list(range(g.clock_cap)) + [None]
+    for node in labels:
+        for state in g.model.states:
+            for x in values:
+                for y in values:
+                    pos = Position(state, node, (x, y))
+                    every = g.legal_moves(pos)
+                    assert g.legal_moves(pos, "greedy") == every[:1]
+                    if every:
+                        p = g._internal(pos)
+                        assert g._successors(p, True, True) \
+                            == g._successors(p)[:1]
+                        checked += 1
+    assert checked == 2 * 4 * 5 * 6
