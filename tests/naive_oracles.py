@@ -666,12 +666,13 @@ def _all_of(items, cls):
     return set(map(type, items)) <= {cls}
 
 
-def random_alternating_sentence(rng, binders, max_nodes, props=("p", "q")):
+def random_alternating_sentence(rng, binders, max_nodes):
     """A random sentence of ``binders`` nested binders, each in the body of
     the last and alternating between mu and nu, with at most ``max_nodes``
     nodes.  Every binder's label occurs under a modality inside the
     innermost binder, so every clock is live there; the nodes left over go
-    to random atoms, modalities and connectives beside the binders.
+    to random atoms over ``p`` and ``q``, modalities and connectives beside
+    the binders.
     Raises ValueError when ``max_nodes`` is below the ``4 * binders - 1``
     nodes that this takes."""
     spare = max_nodes - (4 * binders - 1)
@@ -683,7 +684,7 @@ def random_alternating_sentence(rng, binders, max_nodes, props=("p", "q")):
     def filler(size, scope):
         # A random subtree of exactly ``size`` nodes.
         if size == 1:
-            return rng.choice([(kind, p, ()) for p in props
+            return rng.choice([(kind, p, ()) for p in ("p", "q")
                                for kind in (F.PROP, F.NEGPROP)]
                               + [(F.LABEL, lab, ()) for lab in scope])
         if size == 2 or rng.random() < 0.5:

@@ -905,23 +905,17 @@ def test_mode_union_over_the_fullmap_cap_runs_one_model_at_a_time(
     assert capped == uncapped
     assert sum(len(args[3]) == 1 for args in calls) > len(calls) // 2
     # A cap that one model's own game exceeds still stops the sweep.
+    from mucheck import formula as F
     from mucheck.game import GameLimitError
     monkeypatch.setattr(compare, "FULLMAP_MAX_POSITIONS", 2)
     with pytest.raises(GameLimitError):
         compare.run_mode_sweep(sents, max_states=2, gammas=(1, 2),
                                workers=1)
-
-
-def test_a_group_of_one_over_the_cap_is_not_run_again(monkeypatch):
-    """A card group of one model is its own union: when its check trips
-    a cap, _union_job lets the error propagate at once."""
+    # A card group of one model is its own union: it is not run again.
     calls = _count_calls(monkeypatch, "_check_policies")
-    monkeypatch.setattr(compare, "FULLMAP_MAX_POSITIONS", 2)
     extra = (((3, 0b101100011, 0b011010), ("p", "q")),)
-    from mucheck.formula import parse
-    from mucheck.game import GameLimitError
     with pytest.raises(GameLimitError):
-        compare.run_mode_sweep([parse("mu X. (p | <>X)")], max_states=0,
+        compare.run_mode_sweep([F.parse("mu X. (p | <>X)")], max_states=0,
                                extra_models=extra, gammas=(1,), workers=1)
     assert [len(args[3]) for args in calls] == [1]
 
